@@ -1,18 +1,23 @@
 """Latency harness: per-query scoring time by architecture and candidate count.
 
 Bi/Poly are timed against a prebuilt cache (cache build reported separately);
-Cross timing includes the full per-candidate forwards. Cross runs at large
+Cross timing includes the joint forwards of every candidate. Cross runs at large
 candidate counts can be measured at a sub-count and linearly extrapolated;
 extrapolated cells are always flagged, never silently mixed with measured
-ones. The timed region runs single-threaded Python with a monotonic clock.
+ones. The timed region runs single-threaded Python with a monotonic clock,
+and numpy's bundled OpenBLAS is pinned to one thread for it: on small GEMMs
+extra BLAS threads cost more in hand-off than they save.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -91,11 +96,40 @@ def _check_timer():
         )
 
 
-def _thread_count() -> int:
-    env = os.environ.get("POLYSCORE_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+def _openblas_thread_calls():
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
+    or None when numpy links a BLAS this cannot reach."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            names = (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+            if hasattr(lib, names[0]) and hasattr(lib, names[1]):
+                get, put = (getattr(lib, n) for n in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with BLAS pinned to one thread, restoring the previous
+    count afterwards. Yields the effective count read back from BLAS; where
+    BLAS cannot be reached, nothing is pinned and the count POLYSCORE_THREADS
+    asked for (else the CPU count) is yielded as the best guess."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield int(os.environ.get("POLYSCORE_THREADS") or os.cpu_count() or 1)
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield get()
+    finally:
+        put(before)
 
 
 def _stats(times_s: list[float], arch, count, extrapolated, cache_s) -> BenchCell:
@@ -134,44 +168,52 @@ def run_bench(spec: BenchSpec, models: dict[str, Model], vocab: Vocabulary,
             f"candidate pool has {len(candidate_pool)} entries, "
             f"need {max(spec.candidate_counts)}"
         )
+    with _one_blas_thread() as threads:
+        cells = [cell for arch in spec.architectures
+                 for cell in _bench_arch(spec, arch, Scorer(models[arch], vocab),
+                                         candidate_pool, queries)]
+    return BenchReport(cells=cells, threads=threads, precision="float32")
+
+
+def _bench_arch(spec: BenchSpec, arch: str, scorer: Scorer, candidate_pool: list[str],
+                queries: list[list[str]]) -> list[BenchCell]:
+    kind, _ = parse_arch(arch)
     cells = []
-    for arch in spec.architectures:
-        kind, _ = parse_arch(arch)
-        scorer = Scorer(models[arch], vocab)
-        for count in spec.candidate_counts:
-            cands = candidate_pool[:count]
-            k = min(spec.top_k, count)
-            if kind == "cross":
-                sub = count
-                extrapolated = False
-                if spec.extrapolate_cross_from and count > spec.extrapolate_cross_from:
-                    sub = spec.extrapolate_cross_from
-                    extrapolated = True
-                sub_cands = cands[:sub]
-                times = _timed(
-                    lambda q: rank_cross(scorer, q, sub_cands, min(k, sub)),
-                    queries, spec.n_queries, spec.warmup_queries,
-                )
-                if extrapolated:
-                    times = [t * count / sub for t in times]
-                cells.append(_stats(times, arch, count, extrapolated, None))
-            else:
-                t0 = time.perf_counter()
-                cache = build_cache(cands, scorer)
-                cache_s = time.perf_counter() - t0
-                rank = rank_bi if kind == "bi" else rank_poly
-                times = _timed(
-                    lambda q: rank(scorer, q, cache, k),
-                    queries, spec.n_queries, spec.warmup_queries,
-                )
-                cells.append(_stats(times, arch, count, False, cache_s))
-    return BenchReport(cells=cells, threads=_thread_count(), precision="float32")
+    for count in spec.candidate_counts:
+        cands = candidate_pool[:count]
+        k = min(spec.top_k, count)
+        if kind == "cross":
+            sub = count
+            extrapolated = False
+            if spec.extrapolate_cross_from and count > spec.extrapolate_cross_from:
+                sub = spec.extrapolate_cross_from
+                extrapolated = True
+            sub_cands = cands[:sub]
+            times = _timed(
+                lambda q: rank_cross(scorer, q, sub_cands, min(k, sub)),
+                queries, spec.n_queries, spec.warmup_queries,
+            )
+            if extrapolated:
+                times = [t * count / sub for t in times]
+            cells.append(_stats(times, arch, count, extrapolated, None))
+        else:
+            t0 = time.perf_counter()
+            cache = build_cache(cands, scorer)
+            cache_s = time.perf_counter() - t0
+            rank = rank_bi if kind == "bi" else rank_poly
+            times = _timed(
+                lambda q: rank(scorer, q, cache, k),
+                queries, spec.n_queries, spec.warmup_queries,
+            )
+            cells.append(_stats(times, arch, count, False, cache_s))
+    return cells
 
 
 def make_bench_models(cfg: ModelConfig, architectures: list[str], seed: int,
                       dtype=np.float32) -> dict[str, Model]:
     """Random-init models per architecture; weights are shared-origin like a
-    fine-tune start so towers are comparable across architectures."""
+    fine-tune start so towers are comparable across architectures. Like a
+    loaded checkpoint, the models are inference-only: scoring records no tape."""
     rng = np.random.Generator(np.random.PCG64(seed))
     base = Model.init_pretrain(cfg, rng, dtype=dtype)
     models = {}
@@ -181,6 +223,8 @@ def make_bench_models(cfg: ModelConfig, architectures: list[str], seed: int,
             models[arch] = base.derive("poly", rng, poly_variant="learnt", poly_m=m)
         else:
             models[arch] = base.derive(kind, rng)
+        for t in models[arch].named_parameters().values():
+            t.requires_grad = False
     return models
 
 

@@ -530,6 +530,9 @@ def cmd_rank(args) -> int:
                 turns = obj["context"]
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ParseError(f"{queries_path}:{lineno + 1}: bad query line ({e})") from e
+            if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
+                raise ParseError(f"{queries_path}:{lineno + 1}: 'context' must be an array "
+                                 f"of strings, got {turns!r}")
             if model.kind == "cross":
                 res = rank_cross(scorer, turns, candidates, k)
             elif model.kind == "bi":

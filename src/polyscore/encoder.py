@@ -3,8 +3,9 @@
 Architecture follows original BERT-base block ordering (attention, residual,
 layer norm, GELU feed-forward, residual, layer norm) with an embedding layer
 norm up front; dimensions come from ModelConfig so both the desk default and
-BERT-base sizes are expressible. Attention logits at pad key positions are
-forced to -inf before the softmax, so pad rows never leak into real ones.
+BERT-base sizes are expressible. The forward runs padded [B, L] batches;
+attention logits at pad key positions are forced to -inf before the softmax,
+so pad rows never leak into real ones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
-from .text import TokenizedPair
+from .text import TokenBatch, TokenizedPair
 
 INIT_STD = 0.02
 LN_EPS = 1e-12
@@ -138,29 +139,35 @@ class TransformerWeights:
 
 @dataclass
 class TransformerOutput:
-    """Per-token hidden states h_1..h_N plus the pad mask they were built under."""
+    """Per-token hidden states h_1..h_N plus the pad mask they were built under.
 
-    hidden_states: Tensor  # [L, hidden]
-    pad_mask: tuple[bool, ...]
+    One sequence gives [L, hidden] states and an [L] mask; a TokenBatch gives
+    [B, L, hidden] states and its [B, L] mask.
+    """
+
+    hidden_states: Tensor
+    pad_mask: tuple[bool, ...] | np.ndarray
 
     @property
     def n_real(self) -> int:
-        return int(sum(self.pad_mask))
+        return int(np.count_nonzero(self.pad_mask))
 
 
-def embed(tp: TokenizedPair, w: TransformerWeights) -> Tensor:
-    """Sum of token, position and segment embeddings, row per input position."""
+def embed(tokens: TokenizedPair | TokenBatch, w: TransformerWeights) -> Tensor:
+    """Sum of token, position and segment embeddings, one row per input
+    position; a batch's [B, L] positions are flattened row-major to B*L rows."""
     cfg = w.cfg
-    ids = np.asarray(tp.token_ids)
+    ids = np.asarray(tokens.token_ids).ravel()
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise ConfigError(f"token id out of range for vocab_size {cfg.vocab_size}")
-    if len(tp) > cfg.max_positions:
+    length = np.shape(tokens.position_ids)[-1]
+    if length > cfg.max_positions:
         raise ConfigError(
-            f"sequence length {len(tp)} exceeds max_positions {cfg.max_positions}"
+            f"sequence length {length} exceeds max_positions {cfg.max_positions}"
         )
-    tok = T.gather_rows(w["embeddings.token"], tp.token_ids)
-    pos = T.gather_rows(w["embeddings.position"], tp.position_ids)
-    seg = T.gather_rows(w["embeddings.segment"], tp.segment_ids)
+    tok = T.gather_rows(w["embeddings.token"], ids)
+    pos = T.gather_rows(w["embeddings.position"], np.asarray(tokens.position_ids).ravel())
+    seg = T.gather_rows(w["embeddings.segment"], np.asarray(tokens.segment_ids).ravel())
     return T.add(T.add(tok, pos), seg)
 
 
@@ -173,54 +180,54 @@ def _maybe_dropout(x, p, train_mode, rng):
 
 
 def forward(
-    tp: TokenizedPair,
+    tokens: TokenizedPair | TokenBatch,
     w: TransformerWeights,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     taps: dict | None = None,
 ) -> TransformerOutput:
-    """Full encoder pass over one sequence.
+    """Full encoder pass over a padded [B, L] batch; one TokenizedPair runs as
+    a batch of one and returns [L, hidden] states.
 
+    Projections are single GEMMs over all B*L rows; heads are split and merged
+    by reshape/transpose; pad keys get an additive -inf bias before the
+    softmax, so pad positions never leak into real ones. With dropout, masks
+    are drawn in a fixed order (heads in turn within each attention layer).
     `taps`, when given, receives intermediate tensors keyed by name
-    (currently the last block's FFN output projection, pre-residual).
+    (currently the last block's FFN output projection, pre-residual, [B*L, hidden]).
     """
+    batch = tokens if isinstance(tokens, TokenBatch) else TokenBatch.of([tokens])
     cfg = w.cfg
-    n = len(tp)
-    head_dim = cfg.hidden // cfg.heads
+    b, n = batch.token_ids.shape
+    heads, hidden = cfg.heads, cfg.hidden
+    head_dim = hidden // heads
     inv_sqrt = 1.0 / math.sqrt(head_dim)
-    pad = np.asarray(tp.pad_mask, dtype=bool)
-    # keys at pad positions are masked for every query row
-    key_keep = np.broadcast_to(pad, (n, n))
+    key_bias = np.where(batch.pad_mask, 0.0, -np.inf).astype(w.dtype)[:, None, None, :]
 
-    x = embed(tp, w)
+    def split_heads(t, axes):  # [B*L, H] -> [B, heads, L, d], or [B, heads, d, L] for keys
+        return T.transpose(T.reshape(t, (b, n, heads, head_dim)), axes)
+
+    def project(t, name):
+        return T.add(T.matmul(t, w[f"{name}.weight"]), w[f"{name}.bias"])
+
+    x = embed(batch, w)
     x = T.layer_norm(x, w["embeddings.norm.gain"], w["embeddings.norm.bias"], LN_EPS)
     x = _maybe_dropout(x, cfg.dropout_p, train_mode, rng)
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
-        q = T.add(T.matmul(x, w[f"{p}.attn.q.weight"]), w[f"{p}.attn.q.bias"])
-        k = T.add(T.matmul(x, w[f"{p}.attn.k.weight"]), w[f"{p}.attn.k.bias"])
-        v = T.add(T.matmul(x, w[f"{p}.attn.v.weight"]), w[f"{p}.attn.v.bias"])
-        ctx_heads = []
-        for h in range(cfg.heads):
-            lo, hi = h * head_dim, (h + 1) * head_dim
-            qh = T.slice_cols(q, lo, hi)
-            kh = T.slice_cols(k, lo, hi)
-            vh = T.slice_cols(v, lo, hi)
-            logits = T.scale(T.matmul(qh, T.transpose(kh)), inv_sqrt)
-            logits = T.mask_fill(logits, key_keep, float("-inf"))
-            probs = T.softmax(logits)
-            probs = _maybe_dropout(probs, cfg.dropout_p, train_mode, rng)
-            ctx_heads.append(T.matmul(probs, vh))
-        ctx = ctx_heads[0] if cfg.heads == 1 else T.concat_cols(ctx_heads)
-        attn_out = T.add(T.matmul(ctx, w[f"{p}.attn.out.weight"]), w[f"{p}.attn.out.bias"])
-        attn_out = _maybe_dropout(attn_out, cfg.dropout_p, train_mode, rng)
+        q = split_heads(T.scale(project(x, f"{p}.attn.q"), inv_sqrt), (0, 2, 1, 3))
+        k = split_heads(project(x, f"{p}.attn.k"), (0, 2, 3, 1))
+        v = split_heads(project(x, f"{p}.attn.v"), (0, 2, 1, 3))
+        probs = T.softmax(T.matmul(q, k), bias=key_bias)  # [B, heads, L, L]
+        probs = _maybe_dropout(probs, cfg.dropout_p, train_mode, rng)
+        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * n, hidden))
+        attn_out = _maybe_dropout(project(ctx, f"{p}.attn.out"), cfg.dropout_p, train_mode, rng)
         x = T.layer_norm(
             T.add(x, attn_out), w[f"{p}.attn_norm.gain"], w[f"{p}.attn_norm.bias"], LN_EPS
         )
 
-        inner = T.gelu(T.add(T.matmul(x, w[f"{p}.ffn.inner.weight"]), w[f"{p}.ffn.inner.bias"]))
-        ffn_out = T.add(T.matmul(inner, w[f"{p}.ffn.out.weight"]), w[f"{p}.ffn.out.bias"])
+        ffn_out = project(T.gelu(project(x, f"{p}.ffn.inner")), f"{p}.ffn.out")
         if taps is not None and i == cfg.layers - 1:
             taps["last_ffn_out"] = ffn_out
         ffn_out = _maybe_dropout(ffn_out, cfg.dropout_p, train_mode, rng)
@@ -228,4 +235,7 @@ def forward(
             T.add(x, ffn_out), w[f"{p}.ffn_norm.gain"], w[f"{p}.ffn_norm.bias"], LN_EPS
         )
 
-    return TransformerOutput(hidden_states=x, pad_mask=tp.pad_mask)
+    if batch is tokens:
+        return TransformerOutput(hidden_states=T.reshape(x, (b, n, hidden)),
+                                 pad_mask=batch.pad_mask)
+    return TransformerOutput(hidden_states=x, pad_mask=tokens.pad_mask)

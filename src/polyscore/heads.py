@@ -15,7 +15,7 @@ from . import tensor as T
 from .encoder import TransformerOutput, TransformerWeights, forward
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
-from .text import TokenizedPair
+from .text import TokenBatch, TokenizedPair
 
 REDUCTION_FIRST = "first"
 REDUCTION_AVG_ALL = "avg_all"
@@ -34,23 +34,27 @@ def parse_reduction(kind: str) -> tuple[str, int | None]:
     raise ConfigError(f"unknown reduction kind {kind!r}")
 
 
-def _mean_rows(rows: Tensor) -> Tensor:
-    n = rows.shape[0]
-    ones = Tensor(np.ones((1, n), dtype=rows.dtype))
-    return T.reshape(T.scale(T.matmul(ones, rows), 1.0 / n), (rows.shape[1],))
-
-
 def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
-    """Collapse h_1..h_N to one vector; averages ignore pad positions."""
+    """Collapse h_1..h_N to one vector, [hidden] for one sequence or
+    [B, hidden] for a batch; averages ignore pad positions."""
     base, m = parse_reduction(kind)
-    n = out.n_real
-    if n < 1:
+    mask = np.asarray(out.pad_mask, dtype=bool)
+    mask = mask.reshape(-1, mask.shape[-1])  # [B, L]
+    n_real = mask.sum(axis=1)
+    if n_real.min() < 1:
         raise ContractError("reduce needs at least one non-pad position")
     h = out.hidden_states
+    b, length = mask.shape
+    hid = h.shape[-1]
     if base == REDUCTION_FIRST:
-        return T.reshape(T.slice_rows(h, 0, 1), (h.shape[1],))
-    stop = n if base == REDUCTION_AVG_ALL else min(m, n)
-    return _mean_rows(T.slice_rows(h, 0, stop))
+        pooled = T.gather_rows(T.reshape(h, (b * length, hid)), np.arange(b) * length)
+    else:
+        # pads are trailing, so the first `stop` positions of a row are real
+        stop = n_real if base == REDUCTION_AVG_ALL else np.minimum(m, n_real)
+        weights = (np.arange(length) < stop[:, None]) / stop[:, None]
+        weights = Tensor(weights[:, None, :].astype(h.dtype))  # [B, 1, L]
+        pooled = T.reshape(T.matmul(weights, T.reshape(h, (b, length, hid))), (b, hid))
+    return T.reshape(pooled, (hid,)) if h.data.ndim == 2 else pooled
 
 
 def bi_score(y_ctxt: Tensor, y_cand: Tensor) -> Tensor:
@@ -69,12 +73,13 @@ class CrossHead:
             raise ShapeError(f"cross head weight must be [hidden, 1], got {self.w.shape}")
 
 
-def cross_score(pair: TokenizedPair, w: TransformerWeights, head: CrossHead,
+def cross_score(pairs: TokenizedPair | TokenBatch, w: TransformerWeights, head: CrossHead,
                 train_mode: bool = False, rng=None) -> Tensor:
-    """Jointly encode (context, candidate) and score the first output."""
-    out = forward(pair, w, train_mode=train_mode, rng=rng)
-    h1 = T.slice_rows(out.hidden_states, 0, 1)
-    return T.reshape(T.matmul(h1, head.w), ())
+    """Jointly encode (context, candidate) and score the first output: a scalar
+    for one pair, a [B] vector for a batch of pairs."""
+    first = reduce_output(forward(pairs, w, train_mode=train_mode, rng=rng), REDUCTION_FIRST)
+    scores = T.matmul(T.reshape(first, (-1, head.w.shape[0])), head.w)
+    return T.reshape(scores, first.shape[:-1])
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -27,7 +28,8 @@ from .errors import ConfigError, ParseError, ShapeError
 from .heads import CrossHead, PolyHeadState, cross_score, init_codes, parse_reduction, \
     poly_context_vectors, poly_score, reduce_output, bi_score
 from .tensor import Tensor
-from .text import TokenizedPair, Vocabulary, encode_pair, encode_single, flatten_context
+from .text import TokenBatch, TokenizedPair, Vocabulary, encode_pair, encode_single, \
+    flatten_context
 
 MAGIC = b"PLYSCKPT"
 FORMAT_VERSION = 1
@@ -211,32 +213,54 @@ def save_checkpoint(model: Model, path) -> str:
     return fp
 
 
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise ParseError(f"checkpoint truncated while reading {what}")
-    return data
+def _extra_shapes(cfg: ModelConfig, kind: str, poly_variant, poly_m) -> dict[str, tuple]:
+    """Head parameters each model kind carries, by name."""
+    if kind == "pretrain":
+        return _pretrain_extra_shapes(cfg)
+    if kind == "cross":
+        return {"cross.w": (cfg.hidden, 1)}
+    if kind == "poly" and poly_variant == "learnt":
+        return {"poly.codes": (poly_m, cfg.hidden)}
+    return {}
 
 
 def load_checkpoint(path, dtype=np.float64) -> Model:
+    """Read a checkpoint written by save_checkpoint.
+
+    Weights load with requires_grad=False: a loaded model is inference-only
+    until a training loop marks the parameters it trains. Any malformed file
+    (truncated, trailing bytes, corrupt header or records) raises ParseError.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    fp = hashlib.sha256(raw).hexdigest()
+    try:
+        model = _parse_checkpoint(raw, dtype)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from e
+    except (ValueError, TypeError, KeyError, AttributeError, struct.error,
+            ConfigError, ShapeError) as e:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ParseError(f"{path}: corrupt checkpoint ({type(e).__name__}: {e})") from e
+    model.fingerprint = hashlib.sha256(raw).hexdigest()
+    return model
+
+
+def _parse_checkpoint(raw: bytes, dtype) -> Model:
     off = 0
 
     def take(n, what):
         nonlocal off
         if off + n > len(raw):
-            raise ParseError(f"{path}: checkpoint truncated while reading {what}")
+            raise ParseError(f"checkpoint truncated while reading {what}")
         piece = raw[off:off + n]
         off += n
         return piece
 
     if take(len(MAGIC), "magic") != MAGIC:
-        raise ParseError(f"{path}: not a checkpoint file (bad magic)")
+        raise ParseError("not a checkpoint file (bad magic)")
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+        raise ParseError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<I", take(4, "header length"))
     header = json.loads(take(hlen, "header").decode())
     cfg = ModelConfig(**header["config"])
@@ -246,16 +270,17 @@ def load_checkpoint(path, dtype=np.float64) -> Model:
         (nlen,) = struct.unpack("<I", take(4, "name length"))
         name = take(nlen, "name").decode()
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape")) if ndim else ()
-        nvals = int(np.prod(shape)) if shape else 1
-        vals = np.frombuffer(take(8 * nvals, f"values of {name}"), dtype="<f8").reshape(shape)
-        flat[name] = Tensor(vals.astype(dtype), requires_grad=True)
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
+        vals = np.frombuffer(take(8 * math.prod(shape), f"values of {name}"), dtype="<f8")
+        flat[name] = Tensor(vals.reshape(shape).astype(dtype))
+    if off != len(raw):
+        raise ParseError(f"{len(raw) - off} trailing bytes after the last record")
 
     kind = header["kind"]
     prefixes = {"pretrain": ["enc"], "cross": ["enc"], "bi": ["ctxt", "cand"],
                 "poly": ["ctxt", "cand"]}.get(kind)
     if prefixes is None:
-        raise ParseError(f"{path}: unknown model kind {kind!r} in header")
+        raise ParseError(f"unknown model kind {kind!r} in header")
     towers = {}
     extras = {}
     for name, t in flat.items():
@@ -264,14 +289,13 @@ def load_checkpoint(path, dtype=np.float64) -> Model:
             towers.setdefault(prefix, {})[rest] = t
         else:
             extras[name] = t
-    try:
-        tower_objs = {p: TransformerWeights(cfg, params) for p, params in towers.items()}
-    except ShapeError as e:
-        raise ParseError(f"{path}: {e}") from e
-    model = Model(cfg, kind, tower_objs, extras, reduction=header["reduction"],
-                  poly_variant=header["poly_variant"], poly_m=header["poly_m"],
-                  fingerprint=fp)
-    return model
+    want = _extra_shapes(cfg, kind, header["poly_variant"], header["poly_m"])
+    got = {n: t.shape for n, t in extras.items()}
+    if got != want:
+        raise ParseError(f"head parameters {got} do not match kind {kind!r}: want {want}")
+    tower_objs = {p: TransformerWeights(cfg, params) for p, params in towers.items()}
+    return Model(cfg, kind, tower_objs, extras, reduction=header["reduction"],
+                 poly_variant=header["poly_variant"], poly_m=header["poly_m"])
 
 
 def file_sha256(path) -> str:
@@ -333,6 +357,11 @@ class Scorer:
                       train_mode=train_mode, rng=rng)
         return reduce_output(out, self.model.reduction)
 
+    def candidate_vectors(self, texts: list[str]) -> Tensor:
+        """[B, hidden] candidate vectors from one batched eval-mode forward."""
+        batch = TokenBatch.of([self.encode_candidate(t) for t in texts])
+        return reduce_output(forward(batch, self.model.candidate_tower()), self.model.reduction)
+
     def poly_vectors(self, turns, train_mode=False, rng=None) -> Tensor:
         return poly_context_vectors(self.context_output(turns, train_mode, rng),
                                     self.model.poly_state())
@@ -348,3 +377,9 @@ class Scorer:
     def score_cross(self, turns, cand: str, train_mode=False, rng=None) -> Tensor:
         return cross_score(self.encode_cross(turns, cand), self.model.context_tower(),
                            self.model.cross_head, train_mode=train_mode, rng=rng)
+
+    def cross_scores(self, turns, cands: list[str]) -> Tensor:
+        """[B] cross scores of one context against each candidate, one batched
+        eval-mode forward."""
+        batch = TokenBatch.of([self.encode_cross(turns, c) for c in cands])
+        return cross_score(batch, self.model.context_tower(), self.model.cross_head)

@@ -1,8 +1,9 @@
 """Candidate-embedding cache, exact brute-force ranking and IR metrics.
 
 Bi/Poly score against precomputed candidate embeddings; Cross re-encodes
-every (context, candidate) pair. All scoring is exact - no approximate
-nearest-neighbor shortcuts. Poly final attention over the cache is batched
+every (context, candidate) pair. Cache builds and cross reranks encode in
+padded batches. All scoring is exact - no approximate nearest-neighbor
+shortcuts. Poly final attention over the cache is batched
 as one matrix pass per query rather than a per-candidate loop.
 """
 
@@ -15,6 +16,11 @@ import numpy as np
 
 from .errors import ContractError, ParseError, ShapeError, StaleCacheError
 from .model import Scorer
+
+# Sequences per batched encoder forward in build_cache and rank_cross: large
+# enough that per-op interpreter cost is amortised, small enough that the
+# [B, heads, L, L] attention arrays stay a few MB for thousands of candidates.
+ENCODE_CHUNK = 64
 
 CACHE_MAGIC = b"PLYCACHE"
 CACHE_VERSION = 1
@@ -53,12 +59,16 @@ def _model_fingerprint(scorer: Scorer) -> str:
     return scorer.model.fingerprint or NO_FINGERPRINT
 
 
+def _chunks(items: list) -> list[list]:
+    return [items[i:i + ENCODE_CHUNK] for i in range(0, len(items), ENCODE_CHUNK)]
+
+
 def build_cache(candidates: list[str], scorer: Scorer) -> CandidateCache:
-    """Encode every candidate once through the candidate-side encoder."""
+    """Encode every candidate once through the candidate-side encoder, in
+    padded batches of ENCODE_CHUNK."""
     if not candidates:
         raise ContractError("cannot build a cache from an empty candidate list")
-    rows = [scorer.candidate_vector(c).data for c in candidates]
-    emb = np.stack(rows)
+    emb = np.concatenate([scorer.candidate_vectors(chunk).data for chunk in _chunks(candidates)])
     return CandidateCache(list(range(len(candidates))), list(candidates), emb,
                           _model_fingerprint(scorer))
 
@@ -120,10 +130,12 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
 
 def rank_cross(scorer: Scorer, context_turns, candidates: list[str], k: int,
                gold_index=None) -> RankResult:
-    """One full joint forward per candidate; nothing cacheable here."""
+    """A full joint forward per (context, candidate) pair, run as padded
+    batches of ENCODE_CHUNK pairs; nothing cacheable here."""
     if not candidates:
         raise ContractError("rank_cross needs at least one candidate")
-    scores = np.array([scorer.score_cross(context_turns, c).item() for c in candidates])
+    scores = np.concatenate([scorer.cross_scores(context_turns, chunk).data
+                             for chunk in _chunks(list(candidates))])
     return _result(np.arange(len(candidates)), scores, k, gold_index)
 
 

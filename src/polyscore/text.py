@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ContractError, ParseError
 
 PAD_ID = 0
@@ -161,6 +163,38 @@ def pad_to(tp: TokenizedPair, length: int) -> TokenizedPair:
         segment_ids=tp.segment_ids + (tp.segment_ids[-1],) * extra,
         pad_mask=tp.pad_mask + (False,) * extra,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class TokenBatch:
+    """B encoder inputs as [B, L] arrays, each row right-padded with `pad_to`
+    to the longest one. Like TokenizedPair, len() counts every token slot,
+    pads included, and n_real the non-pad ones."""
+
+    token_ids: np.ndarray
+    position_ids: np.ndarray
+    segment_ids: np.ndarray
+    pad_mask: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: list[TokenizedPair]) -> "TokenBatch":
+        if not pairs:
+            raise ContractError("a batch needs at least one sequence")
+        length = max(len(tp) for tp in pairs)
+        padded = [pad_to(tp, length) for tp in pairs]
+        return cls(
+            token_ids=np.array([tp.token_ids for tp in padded], dtype=np.int64),
+            position_ids=np.array([tp.position_ids for tp in padded], dtype=np.int64),
+            segment_ids=np.array([tp.segment_ids for tp in padded], dtype=np.int64),
+            pad_mask=np.array([tp.pad_mask for tp in padded], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return self.token_ids.size
+
+    @property
+    def n_real(self) -> int:
+        return int(np.count_nonzero(self.pad_mask))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from polyscore.bench import (
     BenchCell,
+    _openblas_thread_calls,
     BenchReport,
     BenchSpec,
     make_bench_models,
@@ -70,10 +71,34 @@ class TestRunBench:
         assert bi_cell.cache_build_s is not None and bi_cell.cache_build_s > 0
         assert cross_cell.cache_build_s is None  # no cache possible
 
+    def test_blas_pinned_to_one_thread_then_restored(self, vocab):
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle an OpenBLAS here")
+        get, put = calls
+        before = get()
+        put(2)
+        try:
+            spec = tiny_spec(architectures=["bi"])
+            models = make_bench_models(ModelConfig(vocab_size=len(vocab)), ["bi"], seed=0)
+            rng = make_rng(1)
+            report = run_bench(spec, models, vocab, synthetic_candidates(spec, vocab, 8, rng),
+                               synthetic_queries(spec, vocab, 6, rng))
+            assert report.threads == 1
+            assert get() == 2
+        finally:
+            put(before)
+
     def test_models_use_float32(self, vocab):
         cfg = ModelConfig(vocab_size=len(vocab))
         models = make_bench_models(cfg, ["bi"], seed=0)
         assert models["bi"].dtype == np.float32
+
+    def test_models_are_inference_only(self, vocab):
+        models = make_bench_models(ModelConfig(vocab_size=len(vocab)), ["bi", "poly:4", "cross"],
+                                   seed=0)
+        assert not any(t.requires_grad for m in models.values()
+                       for t in m.named_parameters().values())
 
     def test_cross_extrapolation_flagged_and_scaled(self, vocab):
         cfg = ModelConfig(vocab_size=len(vocab))

@@ -228,6 +228,20 @@ class TestIndexAndRank:
                      "--k", "100000", "--out", str(tmp_path / "r.jsonl")]) == 0
         assert "clamped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("context", ["w1 w2 w3", ["w1", 2], None],
+                             ids=["string", "non_string_turn", "null"])
+    def test_context_not_a_string_list_exit_2(self, ranked_world, tmp_path, capsys, context):
+        root, workdir = ranked_world
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"context": context}) + "\n")
+        rc = main(["rank", "--queries", str(queries),
+                   "--checkpoint", str(root / "bi" / "checkpoint.bin"),
+                   "--vocab", str(workdir / "ft_base" / "vocab.txt"),
+                   "--no-cache", "--candidates", str(root / "cands.txt"),
+                   "--k", "3", "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert "array of strings" in capsys.readouterr().err
+
     def test_stale_cache_exit_3(self, ranked_world, workdir, tmp_path):
         root, wd = ranked_world
         vocab = wd / "ft_base" / "vocab.txt"

@@ -7,7 +7,7 @@ from polyscore import tensor as T
 from polyscore.encoder import ModelConfig, TransformerWeights, embed, forward
 from polyscore.errors import ConfigError
 from polyscore.tensor import Tensor
-from polyscore.text import Vocabulary, encode_pair, encode_single, pad_to
+from polyscore.text import TokenBatch, Vocabulary, encode_pair, encode_single, pad_to
 
 from conftest import make_rng
 from oracles import transformer_trace
@@ -117,6 +117,57 @@ class TestForward:
         seg_grad = grads[desk_weights.params["embeddings.segment"]]
         assert np.abs(seg_grad[0]).max() > 0.0
         assert np.abs(seg_grad[1]).max() == 0.0
+
+
+class TestBatchedForward:
+    """A padded batch against the per-sequence path, pad rows included."""
+
+    @pytest.fixture
+    def seqs(self, vocab):
+        return [
+            encode_pair("w1 w2 w3", "w4", vocab, 16),
+            encode_single("w5", vocab, 16, segment=1),
+            encode_pair("w6", "w7 w8 w9 w10 w11", vocab, 16),
+            encode_single("w12 w13 w14", vocab, 16),
+        ]
+
+    def test_rows_match_oracle_trace(self, desk_config, desk_weights, seqs):
+        batch = TokenBatch.of(seqs)
+        got = forward(batch, desk_weights).hidden_states.data
+        length = max(len(tp) for tp in seqs)
+        assert got.shape == (len(seqs), length, desk_config.hidden)
+        params = {n: t.data for n, t in desk_weights.params.items()}
+        for row, tp in zip(got, seqs):
+            padded = pad_to(tp, length)
+            expected = transformer_trace(params, desk_config, padded.token_ids,
+                                         padded.position_ids, padded.segment_ids,
+                                         padded.pad_mask)
+            assert np.abs(row - expected).max() < 1e-9
+
+    def test_float32_rows_match_single_forward(self, desk_weights, seqs):
+        w = TransformerWeights(desk_weights.cfg, {n: Tensor(t.data.astype(np.float32))
+                                                  for n, t in desk_weights.params.items()})
+        got = forward(TokenBatch.of(seqs), w).hidden_states.data
+        assert got.dtype == np.float32
+        length = got.shape[1]
+        for row, tp in zip(got, seqs):
+            single = forward(pad_to(tp, length), w).hidden_states.data
+            assert np.abs(row - single).max() < 1e-5
+            unpadded = forward(tp, w).hidden_states.data
+            assert np.abs(row[:len(tp)] - unpadded).max() < 1e-5
+
+    def test_batch_reports_token_slots(self, seqs):
+        batch = TokenBatch.of(seqs)
+        assert len(batch) == len(seqs) * max(len(tp) for tp in seqs)
+        assert batch.n_real == sum(tp.n_real for tp in seqs)
+
+    def test_gradient_flows_through_batch(self, desk_weights, seqs):
+        out = forward(TokenBatch.of(seqs), desk_weights)
+        proj = Tensor(make_rng(5).normal(size=out.hidden_states.shape))
+        grads = T.backward(T.tsum(T.reshape(T.mul(out.hidden_states, proj), (proj.data.size,))),
+                           list(desk_weights.params.values()))
+        dead = [n for n, t in desk_weights.params.items() if np.abs(grads[t]).max() == 0.0]
+        assert dead == []
 
 
 class TestConfigValidation:

@@ -1,7 +1,11 @@
 """Model containers, checkpoint round-trips and the text-level scorer."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polyscore.encoder import ModelConfig
 from polyscore.errors import ConfigError, ParseError
@@ -104,11 +108,93 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="truncated"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path, pretrain_model):
+        path = tmp_path / "m.bin"
+        save_checkpoint(pretrain_model, path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ParseError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_undecodable_header_rejected(self, tmp_path, pretrain_model):
+        path = tmp_path / "m.bin"
+        save_checkpoint(pretrain_model, path)
+        raw = bytearray(path.read_bytes())
+        raw[len(b"PLYSCKPT") + 8] = 0xFF  # first header byte: invalid UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("kind"),
+        lambda h: h["config"].update(heads=3),
+        lambda h: h["config"].update(layrs=2),
+        lambda h: h.update(reduction="avg_first:x"),
+        lambda h: h.update(kind="cross"),
+    ], ids=["missing_kind", "heads_not_dividing_hidden", "unknown_config_key",
+            "bad_reduction", "kind_without_its_head"])
+    def test_bad_header_fields_rejected(self, tmp_path, pretrain_model, edit):
+        path = tmp_path / "m.bin"
+        save_checkpoint(pretrain_model, path)
+        raw = path.read_bytes()
+        start = len(b"PLYSCKPT") + 8
+        hlen = int.from_bytes(raw[start - 4:start], "little")
+        header = json.loads(raw[start:start + hlen])
+        edit(header)
+        new = json.dumps(header).encode()
+        path.write_bytes(raw[:start - 4] + len(new).to_bytes(4, "little") + new
+                         + raw[start + hlen:])
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_loaded_weights_build_no_tape(self, tmp_path, pretrain_model):
+        path = tmp_path / "m.bin"
+        save_checkpoint(pretrain_model, path)
+        model = load_checkpoint(path)
+        assert not any(t.requires_grad for t in model.named_parameters().values())
+
     def test_load_as_float32(self, tmp_path, pretrain_model):
         path = tmp_path / "m.bin"
         save_checkpoint(pretrain_model, path)
         f32 = load_checkpoint(path, dtype=np.float32)
         assert f32.dtype == np.float32
+
+
+@pytest.fixture(scope="module")
+def saved_poly(tmp_path_factory):
+    cfg = ModelConfig(layers=1, vocab_size=8, hidden=4, heads=2, ffn_hidden=4, max_positions=4)
+    model = Model.init_pretrain(cfg, make_rng(5)).derive("poly", make_rng(6),
+                                                         poly_variant="learnt", poly_m=2)
+    path = tmp_path_factory.mktemp("ckpt") / "poly.bin"
+    save_checkpoint(model, path)
+    return path.read_bytes()
+
+
+class TestCheckpointFuzz:
+    """A damaged checkpoint either loads or raises ParseError, never anything
+    else; a truncated one always raises ParseError."""
+
+    @given(cut=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncation(self, tmp_path, saved_poly, cut):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(saved_poly[:cut % len(saved_poly)])
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @given(pos=st.integers(min_value=0, max_value=10**6),
+           flip=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_byte_flip(self, tmp_path, saved_poly, pos, flip):
+        raw = bytearray(saved_poly)
+        raw[pos % len(raw)] ^= flip
+        path = tmp_path / "flip.bin"
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except ParseError:
+            pass
 
 
 class TestScorer:

@@ -7,6 +7,7 @@ from polyscore.encoder import ModelConfig
 from polyscore.errors import ContractError, StaleCacheError
 from polyscore.model import Model, Scorer
 from polyscore.retrieval import (
+    ENCODE_CHUNK,
     CandidateCache,
     RankResult,
     build_cache,
@@ -44,6 +45,12 @@ def texts(rng, n, length=4):
             for _ in range(n)]
 
 
+def mixed_texts(rng, n):
+    """n candidates of 0-9 words, so batches mix lengths and pad."""
+    return [" ".join(f"w{int(i)}" for i in rng.integers(0, 28, size=int(rng.integers(0, 10))))
+            for _ in range(n)]
+
+
 class TestBuildCache:
     def test_single_candidate(self, world):
         bi, _, _ = world
@@ -64,6 +71,15 @@ class TestBuildCache:
     def test_empty_rejected(self, world):
         with pytest.raises(ContractError):
             build_cache([], world[0])
+
+    @pytest.mark.parametrize("reduction", ["first", "avg_all", "avg_first:3"])
+    def test_batched_rows_equal_candidate_vector(self, vocab, reduction):
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17))
+        scorer = Scorer(base.derive("bi", make_rng(1), reduction=reduction), vocab)
+        cands = mixed_texts(make_rng(10), ENCODE_CHUNK + 1)  # crosses a chunk boundary
+        cache = build_cache(cands, scorer)
+        direct = np.stack([scorer.candidate_vector(c).data for c in cands])
+        assert np.abs(cache.embeddings - direct).max() < 1e-9
 
 
 class TestRankBi:
@@ -171,11 +187,14 @@ class TestRankCross:
 
     def test_matches_cross_score_oracle(self, world):
         _, _, cross = world
-        cands = texts(make_rng(8), 20)
-        res = rank_cross(cross, ["w5 w6"], cands, k=20)
+        n = ENCODE_CHUNK + 1  # crosses a chunk boundary
+        cands = mixed_texts(make_rng(8), n)
+        res = rank_cross(cross, ["w5 w6"], cands, k=n)
         oracle = [cross.score_cross(["w5 w6"], c).item() for c in cands]
-        expected = brute_force_rank(list(range(20)), oracle)
+        expected = brute_force_rank(list(range(n)), oracle)
         assert [cid for cid, _ in res.ranking] == [cid for cid, _ in expected]
+        got = dict(res.ranking)
+        assert all(abs(got[cid] - s) < 1e-9 for cid, s in expected)
 
 
 class TestMetrics:

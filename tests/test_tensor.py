@@ -162,24 +162,39 @@ class TestOpGradients:
         "gelu": lambda p, r: T.gelu(p),
         "layer_norm": lambda p, r: T.layer_norm(p, r["gain"], r["beta"]),
         "tsum_last": lambda p, r: T.tsum(p, axis=-1),
-        "mask_fill": lambda p, r: T.softmax(T.mask_fill(p, r["keep"], float("-inf"))),
         "gather_rows": lambda p, r: T.gather_rows(p, [0, 2, 2, 1]),
         "take_pairs": lambda p, r: T.take_pairs(p, [0, 1, 2], [4, 0, 2]),
         "slice_rows": lambda p, r: T.slice_rows(p, 1, 3),
-        "slice_cols": lambda p, r: T.slice_cols(p, 1, 4),
+        # batched-encoder ops; their input shapes are in SHAPES
+        "matmul_batched": lambda p, r: T.matmul(p, r["b3"]),
+        "matmul_batched_rhs": lambda p, r: T.matmul(r["a3"], p),
+        "split_heads": lambda p, r: T.transpose(T.reshape(p, (2, 3, 2, 2)), (0, 2, 1, 3)),
+        "merge_heads": lambda p, r: T.reshape(T.transpose(p, (0, 2, 1, 3)), (6, 4)),
+        "softmax_masked_4d": lambda p, r: T.softmax(p, bias=r["key_bias"]),
+    }
+    SHAPES = {
+        "matmul_batched": (2, 3, 5),
+        "matmul_batched_rhs": (2, 3, 5),
+        "split_heads": (6, 4),  # [B*L, H] with B=2, L=3, 2 heads of 2
+        "merge_heads": (2, 2, 3, 2),  # [B, heads, L, d]
+        "softmax_masked_4d": (2, 2, 3, 3),  # [B, heads, L, L]
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_primitive_gradient(self, name):
         rng = make_rng(hash(name) % 2**31)
-        x = rng.normal(size=(3, 5))
+        x = rng.normal(size=self.SHAPES.get(name, (3, 5)))
         refs = {
             "b": Tensor(rng.normal(size=(5, 4))),
             "bias": Tensor(rng.normal(size=5)),
             "same": Tensor(rng.normal(size=(3, 5))),
             "gain": Tensor(rng.normal(size=5)),
             "beta": Tensor(rng.normal(size=5)),
-            "keep": rng.random((3, 5)) > 0.3,
+            "b3": Tensor(rng.normal(size=(2, 5, 4))),
+            "a3": Tensor(rng.normal(size=(2, 4, 3))),
+            # pad keys: row 0 keeps keys 0-1, row 1 keeps key 0
+            "key_bias": np.where([[[[True, True, False]]], [[[True, False, False]]]],
+                                 0.0, -np.inf),
         }
         proj = Tensor(rng.normal(size=(100,)))
 
