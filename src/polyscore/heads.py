@@ -107,28 +107,48 @@ def init_codes(m: int, hidden: int, rng: np.random.Generator, dtype=np.float64) 
     return Tensor(rng.normal(0.0, 0.02, size=(m, hidden)).astype(dtype), requires_grad=True)
 
 
-def poly_context_vectors(out: TransformerOutput, st: PolyHeadState) -> Tensor:
-    """Extract the m' context vectors for one encoded context.
+def poly_context_vectors(out: TransformerOutput, st: PolyHeadState):
+    """Extract the m' context vectors of encoded contexts.
 
-    learnt: each code attends over all non-pad outputs. first_m / last_m:
-    min(m, N) raw output rows. last_m_h1: those rows prepended with h_1
-    (h_1 may duplicate when N <= m).
+    learnt: each code attends over the non-pad outputs (pad keys get a -inf
+    bias). first_m / last_m: min(m, N) raw output rows. last_m_h1: those rows
+    prepended with h_1 (h_1 may duplicate when N <= m).
+
+    A batch output gives ([B, m', H] vectors, [B, m'] validity mask): rows of
+    a context with fewer than m real tokens are padded and marked invalid, the
+    valid ones coming first. One sequence gives its [m', H] valid rows.
     """
-    n = out.n_real
-    if n < 1:
+    mask = np.asarray(out.pad_mask, dtype=bool)
+    mask = mask.reshape(-1, mask.shape[-1])  # [B, L]
+    n_real = mask.sum(axis=1)
+    if n_real.min() < 1:
         raise ContractError("poly head needs at least one non-pad position")
-    h = T.slice_rows(out.hidden_states, 0, n) if n < out.hidden_states.shape[0] else out.hidden_states
+    h = out.hidden_states
+    single = h.data.ndim == 2
+    b, length = mask.shape
+    hid = h.shape[-1]
+    flat = T.reshape(h, (b * length, hid))
     if st.variant == "learnt":
-        logits = T.matmul(st.codes, T.transpose(h))  # [m, N], unscaled dot products
-        weights = T.softmax(logits)
-        return T.matmul(weights, h)
-    mm = min(st.m, n)
-    if st.variant == "first_m":
-        return T.slice_rows(h, 0, mm)
-    last = T.slice_rows(h, n - mm, n)
-    if st.variant == "last_m":
-        return last
-    return T.concat_rows([T.slice_rows(h, 0, 1), last])
+        # unscaled dot products of every code with every position: [B, m, L]
+        logits = T.transpose(T.reshape(T.matmul(flat, T.transpose(st.codes)),
+                                       (b, length, st.m)), (0, 2, 1))
+        key_bias = np.where(mask, 0.0, -np.inf).astype(h.dtype)[:, None, :]
+        vecs = T.matmul(T.softmax(logits, bias=key_bias), T.reshape(h, (b, length, hid)))
+        if single:
+            return T.reshape(vecs, (st.m, hid))
+        return vecs, np.ones((b, st.m), dtype=bool)
+    keep = np.minimum(st.m, n_real)  # raw rows taken per context
+    slot = np.arange(keep.max())
+    valid = slot < keep[:, None]
+    first = 0 if st.variant == "first_m" else (n_real - keep)[:, None]
+    pos = np.where(valid, first + slot, 0)
+    if st.variant == "last_m_h1":
+        pos = np.concatenate([np.zeros((b, 1), dtype=pos.dtype), pos], axis=1)
+        valid = np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
+    rows = pos + (np.arange(b) * length)[:, None]
+    if single:
+        return T.gather_rows(flat, rows[valid])
+    return T.reshape(T.gather_rows(flat, rows.ravel()), (b, rows.shape[1], hid)), valid
 
 
 def poly_score(ctxt_vecs: Tensor, y_cand: Tensor) -> Tensor:

@@ -28,8 +28,8 @@ from .errors import ConfigError, ParseError, ShapeError
 from .heads import CrossHead, PolyHeadState, cross_score, init_codes, parse_reduction, \
     poly_context_vectors, poly_score, reduce_output, bi_score
 from .tensor import Tensor
-from .text import TokenBatch, TokenizedPair, Vocabulary, encode_pair, encode_single, \
-    flatten_context
+from .text import TokenBatch, TokenizedPair, Vocabulary, encode_pair, encode_pairs, \
+    encode_single, flatten_context
 
 MAGIC = b"PLYSCKPT"
 FORMAT_VERSION = 1
@@ -343,28 +343,35 @@ class Scorer:
     def encode_cross(self, turns, cand: str) -> TokenizedPair:
         return encode_pair(flatten_context(list(turns)), cand, self.vocab, self.max_pair)
 
+    def cross_pairs(self, turns, cands: list[str]) -> list[TokenizedPair]:
+        """encode_cross(turns, c) for each candidate, tokenizing the context once."""
+        return encode_pairs(flatten_context(list(turns)), cands, self.vocab, self.max_pair)
+
     # vectors
 
-    def context_output(self, turns, train_mode=False, rng=None) -> TransformerOutput:
-        return forward(self.encode_context(turns), self.model.context_tower(),
-                       train_mode=train_mode, rng=rng)
+    def context_output(self, turns) -> TransformerOutput:
+        return forward(self.encode_context(turns), self.model.context_tower())
 
-    def context_vector(self, turns, train_mode=False, rng=None) -> Tensor:
-        return reduce_output(self.context_output(turns, train_mode, rng), self.model.reduction)
+    def context_outputs(self, contexts, train_mode=False, rng=None) -> TransformerOutput:
+        """[B, L, hidden] outputs of several contexts from one batched forward."""
+        batch = TokenBatch.of([self.encode_context(turns) for turns in contexts])
+        return forward(batch, self.model.context_tower(), train_mode=train_mode, rng=rng)
 
-    def candidate_vector(self, text: str, train_mode=False, rng=None) -> Tensor:
-        out = forward(self.encode_candidate(text), self.model.candidate_tower(),
-                      train_mode=train_mode, rng=rng)
+    def context_vector(self, turns) -> Tensor:
+        return reduce_output(self.context_output(turns), self.model.reduction)
+
+    def candidate_vector(self, text: str) -> Tensor:
+        out = forward(self.encode_candidate(text), self.model.candidate_tower())
         return reduce_output(out, self.model.reduction)
 
-    def candidate_vectors(self, texts: list[str]) -> Tensor:
-        """[B, hidden] candidate vectors from one batched eval-mode forward."""
+    def candidate_vectors(self, texts: list[str], train_mode=False, rng=None) -> Tensor:
+        """[B, hidden] candidate vectors from one batched forward."""
         batch = TokenBatch.of([self.encode_candidate(t) for t in texts])
-        return reduce_output(forward(batch, self.model.candidate_tower()), self.model.reduction)
+        out = forward(batch, self.model.candidate_tower(), train_mode=train_mode, rng=rng)
+        return reduce_output(out, self.model.reduction)
 
-    def poly_vectors(self, turns, train_mode=False, rng=None) -> Tensor:
-        return poly_context_vectors(self.context_output(turns, train_mode, rng),
-                                    self.model.poly_state())
+    def poly_vectors(self, turns) -> Tensor:
+        return poly_context_vectors(self.context_output(turns), self.model.poly_state())
 
     # scores
 
@@ -374,12 +381,12 @@ class Scorer:
     def score_poly(self, turns, cand: str) -> float:
         return poly_score(self.poly_vectors(turns), self.candidate_vector(cand)).item()
 
-    def score_cross(self, turns, cand: str, train_mode=False, rng=None) -> Tensor:
+    def score_cross(self, turns, cand: str) -> Tensor:
         return cross_score(self.encode_cross(turns, cand), self.model.context_tower(),
-                           self.model.cross_head, train_mode=train_mode, rng=rng)
+                           self.model.cross_head)
 
-    def cross_scores(self, turns, cands: list[str]) -> Tensor:
-        """[B] cross scores of one context against each candidate, one batched
-        eval-mode forward."""
-        batch = TokenBatch.of([self.encode_cross(turns, c) for c in cands])
-        return cross_score(batch, self.model.context_tower(), self.model.cross_head)
+    def cross_scores(self, pairs: list[TokenizedPair], train_mode=False, rng=None) -> Tensor:
+        """[P] cross scores of encoded (context, candidate) pairs, from one
+        batched forward."""
+        return cross_score(TokenBatch.of(pairs), self.model.context_tower(),
+                           self.model.cross_head, train_mode=train_mode, rng=rng)

@@ -101,10 +101,13 @@ def _result(ids, scores, k: int, gold_id) -> RankResult:
     return RankResult(ranking, rank_of_gold)
 
 
-def _np_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_rows_in_place(x: np.ndarray) -> np.ndarray:
+    """Row softmax of x, computed in x's own buffer: at C x m' = 1000 x 360
+    each temporary would be another 1.4 MB to allocate and page in."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def rank_bi(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
@@ -122,7 +125,7 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
     the whole cache in single matrix passes."""
     _check_fresh(cache, scorer)
     vecs = scorer.poly_vectors(context_turns).data  # [m', H]
-    attn = _np_softmax_rows(cache.embeddings @ vecs.T)  # [C, m']
+    attn = _softmax_rows_in_place(cache.embeddings @ vecs.T)  # [C, m']
     pooled = attn @ vecs  # [C, H]
     scores = np.einsum("ch,ch->c", pooled, cache.embeddings)
     return _result(cache.ids, scores, k, gold_id)
@@ -131,11 +134,12 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
 def rank_cross(scorer: Scorer, context_turns, candidates: list[str], k: int,
                gold_index=None) -> RankResult:
     """A full joint forward per (context, candidate) pair, run as padded
-    batches of ENCODE_CHUNK pairs; nothing cacheable here."""
+    batches of ENCODE_CHUNK pairs; nothing cacheable here beyond the context's
+    token ids, which are computed once per query."""
     if not candidates:
         raise ContractError("rank_cross needs at least one candidate")
-    scores = np.concatenate([scorer.cross_scores(context_turns, chunk).data
-                             for chunk in _chunks(list(candidates))])
+    pairs = scorer.cross_pairs(context_turns, list(candidates))
+    scores = np.concatenate([scorer.cross_scores(chunk).data for chunk in _chunks(pairs)])
     return _result(np.arange(len(candidates)), scores, k, gold_index)
 
 

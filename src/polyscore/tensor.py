@@ -95,12 +95,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product, identical shapes only."""
     if a.shape != b.shape:
@@ -259,21 +253,22 @@ def tmean(x: Tensor) -> Tensor:
     return _result(out, (x,), vjp)
 
 
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only on training paths."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0,1), got {p}")
     if p == 0.0:
         return _result(x.data.copy(), (x,), lambda g: (g,))
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    keep = keep.astype(x.dtype)
+    # the tape keeps a boolean mask, not a float array of the input's size;
+    # mask * scale rebuilds the 0 or 1/(1-p) multiplier exactly (signed zeros
+    # of dropped entries included)
+    mask = rng.random(x.shape) >= p
+    scale = x.dtype.type(1.0 / (1.0 - p))
 
     def vjp(g):
-        return (g * keep,)
+        return (g * (mask * scale),)
 
-    return _result(x.data * keep, (x,), vjp)
+    return _result(x.data * (mask * scale), (x,), vjp)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -305,23 +300,6 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
     return _result(out, (x,), vjp)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for shape {x.shape}")
-    out = x.data[start:stop].copy()
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        return (gx,)
-
-    return _result(out, (x,), vjp)
-
-
-
-
-
-
 def stack(tensors) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
     tensors = list(tensors)
@@ -332,21 +310,6 @@ def stack(tensors) -> Tensor:
 
     def vjp(g):
         return tuple(g[i] for i in range(len(tensors)))
-
-    return _result(out, tuple(tensors), vjp)
-
-
-def concat_rows(tensors) -> Tensor:
-    """Concatenate matrices along axis 0."""
-    tensors = list(tensors)
-    widths = {t.shape[-1] for t in tensors}
-    if len(widths) != 1:
-        raise ShapeError(f"concat_rows needs equal widths, got {sorted(widths)}")
-    out = np.concatenate([t.data for t in tensors], axis=0)
-    splits = np.cumsum([t.shape[0] for t in tensors])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=0))
 
     return _result(out, tuple(tensors), vjp)
 
@@ -383,9 +346,12 @@ def backward(loss: Tensor, params) -> dict:
             topo.append(node)
             work.pop()
 
+    # an intermediate node's gradient is dropped once its vjp has consumed
+    # it, so backward holds the gradients of a frontier, not of the whole tape
+    keep = {id(p) for p in params}
     grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=loss.dtype)}
     for node in reversed(topo):
-        g = grads.get(id(node))
+        g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
         if g is None or node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):

@@ -126,18 +126,27 @@ def encode_pair(input_text: str, label_text: str, vocab: Vocabulary, max_len: in
     The input side is truncated first (oldest tokens dropped); if the label
     alone still does not fit, its tail is cut.
     """
+    return encode_pairs(input_text, [label_text], vocab, max_len)[0]
+
+
+def encode_pairs(input_text: str, label_texts: list[str], vocab: Vocabulary,
+                 max_len: int) -> list[TokenizedPair]:
+    """encode_pair(input_text, label, vocab, max_len) for each label in turn,
+    tokenizing the input once."""
     if max_len < 4:
         raise ContractError(f"max_len must be >= 4, got {max_len}")
     inp = vocab.encode_tokens(tokenize(input_text))
-    lab = vocab.encode_tokens(tokenize(label_text))
     budget = max_len - 2
-    keep_inp = min(len(inp), max(budget - len(lab), 1 if inp else 0))
-    keep_lab = min(len(lab), budget - keep_inp)
-    inp = inp[len(inp) - keep_inp:]
-    lab = lab[:keep_lab]
-    ids = [S_ID] + inp + [S_ID] + lab
-    segments = [0] * (1 + len(inp)) + [1] * (1 + len(lab))
-    return _assemble(ids, segments)
+    pairs = []
+    for label_text in label_texts:
+        lab = vocab.encode_tokens(tokenize(label_text))
+        keep_inp = min(len(inp), max(budget - len(lab), 1 if inp else 0))
+        keep_lab = min(len(lab), budget - keep_inp)
+        kept = inp[len(inp) - keep_inp:]
+        ids = [S_ID] + kept + [S_ID] + lab[:keep_lab]
+        segments = [0] * (1 + len(kept)) + [1] * (1 + keep_lab)
+        pairs.append(_assemble(ids, segments))
+    return pairs
 
 
 def encode_single(text: str, vocab: Vocabulary, max_len: int, segment: int = 0) -> TokenizedPair:

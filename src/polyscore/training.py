@@ -18,18 +18,12 @@ import numpy as np
 from . import tensor as T
 from .encoder import TransformerWeights, forward
 from .errors import ConfigError, ContractError
-from .heads import CrossHead, cross_score, poly_context_vectors
-from .losses import (
-    binary_choice_loss,
-    cross_entropy_rows,
-    external_neg_loss,
-    in_batch_loss,
-    masked_token_loss,
-)
+from .heads import cross_score, poly_context_vectors, reduce_output
+from .losses import cross_entropy_rows, in_batch_loss, masked_token_loss
 from .model import Model, Scorer
 from .optim import Optimizer, OptimizerConfig
 from .tensor import Tensor, backward
-from .text import MASK_ID, PAD_ID, RESERVED, TokenizedPair, encode_pair
+from .text import MASK_ID, RESERVED, TokenBatch, TokenizedPair, encode_pair
 
 MLM_RATE = 0.15
 MLM_MASK_FRACTION = 0.8
@@ -141,18 +135,16 @@ def apply_freeze(model: Model, spec: str) -> set[str]:
 def rescale_final_layer(w: TransformerWeights, target_std: float,
                         probes: list[TokenizedPair]) -> tuple[TransformerWeights, float]:
     """Scale the last block's FFN output projection so its output std on the
-    probe batch equals target_std. Returns (new weights, applied factor)."""
+    probe batch (real positions only, one padded forward) equals target_std.
+    Returns (new weights, applied factor)."""
     if target_std <= 0:
         raise ContractError(f"target_std must be positive, got {target_std}")
     if not probes:
         raise ContractError("rescaling needs a non-empty probe batch")
-    outputs = []
-    for tp in probes:
-        taps: dict = {}
-        forward(tp, w, taps=taps)
-        outputs.append(taps["last_ffn_out"].data.ravel())
-    flat = np.concatenate(outputs)
-    std = float(flat.std())
+    batch = TokenBatch.of(probes)
+    taps: dict = {}
+    forward(batch, w, taps=taps)
+    std = float(taps["last_ffn_out"].data[batch.pad_mask.ravel()].std())
     if std <= 0 or not np.isfinite(std):
         raise ContractError("probe output has zero variance; cannot rescale")
     factor = target_std / std
@@ -210,35 +202,36 @@ def mlm_logits(model: Model, rows: Tensor) -> Tensor:
 
 def mlm_batch_loss(model: Model, vocab, examples, data_rng, drop_rng=None,
                    train_mode=True) -> Tensor:
-    """Mean masked-token loss over a batch of (context, gold) pairs."""
-    enc = model.towers["enc"]
-    row_blocks = []
-    target_ids: list[int] = []
+    """Mean masked-token loss over a batch of (context, gold) pairs, from one
+    padded forward; examples left with no target are skipped."""
+    corrupted, picks = [], []  # picks: (batch row, position, original id)
     for ex in examples:
         pair = encode_pair(ex.context_text, ex.gold, vocab, model.cfg.max_positions)
-        corrupted, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
-        if not targets:
-            continue
-        out = forward(corrupted, enc, train_mode=train_mode, rng=drop_rng)
-        positions = [p for p, _ in targets]
-        row_blocks.append(T.gather_rows(out.hidden_states, positions))
-        target_ids.extend(t for _, t in targets)
-    if not row_blocks:
+        tp, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
+        if targets:
+            picks += [(len(corrupted), pos, tok) for pos, tok in targets]
+            corrupted.append(tp)
+    if not corrupted:
         raise ContractError("no maskable tokens in batch")
-    rows = row_blocks[0] if len(row_blocks) == 1 else T.concat_rows(row_blocks)
-    return masked_token_loss(mlm_logits(model, rows), target_ids)
+    batch = TokenBatch.of(corrupted)
+    b, length = batch.token_ids.shape
+    out = forward(batch, model.towers["enc"], train_mode=train_mode, rng=drop_rng)
+    row, pos, tok = np.array(picks).T
+    picked = T.gather_rows(T.reshape(out.hidden_states, (b * length, model.cfg.hidden)),
+                           row * length + pos)
+    return masked_token_loss(mlm_logits(model, picked), tok)
 
 
 def next_batch_loss(model: Model, vocab, triples, drop_rng=None, train_mode=True) -> Tensor:
-    """Mean binary next-utterance loss over (input, candidate, label) triples."""
-    enc = model.towers["enc"]
-    head = CrossHead(model.extras["next.w"])
-    losses = []
-    for input_text, cand, label in triples:
-        pair = encode_pair(input_text, cand, vocab, model.cfg.max_positions)
-        score = cross_score(pair, enc, head, train_mode=train_mode, rng=drop_rng)
-        losses.append(binary_choice_loss(score, label))
-    return T.tmean(T.stack(losses))
+    """Mean binary next-utterance loss over (input, candidate, label) triples,
+    from one padded forward. Each score is a logit against a fixed 0, so label
+    1 is column 1 of the [B, 2] logits."""
+    pairs = [encode_pair(inp, cand, vocab, model.cfg.max_positions) for inp, cand, _ in triples]
+    scores = cross_score(TokenBatch.of(pairs), model.towers["enc"], model.cross_head,
+                         train_mode=train_mode, rng=drop_rng)
+    zero = Tensor(np.zeros(scores.shape, dtype=scores.dtype))
+    logits = T.transpose(T.stack([zero, scores]))
+    return cross_entropy_rows(logits, [label for _, _, label in triples])
 
 
 def _token_buckets(examples, vocab, max_positions: int, batch_tokens: int):
@@ -346,40 +339,56 @@ def _sample_negatives(gold: str, pool: list[str], rng, count: int) -> list[str]:
 
 
 def bi_batch_loss(scorer: Scorer, batch, train_mode=True, rng=None) -> Tensor:
-    y_ctxt = T.stack([scorer.context_vector(ex.context, train_mode, rng) for ex in batch])
-    y_cand = T.stack([scorer.candidate_vector(ex.gold, train_mode, rng) for ex in batch])
+    """In-batch negatives over one context forward and one candidate forward."""
+    out = scorer.context_outputs([ex.context for ex in batch], train_mode, rng)
+    y_ctxt = reduce_output(out, scorer.model.reduction)
+    y_cand = scorer.candidate_vectors([ex.gold for ex in batch], train_mode, rng)
     loss, _ = in_batch_loss(y_ctxt, y_cand)
     return loss
 
 
 def poly_batch_loss(scorer: Scorer, batch, train_mode=True, rng=None) -> Tensor:
-    """In-batch negatives with per-context candidate-as-query pooling."""
-    if len(batch) < 2:
-        raise ContractError(f"in-batch negatives need batch size >= 2, got {len(batch)}")
-    y_cand = T.stack([scorer.candidate_vector(ex.gold, train_mode, rng) for ex in batch])
-    rows = []
-    for ex in batch:
-        vecs = scorer.poly_vectors(ex.context, train_mode, rng)  # [m', H]
-        attn = T.softmax(T.matmul(y_cand, T.transpose(vecs)))  # [B, m']
-        pooled = T.matmul(attn, vecs)  # [B, H]
-        rows.append(T.tsum(T.mul(pooled, y_cand), axis=-1))  # [B]
-    logits = T.stack(rows)
-    return cross_entropy_rows(logits, np.arange(len(batch)))
+    """In-batch negatives with candidate-as-query pooling over each context's
+    vectors; logits[i, j] scores context i against candidate j."""
+    b = len(batch)
+    if b < 2:
+        raise ContractError(f"in-batch negatives need batch size >= 2, got {b}")
+    y_cand = scorer.candidate_vectors([ex.gold for ex in batch], train_mode, rng)  # [B, H]
+    out = scorer.context_outputs([ex.context for ex in batch], train_mode, rng)
+    vecs, valid = poly_context_vectors(out, scorer.model.poly_state())  # [B, m', H]
+    m, hid = vecs.shape[1:]
+    # attention logits of every candidate over every context's vectors: [B, B, m']
+    logits = T.transpose(T.reshape(T.matmul(T.reshape(vecs, (b * m, hid)), T.transpose(y_cand)),
+                                   (b, m, b)), (0, 2, 1))
+    attn = T.softmax(logits, bias=np.where(valid, 0.0, -np.inf).astype(vecs.dtype)[:, None, :])
+    pooled = T.transpose(T.matmul(attn, vecs), (1, 0, 2))  # [B cand, B ctxt, H]
+    scores = T.reshape(T.matmul(pooled, T.reshape(y_cand, (b, hid, 1))), (b, b))
+    return cross_entropy_rows(T.transpose(scores), np.arange(b))
 
 
 def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
                      data_rng, train_mode=True, drop_rng=None) -> Tensor:
-    losses = []
+    """External negatives: the gold then its negatives for every example, all
+    pairs in one padded forward. Examples with fewer provided negatives get
+    -inf logits in the missing columns."""
+    pairs, counts = [], []
     for ex in batch:
         if settings.neg_mode == "provided" and len(ex.candidates) > 1:
             negs = [c for i, c in enumerate(ex.candidates) if i != ex.label_index]
             negs = negs[: settings.n_candidates - 1]
         else:
             negs = _sample_negatives(ex.gold, pool, data_rng, settings.n_candidates - 1)
-        scores = [scorer.score_cross(ex.context, ex.gold, train_mode, drop_rng)]
-        scores += [scorer.score_cross(ex.context, neg, train_mode, drop_rng) for neg in negs]
-        losses.append(external_neg_loss(T.stack(scores), 0))
-    return T.tmean(T.stack(losses))
+        pairs += scorer.cross_pairs(ex.context, [ex.gold, *negs])
+        counts.append(1 + len(negs))
+    scores = scorer.cross_scores(pairs, train_mode, drop_rng)  # [P]
+    counts = np.asarray(counts)
+    slot = np.arange(counts.max())
+    real = slot < counts[:, None]  # [B, n]
+    idx = np.where(real, (np.cumsum(counts) - counts)[:, None] + slot, 0)
+    logits = T.reshape(T.gather_rows(T.reshape(scores, (len(pairs), 1)), idx.ravel()),
+                       real.shape)
+    logits = T.add(logits, Tensor(np.where(real, 0.0, -np.inf).astype(scores.dtype)))
+    return cross_entropy_rows(logits, np.zeros(len(batch)))
 
 
 def finetune_valid_loss(model: Model, scorer: Scorer, valid_examples, pool,
@@ -388,8 +397,12 @@ def finetune_valid_loss(model: Model, scorer: Scorer, valid_examples, pool,
     rng = np.random.Generator(np.random.PCG64(valid_seed))
     sample = list(valid_examples)[:max_examples]
     if model.kind == "cross":
-        loss = cross_batch_loss(scorer, sample, pool, settings, rng, train_mode=False)
-        return loss.item()
+        # batch_size examples per forward, as in training; weighted by size
+        chunks = [sample[i:i + settings.batch_size]
+                  for i in range(0, len(sample), settings.batch_size)]
+        losses = [cross_batch_loss(scorer, chunk, pool, settings, rng, train_mode=False).item()
+                  for chunk in chunks]
+        return float(np.average(losses, weights=[len(c) for c in chunks]))
     losses = []
     b = max(2, min(settings.batch_size, len(sample)))
     for start in range(0, len(sample) - b + 1, b):

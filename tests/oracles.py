@@ -149,3 +149,145 @@ def grad_check(loss_fn, named_arrays, analytic, rng, probes=100, h=1e-5,
         if denom > 1e-6:
             worst = max(worst, abs(fd - an) / denom)
     return worst
+
+
+# ---- per-sequence training losses ----
+#
+# The losses as they were before training ran padded batches: one encoder
+# forward per sequence through the package's own forward and heads. They are
+# references for the batched losses in polyscore.training, in eval mode.
+
+
+def _cross_entropy_mean(logit_rows, targets):
+    """Mean of nll_from_logits over rows given as a list of logit vectors."""
+    from polyscore import tensor as T
+    from polyscore.losses import nll_from_logits
+
+    return T.tmean(T.stack([nll_from_logits(row, t) for row, t in zip(logit_rows, targets)]))
+
+
+def bi_loss_per_sequence(scorer, batch):
+    from polyscore import tensor as T
+    from polyscore.losses import in_batch_loss
+
+    y_ctxt = T.stack([scorer.context_vector(ex.context) for ex in batch])
+    y_cand = T.stack([scorer.candidate_vector(ex.gold) for ex in batch])
+    return in_batch_loss(y_ctxt, y_cand)[0]
+
+
+def poly_loss_per_sequence(scorer, batch):
+    from polyscore import tensor as T
+    from polyscore.heads import poly_score
+
+    y_cand = [scorer.candidate_vector(ex.gold) for ex in batch]
+    rows = []
+    for ex in batch:
+        vecs = scorer.poly_vectors(ex.context)  # [m', H]
+        rows.append(T.stack([poly_score(vecs, y) for y in y_cand]))
+    return _cross_entropy_mean(rows, range(len(batch)))
+
+
+def cross_loss_per_sequence(scorer, batch, pool, settings, data_rng):
+    from polyscore import tensor as T
+    from polyscore.losses import external_neg_loss
+
+    losses = []
+    for ex in batch:
+        if settings.neg_mode == "provided" and len(ex.candidates) > 1:
+            negs = [c for i, c in enumerate(ex.candidates) if i != ex.label_index]
+            negs = negs[: settings.n_candidates - 1]
+        else:
+            negs = []
+            while len(negs) < settings.n_candidates - 1:
+                neg = pool[int(data_rng.integers(len(pool)))]
+                if neg != ex.gold:
+                    negs.append(neg)
+        scores = [scorer.score_cross(ex.context, c) for c in [ex.gold, *negs]]
+        losses.append(external_neg_loss(T.stack(scores), 0))
+    return T.tmean(T.stack(losses))
+
+
+def mlm_loss_per_sequence(model, vocab, examples, data_rng):
+    from polyscore import tensor as T
+    from polyscore.encoder import forward
+    from polyscore.losses import cross_entropy_rows
+    from polyscore.text import encode_pair
+    from polyscore.training import MLM_RATE, mlm_corrupt, mlm_logits
+
+    blocks = []
+    for ex in examples:
+        pair = encode_pair(ex.context_text, ex.gold, vocab, model.cfg.max_positions)
+        corrupted, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
+        if not targets:
+            continue
+        out = forward(corrupted, model.towers["enc"])
+        rows = T.gather_rows(out.hidden_states, [p for p, _ in targets])
+        blocks.append((mlm_logits(model, rows), [t for _, t in targets]))
+    total = sum(len(t) for _, t in blocks)
+    # mean over all targets = target-weighted mean of the per-example means
+    loss = None
+    for logits, targets in blocks:
+        part = T.scale(cross_entropy_rows(logits, targets), len(targets) / total)
+        loss = part if loss is None else T.add(loss, part)
+    return loss
+
+
+def next_loss_per_sequence(model, vocab, triples):
+    from polyscore import tensor as T
+    from polyscore.heads import cross_score
+    from polyscore.losses import binary_choice_loss
+    from polyscore.text import encode_pair
+
+    losses = []
+    for input_text, cand, label in triples:
+        pair = encode_pair(input_text, cand, vocab, model.cfg.max_positions)
+        score = cross_score(pair, model.towers["enc"], model.cross_head)
+        losses.append(binary_choice_loss(score, label))
+    return T.tmean(T.stack(losses))
+
+
+def backward_keep_all(loss, params):
+    """polyscore.tensor.backward as it was before it released intermediate
+    gradients: every node's gradient stays in the side table until the end."""
+    topo, visited, work = [], set(), [loss]
+    while work:
+        node = work[-1]
+        if id(node) in visited:
+            work.pop()
+            continue
+        pending = [p for p in node._parents if id(p) not in visited and p.requires_grad]
+        if pending:
+            work.extend(pending)
+        else:
+            visited.add(id(node))
+            topo.append(node)
+            work.pop()
+    grads = {id(loss): np.asarray(1.0, dtype=loss.dtype)}
+    for node in reversed(topo):
+        g = grads.get(id(node))
+        if g is None or node._vjp is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if not parent.requires_grad:
+                continue
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return {p: np.zeros_like(p.data) if id(p) not in grads
+            else np.asarray(grads[id(p)], dtype=p.data.dtype) for p in params}
+
+
+def encode_pair_reference(input_text, label_text, vocab, max_len):
+    """text.encode_pair as a standalone function: [S, input..., S, label...],
+    oldest input tokens dropped first, then the label's tail."""
+    from polyscore.text import TokenizedPair
+
+    inp = [vocab.id_of(t) for t in input_text.lower().split()]
+    lab = [vocab.id_of(t) for t in label_text.lower().split()]
+    budget = max_len - 2
+    keep_inp = min(len(inp), max(budget - len(lab), 1 if inp else 0))
+    keep_lab = min(len(lab), budget - keep_inp)
+    inp, lab = inp[len(inp) - keep_inp:], lab[:keep_lab]
+    ids = [1] + inp + [1] + lab
+    n = len(ids)
+    return TokenizedPair(tuple(ids), tuple(range(n)),
+                         tuple([0] * (1 + len(inp)) + [1] * (1 + len(lab))), (True,) * n)

@@ -1,8 +1,11 @@
 """Benchmark harness structure and report rendering."""
 
+import time
+
 import numpy as np
 import pytest
 
+from polyscore import bench
 from polyscore.bench import (
     BenchCell,
     _openblas_thread_calls,
@@ -22,6 +25,21 @@ from polyscore.errors import ConfigError
 from polyscore.text import Vocabulary
 
 from conftest import make_rng
+
+
+class TickingClock:
+    """Stands in for the `time` module that polyscore.bench reads: each
+    perf_counter() call advances by `tick` seconds."""
+
+    def __init__(self, tick):
+        self.tick = tick
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += self.tick
+        return self.now
+
+    get_clock_info = staticmethod(time.get_clock_info)
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +118,11 @@ class TestRunBench:
         assert not any(t.requires_grad for m in models.values()
                        for t in m.named_parameters().values())
 
-    def test_cross_extrapolation_flagged_and_scaled(self, vocab):
+    def test_cross_extrapolation_flagged_and_scaled(self, vocab, monkeypatch):
+        # a clock that ticks 2**-10 s per read: every timed query reads
+        # exactly one tick, so the scaling is checked exactly, not on wall time
+        clock = TickingClock(2.0 ** -10)
+        monkeypatch.setattr(bench, "time", clock)
         cfg = ModelConfig(vocab_size=len(vocab))
         rng = make_rng(2)
         spec = tiny_spec(architectures=["cross"], candidate_counts=[16],
@@ -115,9 +137,13 @@ class TestRunBench:
         spec2 = tiny_spec(architectures=["cross"], candidate_counts=[4],
                           n_queries=3, warmup_queries=1)
         report2 = run_bench(spec2, models, vocab, pool, queries)
-        # extrapolated 16-candidate time ~= 4x the measured 4-candidate time
-        ratio = cell.mean_ms / report2.cells[0].mean_ms
-        assert 2.0 < ratio < 8.0
+        (measured,) = report2.cells
+        # extrapolated 16-candidate times are exactly 16/4 x the measured
+        # 4-candidate times
+        tick_ms = clock.tick * 1e3
+        assert measured.min_ms == measured.max_ms == tick_ms
+        for stat in ("mean_ms", "median_ms", "p95_ms", "min_ms", "max_ms"):
+            assert getattr(cell, stat) == 4 * getattr(measured, stat), stat
 
     def test_pool_too_small_rejected(self, vocab):
         spec = tiny_spec(candidate_counts=[100])
