@@ -4,7 +4,8 @@ Bi/Poly are timed against a prebuilt cache (cache build reported separately);
 Cross timing includes the joint forwards of every candidate. Cross runs at large
 candidate counts can be measured at a sub-count and linearly extrapolated;
 extrapolated cells are always flagged, never silently mixed with measured
-ones. The timed region runs single-threaded Python with a monotonic clock,
+ones. All cells are timed round-robin, one query each in turn. The timed
+region runs single-threaded Python with a monotonic clock,
 and numpy's bundled OpenBLAS is pinned to one thread for it: on small GEMMs
 extra BLAS threads cost more in hand-off than they save.
 """
@@ -148,20 +149,13 @@ def _stats(times_s: list[float], arch, count, extrapolated, cache_s) -> BenchCel
     )
 
 
-def _timed(fn, queries, n_queries: int, warmup: int) -> list[float]:
-    times = []
-    total = warmup + n_queries
-    for i in range(total):
-        q = queries[i % len(queries)]
-        t0 = time.perf_counter()
-        fn(q)
-        times.append(time.perf_counter() - t0)
-    return times[warmup:]
-
-
 def run_bench(spec: BenchSpec, models: dict[str, Model], vocab: Vocabulary,
               candidate_pool: list[str], queries: list[list[str]]) -> BenchReport:
-    """Time every (architecture, candidate count) pair in the spec."""
+    """Time every (architecture, candidate count) pair in the spec.
+
+    The pairs are timed round-robin, query i of each pair in turn, so a slow
+    spell of the machine lands on all of them alike, not on whichever ran then.
+    """
     _check_timer()
     if len(candidate_pool) < max(spec.candidate_counts, default=0):
         raise ContractError(
@@ -169,44 +163,43 @@ def run_bench(spec: BenchSpec, models: dict[str, Model], vocab: Vocabulary,
             f"need {max(spec.candidate_counts)}"
         )
     with _one_blas_thread() as threads:
-        cells = [cell for arch in spec.architectures
-                 for cell in _bench_arch(spec, arch, Scorer(models[arch], vocab),
-                                         candidate_pool, queries)]
+        runs = {}
+        for arch in spec.architectures:
+            scorer = Scorer(models[arch], vocab)
+            for count in spec.candidate_counts:
+                runs[arch, count] = _query_run(spec, arch, scorer, candidate_pool[:count])
+        times = {key: [] for key in runs}
+        for i in range(spec.warmup_queries + spec.n_queries):
+            q = queries[i % len(queries)]
+            for key, (fn, _, _) in runs.items():
+                t0 = time.perf_counter()
+                fn(q)
+                times[key].append(time.perf_counter() - t0)
+    cells = []
+    for (arch, count), (_, sub, cache_s) in runs.items():
+        measured = times[arch, count][spec.warmup_queries:]
+        if sub < count:
+            measured = [t * count / sub for t in measured]
+        cells.append(_stats(measured, arch, count, sub < count, cache_s))
     return BenchReport(cells=cells, threads=threads, precision="float32")
 
 
-def _bench_arch(spec: BenchSpec, arch: str, scorer: Scorer, candidate_pool: list[str],
-                queries: list[list[str]]) -> list[BenchCell]:
+def _query_run(spec: BenchSpec, arch: str, scorer: Scorer, cands: list[str]):
+    """(query fn, candidates it scores, cache build seconds) for one cell.
+    Cross scores a sub-count when extrapolating; bi/poly build their cache."""
     kind, _ = parse_arch(arch)
-    cells = []
-    for count in spec.candidate_counts:
-        cands = candidate_pool[:count]
-        k = min(spec.top_k, count)
-        if kind == "cross":
-            sub = count
-            extrapolated = False
-            if spec.extrapolate_cross_from and count > spec.extrapolate_cross_from:
-                sub = spec.extrapolate_cross_from
-                extrapolated = True
-            sub_cands = cands[:sub]
-            times = _timed(
-                lambda q: rank_cross(scorer, q, sub_cands, min(k, sub)),
-                queries, spec.n_queries, spec.warmup_queries,
-            )
-            if extrapolated:
-                times = [t * count / sub for t in times]
-            cells.append(_stats(times, arch, count, extrapolated, None))
-        else:
-            t0 = time.perf_counter()
-            cache = build_cache(cands, scorer)
-            cache_s = time.perf_counter() - t0
-            rank = rank_bi if kind == "bi" else rank_poly
-            times = _timed(
-                lambda q: rank(scorer, q, cache, k),
-                queries, spec.n_queries, spec.warmup_queries,
-            )
-            cells.append(_stats(times, arch, count, False, cache_s))
-    return cells
+    k = min(spec.top_k, len(cands))
+    if kind == "cross":
+        sub = len(cands)
+        if spec.extrapolate_cross_from and sub > spec.extrapolate_cross_from:
+            sub = spec.extrapolate_cross_from
+        sub_cands = cands[:sub]
+        return (lambda q: rank_cross(scorer, q, sub_cands, min(k, sub))), sub, None
+    t0 = time.perf_counter()
+    cache = build_cache(cands, scorer)
+    cache_s = time.perf_counter() - t0
+    rank = rank_bi if kind == "bi" else rank_poly
+    return (lambda q: rank(scorer, q, cache, k)), len(cands), cache_s
 
 
 def make_bench_models(cfg: ModelConfig, architectures: list[str], seed: int,

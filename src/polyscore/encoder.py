@@ -171,12 +171,30 @@ def embed(tokens: TokenizedPair | TokenBatch, w: TransformerWeights) -> Tensor:
     return T.add(T.add(tok, pos), seg)
 
 
-def _maybe_dropout(x, p, train_mode, rng):
-    if train_mode and p > 0.0:
-        if rng is None:
-            raise ContractError("train_mode forward needs an rng for dropout")
-        return T.dropout(x, p, rng)
-    return x
+def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator):
+    """Keep masks for every dropout site of a forward, in site order: the
+    embeddings, then each layer's attention probs, attention output and FFN
+    output. Each row draws all its sites in turn over its own span (up to its
+    last real token), as a forward of that sequence alone draws them, so a
+    seeded run does not depend on how sequences are batched. Pad slots keep."""
+    b, n = batch.token_ids.shape
+    lengths = n - np.argmax(batch.pad_mask[:, ::-1], axis=1)
+    p, heads, hidden = cfg.dropout_p, cfg.heads, cfg.hidden
+    sites = [np.ones((b, n, hidden), dtype=bool)]
+    for _ in range(cfg.layers):
+        sites += [np.ones((b, heads, n, n), dtype=bool),
+                 np.ones((b, n, hidden), dtype=bool), np.ones((b, n, hidden), dtype=bool)]
+    for i, length in enumerate(lengths):
+        for keep in sites:
+            if keep.ndim == 4:
+                keep[i, :, :length, :length] = rng.random((heads, length, length)) >= p
+            else:
+                keep[i, :length] = rng.random((length, hidden)) >= p
+    return iter([k.reshape(b * n, hidden) if k.ndim == 3 else k for k in sites])
+
+
+def _maybe_dropout(x, p, keeps):
+    return x if keeps is None else T.dropout(x, p, keep=next(keeps))
 
 
 def forward(
@@ -192,7 +210,7 @@ def forward(
     Projections are single GEMMs over all B*L rows; heads are split and merged
     by reshape/transpose; pad keys get an additive -inf bias before the
     softmax, so pad positions never leak into real ones. With dropout, masks
-    are drawn in a fixed order (heads in turn within each attention layer).
+    are drawn sequence by sequence (see _dropout_keeps).
     `taps`, when given, receives intermediate tensors keyed by name
     (currently the last block's FFN output projection, pre-residual, [B*L, hidden]).
     """
@@ -203,6 +221,11 @@ def forward(
     head_dim = hidden // heads
     inv_sqrt = 1.0 / math.sqrt(head_dim)
     key_bias = np.where(batch.pad_mask, 0.0, -np.inf).astype(w.dtype)[:, None, None, :]
+    keeps = None
+    if train_mode and cfg.dropout_p > 0.0:
+        if rng is None:
+            raise ContractError("train_mode forward needs an rng for dropout")
+        keeps = _dropout_keeps(batch, cfg, rng)
 
     def split_heads(t, axes):  # [B*L, H] -> [B, heads, L, d], or [B, heads, d, L] for keys
         return T.transpose(T.reshape(t, (b, n, heads, head_dim)), axes)
@@ -212,7 +235,7 @@ def forward(
 
     x = embed(batch, w)
     x = T.layer_norm(x, w["embeddings.norm.gain"], w["embeddings.norm.bias"], LN_EPS)
-    x = _maybe_dropout(x, cfg.dropout_p, train_mode, rng)
+    x = _maybe_dropout(x, cfg.dropout_p, keeps)
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
@@ -220,9 +243,9 @@ def forward(
         k = split_heads(project(x, f"{p}.attn.k"), (0, 2, 3, 1))
         v = split_heads(project(x, f"{p}.attn.v"), (0, 2, 1, 3))
         probs = T.softmax(T.matmul(q, k), bias=key_bias)  # [B, heads, L, L]
-        probs = _maybe_dropout(probs, cfg.dropout_p, train_mode, rng)
+        probs = _maybe_dropout(probs, cfg.dropout_p, keeps)
         ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * n, hidden))
-        attn_out = _maybe_dropout(project(ctx, f"{p}.attn.out"), cfg.dropout_p, train_mode, rng)
+        attn_out = _maybe_dropout(project(ctx, f"{p}.attn.out"), cfg.dropout_p, keeps)
         x = T.layer_norm(
             T.add(x, attn_out), w[f"{p}.attn_norm.gain"], w[f"{p}.attn_norm.bias"], LN_EPS
         )
@@ -230,7 +253,7 @@ def forward(
         ffn_out = project(T.gelu(project(x, f"{p}.ffn.inner")), f"{p}.ffn.out")
         if taps is not None and i == cfg.layers - 1:
             taps["last_ffn_out"] = ffn_out
-        ffn_out = _maybe_dropout(ffn_out, cfg.dropout_p, train_mode, rng)
+        ffn_out = _maybe_dropout(ffn_out, cfg.dropout_p, keeps)
         x = T.layer_norm(
             T.add(x, ffn_out), w[f"{p}.ffn_norm.gain"], w[f"{p}.ffn_norm.bias"], LN_EPS
         )

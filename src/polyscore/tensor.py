@@ -253,8 +253,10 @@ def tmean(x: Tensor) -> Tensor:
     return _result(out, (x,), vjp)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only on training paths."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None,
+            keep: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout; call only on training paths. The boolean `keep` mask
+    is drawn as rng.random(x.shape) >= p unless the caller passes it."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0,1), got {p}")
     if p == 0.0:
@@ -262,7 +264,9 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     # the tape keeps a boolean mask, not a float array of the input's size;
     # mask * scale rebuilds the 0 or 1/(1-p) multiplier exactly (signed zeros
     # of dropped entries included)
-    mask = rng.random(x.shape) >= p
+    mask = rng.random(x.shape) >= p if keep is None else keep
+    if mask.shape != x.shape:
+        raise ShapeError(f"dropout mask {mask.shape} does not match input {x.shape}")
     scale = x.dtype.type(1.0 / (1.0 - p))
 
     def vjp(g):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from polyscore import tensor as T
-from polyscore.encoder import ModelConfig
+from polyscore.encoder import ModelConfig, forward
 from polyscore.heads import poly_context_vectors
 from polyscore.model import Model, Scorer
 from polyscore.tensor import Tensor
-from polyscore.text import Example, Vocabulary, encode_pair, encode_pairs
+from polyscore.text import Example, TokenBatch, Vocabulary, encode_pair, encode_pairs
 from polyscore.training import (
     MLM_RATE,
     FinetuneSettings,
@@ -207,6 +207,21 @@ class TestDropoutMask:
         for got, want in ((out.data, x * keep), (grad, g * keep)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+    def test_batch_draws_each_row_as_a_lone_forward(self, base, vocab):
+        # train-mode masks are drawn row by row over each row's own span, so
+        # a batch consumes the rng exactly as its rows run one at a time
+        w = base.towers["enc"]
+        pairs = [encode_pair(ex.context_text, ex.gold, vocab, 64)
+                 for ex in mixed_examples(5, seed=18)]
+        assert len({len(tp) for tp in pairs}) > 1
+        batched_rng, lone_rng = make_rng(19), make_rng(19)
+        out = forward(TokenBatch.of(pairs), w, train_mode=True, rng=batched_rng)
+        for i, tp in enumerate(pairs):
+            lone = forward(tp, w, train_mode=True, rng=lone_rng).hidden_states.data
+            assert np.abs(out.hidden_states.data[i, :len(tp)] - lone).max() < TOL
+        assert batched_rng.integers(1 << 30) == lone_rng.integers(1 << 30)
 
 
 class TestBackwardRelease:

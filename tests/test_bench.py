@@ -145,6 +145,30 @@ class TestRunBench:
         for stat in ("mean_ms", "median_ms", "p95_ms", "min_ms", "max_ms"):
             assert getattr(cell, stat) == 4 * getattr(measured, stat), stat
 
+    def test_cells_timed_round_robin(self, vocab, monkeypatch):
+        # query i of every (arch, count) cell runs before query i + 1 of any,
+        # so a slow spell of the machine cannot fall on one cell alone
+        calls = []
+
+        def recording(fn, size):
+            def wrapped(scorer, q, cands, k):
+                calls.append((fn.__name__, size(cands)))
+                return fn(scorer, q, cands, k)
+            return wrapped
+
+        monkeypatch.setattr(bench, "rank_bi", recording(bench.rank_bi, lambda c: len(c.ids)))
+        monkeypatch.setattr(bench, "rank_cross", recording(bench.rank_cross, len))
+        spec = tiny_spec(architectures=["bi", "cross"], candidate_counts=[4, 8],
+                         n_queries=2, warmup_queries=1)
+        models = make_bench_models(ModelConfig(vocab_size=len(vocab)), spec.architectures, seed=0)
+        rng = make_rng(3)
+        report = run_bench(spec, models, vocab, synthetic_candidates(spec, vocab, 8, rng),
+                           synthetic_queries(spec, vocab, 4, rng))
+        cells = [("rank_bi", 4), ("rank_bi", 8), ("rank_cross", 4), ("rank_cross", 8)]
+        assert calls == cells * 3
+        assert [(c.arch, c.candidates) for c in report.cells] == \
+            [("bi", 4), ("bi", 8), ("cross", 4), ("cross", 8)]
+
     def test_pool_too_small_rejected(self, vocab):
         spec = tiny_spec(candidate_counts=[100])
         cfg = ModelConfig(vocab_size=len(vocab))
