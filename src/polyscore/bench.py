@@ -16,6 +16,7 @@ import contextlib
 import ctypes
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ import numpy as np
 
 from .encoder import ModelConfig
 from .errors import ConfigError, ContractError
+from .heads import parse_arch
 from .model import Model, Scorer
 from .retrieval import build_cache, rank_bi, rank_cross, rank_poly
 from .text import Vocabulary
@@ -33,18 +35,6 @@ DEFAULT_QUERIES = 100
 DEFAULT_WARMUP = 10
 DEFAULT_CONTEXT_TOKENS = 64
 DEFAULT_CANDIDATE_TOKENS = 16
-
-
-def parse_arch(arch: str) -> tuple[str, int | None]:
-    """'bi' | 'cross' | 'poly:<m>' -> (kind, m)."""
-    if arch in ("bi", "cross"):
-        return arch, None
-    if arch.startswith("poly:"):
-        m = int(arch.split(":", 1)[1])
-        if m < 1:
-            raise ConfigError(f"poly arch needs m >= 1, got {m}")
-        return "poly", m
-    raise ConfigError(f"unknown architecture {arch!r} (use bi, cross or poly:<m>)")
 
 
 @dataclass
@@ -114,6 +104,13 @@ def _openblas_thread_calls():
     return None
 
 
+def environment() -> dict:
+    """Python and numpy versions, and the thread count BLAS runs with (None: unknown)."""
+    calls = _openblas_thread_calls()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_threads": calls[0]() if calls else None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with BLAS pinned to one thread, restoring the previous
@@ -155,6 +152,8 @@ def run_bench(spec: BenchSpec, models: dict[str, Model], vocab: Vocabulary,
 
     The pairs are timed round-robin, query i of each pair in turn, so a slow
     spell of the machine lands on all of them alike, not on whichever ran then.
+    Each round shuffles the pairs (seeded), else a pair always run right after
+    the heaviest one would pay for the caches that one left cold.
     """
     _check_timer()
     if len(candidate_pool) < max(spec.candidate_counts, default=0):
@@ -168,12 +167,15 @@ def run_bench(spec: BenchSpec, models: dict[str, Model], vocab: Vocabulary,
             scorer = Scorer(models[arch], vocab)
             for count in spec.candidate_counts:
                 runs[arch, count] = _query_run(spec, arch, scorer, candidate_pool[:count])
-        times = {key: [] for key in runs}
+        keys = list(runs)
+        times = {key: [] for key in keys}
+        order_rng = np.random.Generator(np.random.PCG64(spec.seed))
         for i in range(spec.warmup_queries + spec.n_queries):
             q = queries[i % len(queries)]
-            for key, (fn, _, _) in runs.items():
+            order_rng.shuffle(keys)
+            for key in keys:
                 t0 = time.perf_counter()
-                fn(q)
+                runs[key][0](q)
                 times[key].append(time.perf_counter() - t0)
     cells = []
     for (arch, count), (_, sub, cache_s) in runs.items():
@@ -187,7 +189,7 @@ def run_bench(spec: BenchSpec, models: dict[str, Model], vocab: Vocabulary,
 def _query_run(spec: BenchSpec, arch: str, scorer: Scorer, cands: list[str]):
     """(query fn, candidates it scores, cache build seconds) for one cell.
     Cross scores a sub-count when extrapolating; bi/poly build their cache."""
-    kind, _ = parse_arch(arch)
+    kind, _, _ = parse_arch(arch)
     k = min(spec.top_k, len(cands))
     if kind == "cross":
         sub = len(cands)
@@ -211,11 +213,8 @@ def make_bench_models(cfg: ModelConfig, architectures: list[str], seed: int,
     base = Model.init_pretrain(cfg, rng, dtype=dtype)
     models = {}
     for arch in architectures:
-        kind, m = parse_arch(arch)
-        if kind == "poly":
-            models[arch] = base.derive("poly", rng, poly_variant="learnt", poly_m=m)
-        else:
-            models[arch] = base.derive(kind, rng)
+        kind, variant, m = parse_arch(arch)
+        models[arch] = base.derive(kind, rng, poly_variant=variant, poly_m=m)
         for t in models[arch].named_parameters().values():
             t.requires_grad = False
     return models

@@ -94,15 +94,18 @@ def _sha256(path) -> str:
 
 
 class Manifest:
-    """Reproducibility record: resolved config plus input/output hashes."""
+    """Reproducibility record: resolved config, environment, input/output hashes."""
 
     def __init__(self, path, command: str, resolved: dict, seed, inputs: list):
+        from .bench import environment
+
         self.path = Path(path)
         self.doc = {
             "command": command,
             "tool_version": __version__,
             "seed": seed,
             "config": {k: v for k, v in sorted(resolved.items())},
+            "environment": environment(),
             "inputs": {str(p): _sha256(p) for p in inputs if p and Path(p).exists()},
             "outputs": None,
         }
@@ -117,40 +120,6 @@ class Manifest:
     def finish(self, outputs: list):
         self.doc["outputs"] = {str(p): _sha256(p) for p in outputs if Path(p).exists()}
         self._write()
-
-
-def _require_file(path, what: str):
-    if path is None:
-        raise ConfigError(f"missing required {what}")
-    if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path}")
-    return path
-
-
-def _parse_arch(arch: str):
-    """'bi' | 'cross' | 'poly:<variant>:<m>' | 'poly:<m>' (learnt)."""
-    from .heads import POLY_VARIANTS
-
-    if arch in ("bi", "cross"):
-        return arch, None, None
-    if arch.startswith("poly:"):
-        parts = arch.split(":")
-        if len(parts) == 2:
-            variant, m_str = "learnt", parts[1]
-        elif len(parts) == 3:
-            variant, m_str = parts[1], parts[2]
-        else:
-            raise ConfigError(f"bad poly architecture spec {arch!r}")
-        if variant not in POLY_VARIANTS:
-            raise ConfigError(f"unknown poly variant {variant!r}; choose from {POLY_VARIANTS}")
-        try:
-            m = int(m_str)
-        except ValueError:
-            raise ConfigError(f"poly m must be an integer, got {m_str!r}") from None
-        if m < 1:
-            raise ConfigError(f"poly m must be >= 1, got {m}")
-        return "poly", variant, m
-    raise ConfigError(f"unknown architecture {arch!r} (use bi, cross, poly:<m> or poly:<variant>:<m>)")
 
 
 def _dtype_of(precision: int):
@@ -277,6 +246,7 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     import numpy as np
 
+    from .heads import parse_arch
     from .model import Scorer, load_checkpoint, save_checkpoint
     from .optim import OptimizerConfig
     from .text import Vocabulary, load_jsonl
@@ -309,7 +279,7 @@ def cmd_train(args) -> int:
     kind = variant = m = None
     if arch:
         try:
-            kind, variant, m = _parse_arch(arch)
+            kind, variant, m = parse_arch(arch)
         except ConfigError as e:
             r.errors.append(str(e))
     r.fail_if_errors()

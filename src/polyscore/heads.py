@@ -34,6 +34,22 @@ def parse_reduction(kind: str) -> tuple[str, int | None]:
     raise ConfigError(f"unknown reduction kind {kind!r}")
 
 
+def parse_arch(arch: str) -> tuple[str, str | None, int | None]:
+    """'bi' | 'cross' | 'poly:<m>' (learnt) | 'poly:<variant>:<m>' ->
+    (kind, poly variant or None, m or None)."""
+    if arch in ("bi", "cross"):
+        return arch, None, None
+    parts = arch.split(":")
+    if parts[0] != "poly" or len(parts) not in (2, 3):
+        raise ConfigError(f"unknown architecture {arch!r} (use bi, cross, poly:<m> or poly:<variant>:<m>)")
+    variant = parts[1] if len(parts) == 3 else "learnt"
+    if variant not in POLY_VARIANTS:
+        raise ConfigError(f"unknown poly variant {variant!r}; choose from {POLY_VARIANTS}")
+    if not parts[-1].isdecimal() or int(parts[-1]) < 1:
+        raise ConfigError(f"poly m must be an integer >= 1, got {parts[-1]!r}")
+    return "poly", variant, int(parts[-1])
+
+
 def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
     """Collapse h_1..h_N to one vector, [hidden] for one sequence or
     [B, hidden] for a batch; averages ignore pad positions."""

@@ -298,14 +298,6 @@ def _parse_checkpoint(raw: bytes, dtype) -> Model:
                  poly_variant=header["poly_variant"], poly_m=header["poly_m"])
 
 
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # ---- text-level scoring frontend ----
 
 

@@ -3,14 +3,16 @@
 Bi/Poly score against precomputed candidate embeddings; Cross re-encodes
 every (context, candidate) pair. Cache builds and cross reranks encode in
 padded batches. All scoring is exact - no approximate nearest-neighbor
-shortcuts. Poly final attention over the cache is batched
-as one matrix pass per query rather than a per-candidate loop.
+shortcuts. Poly attends over the cache in [m', C] layout: softmax max and sum
+are m' vectorised passes over C logits. Top k is exact in O(C) plus a sort of
+about k: a partition finds the k-th best score, and only rows scoring at least
+that (ties included) are sorted, by descending score then ascending id.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +37,15 @@ class CandidateCache:
     strings: list[str]
     embeddings: np.ndarray  # [C, hidden]
     fingerprint: str
+    # ids as an int64 array for ranking, made once: replace the cache, not its ids
+    id_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.embeddings.ndim != 2 or len(self.ids) != self.embeddings.shape[0]:
             raise ShapeError(
                 f"cache rows {self.embeddings.shape} do not match {len(self.ids)} ids"
             )
+        self.id_array = np.asarray(self.ids, dtype=np.int64)
 
     @property
     def size(self) -> int:
@@ -82,32 +87,27 @@ def _check_fresh(cache: CandidateCache, scorer: Scorer):
         )
 
 
-def _order(ids, scores) -> np.ndarray:
-    # lexsort: last key is primary, so order by descending score then ascending id
-    return np.lexsort((np.asarray(ids), -np.asarray(scores)))
+def _rank_of(ids: np.ndarray, scores: np.ndarray, gold_id) -> int:
+    """1-based position of gold_id's best row in the full order, by counting."""
+    gold = scores[ids == gold_id]
+    if gold.size == 0:
+        raise ContractError(f"gold id {gold_id} not among the candidates")
+    g = np.fmax.reduce(gold)  # NaN only when every gold row scores NaN
+    nan = np.isnan(scores)
+    ahead, tied = (~nan, nan) if np.isnan(g) else (scores > g, scores == g)
+    return 1 + int(np.count_nonzero(ahead)) + int(np.count_nonzero(tied & (ids < gold_id)))
 
 
-def _result(ids, scores, k: int, gold_id) -> RankResult:
+def _result(ids, scores: np.ndarray, k: int, gold_id) -> RankResult:
+    ids = np.asarray(ids)
     if not 1 <= k <= len(ids):
         raise ContractError(f"k={k} out of range for {len(ids)} candidates")
-    order = _order(ids, scores)
-    ranking = [(int(ids[i]), float(scores[i])) for i in order[:k]]
-    rank_of_gold = None
-    if gold_id is not None:
-        positions = np.nonzero(np.asarray(ids)[order] == gold_id)[0]
-        if positions.size == 0:
-            raise ContractError(f"gold id {gold_id} not among the candidates")
-        rank_of_gold = int(positions[0]) + 1
-    return RankResult(ranking, rank_of_gold)
-
-
-def _softmax_rows_in_place(x: np.ndarray) -> np.ndarray:
-    """Row softmax of x, computed in x's own buffer: at C x m' = 1000 x 360
-    each temporary would be another 1.4 MB to allocate and page in."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
+    neg = -scores  # ascending order of -scores puts NaN last, as a full lexsort does
+    kth = np.partition(neg, k - 1)[k - 1]
+    near = np.arange(len(neg)) if np.isnan(kth) else np.flatnonzero(neg <= kth)
+    top = near[np.lexsort((ids[near], neg[near]))[:k]]
+    ranking = list(zip(ids[top].tolist(), scores[top].tolist()))
+    return RankResult(ranking, None if gold_id is None else _rank_of(ids, scores, gold_id))
 
 
 def rank_bi(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
@@ -116,7 +116,7 @@ def rank_bi(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
     _check_fresh(cache, scorer)
     y = scorer.context_vector(context_turns).data
     scores = cache.embeddings @ y
-    return _result(cache.ids, scores, k, gold_id)
+    return _result(cache.id_array, scores, k, gold_id)
 
 
 def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
@@ -125,10 +125,12 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
     the whole cache in single matrix passes."""
     _check_fresh(cache, scorer)
     vecs = scorer.poly_vectors(context_turns).data  # [m', H]
-    attn = _softmax_rows_in_place(cache.embeddings @ vecs.T)  # [C, m']
-    pooled = attn @ vecs  # [C, H]
-    scores = np.einsum("ch,ch->c", pooled, cache.embeddings)
-    return _result(cache.ids, scores, k, gold_id)
+    w = vecs @ cache.embeddings.T  # [m', C] logits, exponentiated in place
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    # pool with unnormalised weights, then divide each score by its weight sum
+    scores = np.einsum("ch,ch->c", w.T @ vecs, cache.embeddings) / w.sum(axis=0)
+    return _result(cache.id_array, scores, k, gold_id)
 
 
 def rank_cross(scorer: Scorer, context_turns, candidates: list[str], k: int,
@@ -185,6 +187,7 @@ def save_cache(cache: CandidateCache, path) -> None:
 
 
 def load_cache(path) -> CandidateCache:
+    """Read a cache written by save_cache; any malformed file raises ParseError."""
     with open(path, "rb") as f:
         raw = f.read()
     off = 0
@@ -197,18 +200,23 @@ def load_cache(path) -> CandidateCache:
         off += n
         return piece
 
-    if take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
-        raise ParseError(f"{path}: not a cache file (bad magic)")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != CACHE_VERSION:
-        raise ParseError(f"{path}: unsupported cache version {version}")
-    (fplen,) = struct.unpack("<I", take(4, "fingerprint length"))
-    fingerprint = take(fplen, "fingerprint").decode()
-    c, hidden = struct.unpack("<II", take(8, "dimensions"))
-    emb = np.frombuffer(take(4 * c * hidden, "embeddings"), dtype="<f4").reshape(c, hidden)
-    ids, strings = [], []
-    for _ in range(c):
-        cid, slen = struct.unpack("<II", take(8, "id/string header"))
-        ids.append(cid)
-        strings.append(take(slen, "candidate string").decode())
+    try:
+        if take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
+            raise ParseError(f"{path}: not a cache file (bad magic)")
+        (version,) = struct.unpack("<I", take(4, "version"))
+        if version != CACHE_VERSION:
+            raise ParseError(f"{path}: unsupported cache version {version}")
+        (fplen,) = struct.unpack("<I", take(4, "fingerprint length"))
+        fingerprint = take(fplen, "fingerprint").decode()
+        c, hidden = struct.unpack("<II", take(8, "dimensions"))
+        emb = np.frombuffer(take(4 * c * hidden, "embeddings"), dtype="<f4").reshape(c, hidden)
+        ids, strings = [], []
+        for _ in range(c):
+            cid, slen = struct.unpack("<II", take(8, "id/string header"))
+            ids.append(cid)
+            strings.append(take(slen, "candidate string").decode())
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: corrupt cache text ({e})") from e
+    if off != len(raw):
+        raise ParseError(f"{path}: {len(raw) - off} trailing bytes after the last candidate")
     return CandidateCache(ids, strings, emb.copy(), fingerprint)

@@ -102,6 +102,30 @@ def brute_force_rank(ids, scores):
     return sorted(zip(ids, scores), key=lambda pair: (-pair[1], pair[0]))
 
 
+def lexsort_rank(ids, scores, k, gold_id=None):
+    """The full-sort ranking: lexsort every score by descending score, then
+    ascending id (NaN scores last), keep the first k, and find the gold
+    candidate's 1-based position in the whole order.
+
+    Returns (ranking as [(id, score)], rank_of_gold or None)."""
+    ids = np.asarray(ids)
+    order = np.lexsort((ids, -np.asarray(scores)))
+    ranking = [(int(ids[i]), float(scores[i])) for i in order[:k]]
+    rank_of_gold = None
+    if gold_id is not None:
+        rank_of_gold = int(np.nonzero(ids[order] == gold_id)[0][0]) + 1
+    return ranking, rank_of_gold
+
+
+def poly_scores_pooled(vecs, emb):
+    """Poly scores of every cache row in [C, m'] layout: each row's softmax
+    attention over the m' context vectors, normalised before pooling."""
+    logits = emb @ vecs.T  # [C, m']
+    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)
+    return np.einsum("ch,ch->c", attn @ vecs, emb)
+
+
 def adam_first_step(theta, grad, lr, beta1, beta2, eps, weight_decay):
     m = (1 - beta1) * grad
     v = (1 - beta2) * grad * grad

@@ -1,10 +1,13 @@
 """End-to-end command-line runs: training, indexing, ranking, benchmarking."""
 
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from polyscore.bench import _openblas_thread_calls
 from polyscore.cli import main
 from polyscore.synth import make_chain_corpus, make_overlap_dataset, write_jsonl
 
@@ -42,6 +45,13 @@ class TestPretrain:
         assert manifest["command"] == "pretrain"
         assert manifest["outputs"]  # filled in after completion
         assert str(workdir / "corpus.jsonl") in manifest["inputs"]
+
+    def test_manifest_records_environment(self, workdir):
+        manifest = json.loads((workdir / "base" / "manifest.json").read_text())
+        calls = _openblas_thread_calls()
+        assert manifest["environment"] == {"python": platform.python_version(),
+                                           "numpy": np.__version__,
+                                           "blas_threads": calls[0]() if calls else None}
 
     def test_missing_corpus_exit_2(self, workdir, capsys):
         rc = main(["pretrain", "--corpus", str(workdir / "nope.jsonl"),
@@ -260,6 +270,25 @@ class TestIndexAndRank:
                    "--k", "2", "--out", str(tmp_path / "r.jsonl")])
         assert rc == 3
 
+    @pytest.mark.parametrize("damage", ["trailing_bytes", "undecodable_string"])
+    def test_corrupt_cache_exit_2(self, ranked_world, tmp_path, capsys, damage):
+        root, wd = ranked_world
+        ckpt, vocab = root / "bi" / "checkpoint.bin", wd / "ft_base" / "vocab.txt"
+        cache = tmp_path / "cache.bin"
+        assert main(["index", "--candidates", str(root / "cands.txt"), "--checkpoint",
+                     str(ckpt), "--vocab", str(vocab), "--out", str(cache)]) == 0
+        raw = bytearray(cache.read_bytes())
+        if damage == "trailing_bytes":
+            raw += b"\x00"
+        else:
+            raw[-1] = 0xFF  # inside the last candidate string; never valid UTF-8
+        cache.write_bytes(bytes(raw))
+        rc = main(["rank", "--queries", str(root / "queries.jsonl"), "--checkpoint", str(ckpt),
+                   "--vocab", str(vocab), "--cache", str(cache), "--k", "2",
+                   "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert str(cache) in capsys.readouterr().err
+
     def test_index_with_cross_checkpoint_rejected(self, ranked_world, workdir, tmp_path):
         root, wd = ranked_world
         assert main(["train", "--data", str(wd / "train.jsonl"),
@@ -284,6 +313,21 @@ class TestBenchCommand:
         assert rc == 0
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert {r["arch"] for r in rows} == {"bi", "poly:4"}
+
+    def test_poly_variant_runs(self, tmp_path):
+        out = tmp_path / "bench.jsonl"
+        rc = main(["bench", "--arch", "poly:first_m:4", "--candidates", "16",
+                   "--queries", "2", "--warmup", "0", "--context-tokens", "8",
+                   "--candidate-tokens", "4", "--out", str(out)])
+        assert rc == 0
+        assert [json.loads(l)["arch"] for l in out.read_text().splitlines()] == ["poly:first_m:4"]
+
+    @pytest.mark.parametrize("arch", ["poly:x", "poly:mean:4", "poly:first_m:0", "dual"])
+    def test_malformed_arch_exit_2(self, arch, capsys):
+        rc = main(["bench", "--arch", arch, "--candidates", "8", "--queries", "2",
+                   "--warmup", "0"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_empty_arch_list(self, tmp_path):
         rc = main(["bench", "--arch", "", "--candidates", "8", "--queries", "2",

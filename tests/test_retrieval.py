@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polyscore.encoder import ModelConfig
-from polyscore.errors import ContractError, StaleCacheError
+from polyscore.errors import ContractError, ParseError, StaleCacheError
 from polyscore.model import Model, Scorer
 from polyscore.retrieval import (
     ENCODE_CHUNK,
     CandidateCache,
     RankResult,
+    _result,
     build_cache,
     load_cache,
     mrr,
@@ -22,7 +25,7 @@ from polyscore.retrieval import (
 from polyscore.text import Vocabulary
 
 from conftest import make_rng
-from oracles import brute_force_rank
+from oracles import brute_force_rank, lexsort_rank, poly_scores_pooled
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +129,6 @@ class TestRankBi:
         cache = CandidateCache([0, 1, 2], ["a", "b", "a"],
                                np.zeros((3, 4)), "unsaved")
         scores = cache.embeddings @ np.ones(4)  # all ties
-        from polyscore.retrieval import _result
-
         res = _result(cache.ids, scores, 3, None)
         assert [cid for cid, _ in res.ranking] == [0, 1, 2]  # ascending id on ties
 
@@ -170,6 +171,85 @@ class TestRankPoly:
         assert [c for c, _ in res_mem.ranking] == [c for c, _ in res_file.ranking]
         for (_, a), (_, b) in zip(res_mem.ranking, res_file.ranking):
             assert abs(a - b) < 1e-4  # file rows are float32
+
+
+@st.composite
+def scored_candidates(draw):
+    """(ids, scores, gold id or None): ids unordered and sometimes repeated,
+    scores float32 or float64, often from only 3-4 values (NaN among them)."""
+    c = draw(st.integers(min_value=1, max_value=60))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.floats(-4, 4, width=32) | st.just(np.nan),
+                             min_size=3, max_size=4))
+        values = st.sampled_from(pool)
+    else:
+        values = st.floats(width=32)  # NaN and infinities included
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scores = np.array(draw(st.lists(values, min_size=c, max_size=c)), dtype=dtype)
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=c, max_size=c,
+                        unique=draw(st.booleans())))
+    gold = draw(st.none() | st.sampled_from(ids))
+    return np.array(ids, dtype=np.int64), scores, gold
+
+
+class TestPartialTopK:
+    """_result ranks exactly as a full lexsort of every score."""
+
+    @given(scored_candidates())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_lexsort_for_every_k(self, case):
+        ids, scores, gold = case
+        for k in range(1, len(ids) + 1):
+            res = _result(ids, scores, k, gold)
+            ranking, rank_of_gold = lexsort_rank(ids, scores, k, gold)
+            assert [cid for cid, _ in res.ranking] == [cid for cid, _ in ranking]
+            np.testing.assert_array_equal([s for _, s in res.ranking],
+                                          [s for _, s in ranking])
+            assert res.rank_of_gold == rank_of_gold
+
+    def test_large_cache_with_ties(self):
+        rng = make_rng(21)
+        ids = rng.permutation(10000)
+        scores = rng.integers(0, 50, size=10000).astype(np.float32)
+        scores[rng.choice(10000, size=30, replace=False)] = np.nan
+        for k in (1, 5, 199, 200, 201, 9970, 9971, 10000):
+            gold = int(ids[k - 1])
+            res = _result(ids, scores, k, gold)
+            ranking, rank_of_gold = lexsort_rank(ids, scores, k, gold)
+            assert [cid for cid, _ in res.ranking] == [cid for cid, _ in ranking]
+            assert res.rank_of_gold == rank_of_gold
+
+    def test_gold_missing_rejected(self):
+        with pytest.raises(ContractError):
+            _result(np.arange(3), np.zeros(3), 1, 7)
+
+
+class TestRankPolyLayout:
+    """rank_poly's [m', C] pass equals the [C, m'] pooled formula, computed
+    in float64 from the same inputs, within tol relative to the largest score."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("m", [1, 16, 360])
+    @pytest.mark.parametrize("c", [1, 1000])
+    def test_matches_pooled_reference(self, vocab, dtype, tol, m, c):
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17), dtype=dtype)
+        model = base.derive("poly", make_rng(1), poly_variant="learnt", poly_m=m)
+        # unit-scale codes and rows, so the attention is far from uniform
+        model.extras["poly.codes"].data[:] = make_rng(m).normal(0.0, 1.0, size=(m, 32))
+        scorer = Scorer(model, vocab)
+        emb = make_rng(m + c).normal(0.0, 1.0, size=(c, 32)).astype(dtype)
+        cache = CandidateCache(list(range(c)), [""] * c, emb, "unsaved")
+        context = ["w2 w4 w6 w8 w10 w12", "w1 w9 w3"]
+        res = rank_poly(scorer, context, cache, k=c)
+        vecs = scorer.poly_vectors(context).data
+        assert vecs.shape[0] == m
+        want = poly_scores_pooled(vecs.astype(np.float64), emb.astype(np.float64))
+        got = np.empty(c)
+        for cid, score in res.ranking:
+            got[cid] = score
+        assert np.abs(got - want).max() < tol * max(1.0, np.abs(want).max())
+        assert res.ranking == lexsort_rank(np.arange(c), got, c)[0]
 
 
 class TestRankCross:
@@ -252,3 +332,53 @@ class TestCacheFile:
         assert back.ids == [0, 1, 2, 3]
         assert back.fingerprint == cache.fingerprint
         assert np.abs(back.embeddings - cache.embeddings).max() < 1e-6  # f32 quantization
+
+    def test_trailing_bytes_rejected(self, saved_cache, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(saved_cache + b"\x00")
+        with pytest.raises(ParseError, match="trailing"):
+            load_cache(path)
+
+    @pytest.mark.parametrize("pos", [20, -1], ids=["fingerprint", "candidate_string"])
+    def test_undecodable_text_rejected(self, saved_cache, tmp_path, pos):
+        raw = bytearray(saved_cache)
+        raw[pos] = 0xFF  # never valid in UTF-8
+        path = tmp_path / "c.bin"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError):
+            load_cache(path)
+
+
+@pytest.fixture(scope="module")
+def saved_cache(world, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "c.bin"
+    save_cache(build_cache(texts(make_rng(14), 3), world[0]), path)
+    return path.read_bytes()
+
+
+class TestCacheFuzz:
+    """A damaged cache either loads or raises ParseError, never anything
+    else; a truncated one always raises ParseError."""
+
+    @given(cut=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncation(self, tmp_path, saved_cache, cut):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(saved_cache[:cut % len(saved_cache)])
+        with pytest.raises(ParseError):
+            load_cache(path)
+
+    @given(pos=st.integers(min_value=0, max_value=10**6),
+           flip=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_byte_flip(self, tmp_path, saved_cache, pos, flip):
+        raw = bytearray(saved_cache)
+        raw[pos % len(raw)] ^= flip
+        path = tmp_path / "flip.bin"
+        path.write_bytes(bytes(raw))
+        try:
+            load_cache(path)
+        except ParseError:
+            pass
