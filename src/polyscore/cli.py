@@ -12,8 +12,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -27,23 +27,25 @@ EXIT_STALE = 3
 
 def load_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment."""
+    from .text import read_lines
+
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
 class Resolver:
     """Merges defaults, config file and CLI flags; flags win.
 
-    Collects every validation failure instead of stopping at the first.
+    Collects every validation failure instead of stopping at the first, and
+    the input files named by path settings, for the run manifest.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -51,6 +53,7 @@ class Resolver:
         self.file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
         self.resolved: dict = {}
         self.errors: list[str] = []
+        self.inputs: list[str] = []
 
     def get(self, key: str, default=None, cast=str, required=False):
         flag_value = getattr(self.args, key, None)
@@ -68,6 +71,34 @@ class Resolver:
         if required and value is None:
             self.errors.append(f"missing required setting: {key}")
         self.resolved[key] = value
+        return value
+
+    def get_list(self, key: str, default: str, cast=str) -> list:
+        """A comma-separated setting; records an error if an item does not parse."""
+        raw = self.get(key, default)
+        try:
+            return [cast(x.strip()) for x in str(raw).split(",") if x.strip()]
+        except ValueError:
+            self.errors.append(f"cannot parse {key} list {raw!r}")
+            return []
+
+    def dtype(self, default: int):
+        """The float dtype the precision setting names: 32 or 64 bits."""
+        import numpy as np
+
+        bits = self.get("precision", default, int)
+        if bits not in (32, 64):
+            self.errors.append(f"precision must be 32 or 64, got {bits}")
+        return np.float32 if bits == 32 else np.float64
+
+    def path(self, key: str, what: str, required=False):
+        """An input file setting; records an error unless it names a file."""
+        value = self.get(key, required=required)
+        if value:
+            self.inputs.append(value)
+            if not Path(value).is_file():
+                problem = "is not a file" if Path(value).exists() else "not found"
+                self.errors.append(f"{what} {problem}: {value}")
         return value
 
     def fail_if_errors(self):
@@ -96,17 +127,17 @@ def _sha256(path) -> str:
 class Manifest:
     """Reproducibility record: resolved config, environment, input/output hashes."""
 
-    def __init__(self, path, command: str, resolved: dict, seed, inputs: list):
+    def __init__(self, path, command: str, r: Resolver):
         from .bench import environment
 
         self.path = Path(path)
         self.doc = {
             "command": command,
             "tool_version": __version__,
-            "seed": seed,
-            "config": {k: v for k, v in sorted(resolved.items())},
+            "seed": r.resolved.get("seed"),
+            "config": dict(sorted(r.resolved.items())),
             "environment": environment(),
-            "inputs": {str(p): _sha256(p) for p in inputs if p and Path(p).exists()},
+            "inputs": {str(p): _sha256(p) for p in r.inputs},
             "outputs": None,
         }
         self._write()
@@ -122,14 +153,22 @@ class Manifest:
         self._write()
 
 
-def _dtype_of(precision: int):
-    import numpy as np
+def _read_candidates(path) -> list[str]:
+    """A candidate file: one candidate per line, blank lines skipped."""
+    from .text import read_lines
 
-    if precision == 64:
-        return np.float64
-    if precision == 32:
-        return np.float32
-    raise ConfigError(f"precision must be 32 or 64, got {precision}")
+    return [line.rstrip("\n") for line in read_lines(path) if line.strip()]
+
+
+def _load_scorer(command: str, ckpt_path, vocab_path, dtype, kinds: tuple):
+    """A checkpoint of one of `kinds`, as `dtype`, with its vocabulary as a Scorer."""
+    from .model import Scorer, load_checkpoint
+    from .text import Vocabulary
+
+    model = load_checkpoint(ckpt_path, dtype=dtype)
+    if model.kind not in kinds:
+        raise ConfigError(f"{command} needs a {'/'.join(kinds)} checkpoint, not {model.kind}")
+    return Scorer(model, Vocabulary.load(vocab_path))
 
 
 def _augment_history(examples):
@@ -153,13 +192,13 @@ def cmd_pretrain(args) -> int:
     import numpy as np
 
     from .encoder import ModelConfig
-    from .model import Model, Scorer, save_checkpoint
+    from .model import Model, save_checkpoint
     from .optim import pretraining_config
     from .text import Vocabulary, build_vocab, example_token_stream, load_jsonl
     from .training import pretrain_loop
 
     r = Resolver(args)
-    corpus_path = r.get("corpus", required=True)
+    corpus_path = r.path("corpus", "corpus", required=True)
     out_dir = Path(r.get("out_dir", required=True) or ".")
     seed = r.get("seed", cast=int, required=True)
     steps = r.get("steps", 50, int)
@@ -178,26 +217,21 @@ def cmd_pretrain(args) -> int:
     weight_decay = r.get("weight_decay", 0.0, float)
     eval_interval = r.get("eval_interval", 10, int)
     batch_tokens = r.get("batch_tokens", None, int)
-    valid_path = r.get("valid", None)
-    vocab_path_in = r.get("vocab", None)
-    init_checkpoint = r.get("init_checkpoint", None)
-    precision = r.get("precision", 64, int)
+    valid_path = r.path("valid", "valid set")
+    vocab_path_in = r.path("vocab", "vocab")
+    init_checkpoint = r.path("init_checkpoint", "init checkpoint")
+    dtype = r.dtype(64)
     if steps is not None and steps < 0:
         r.errors.append(f"steps must be >= 0, got {steps}")
     if batch_size is not None and batch_size < 1:
         r.errors.append(f"batch_size must be >= 1, got {batch_size}")
-    if corpus_path and not Path(corpus_path).exists():
-        r.errors.append(f"corpus not found: {corpus_path}")
-    if valid_path and not Path(valid_path).exists():
-        r.errors.append(f"valid set not found: {valid_path}")
     r.fail_if_errors()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_out = out_dir / "checkpoint.bin"
     vocab_out = out_dir / "vocab.txt"
     metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "pretrain", r.resolved, seed,
-                        [corpus_path, valid_path, vocab_path_in, init_checkpoint])
+    manifest = Manifest(out_dir / "manifest.json", "pretrain", r)
 
     examples = list(load_jsonl(corpus_path))
     if vocab_path_in:
@@ -206,7 +240,6 @@ def cmd_pretrain(args) -> int:
         vocab = build_vocab(example_token_stream(examples), vocab_size)
     vocab.save(vocab_out)
 
-    dtype = _dtype_of(precision)
     if init_checkpoint:
         from .model import load_checkpoint
 
@@ -223,16 +256,10 @@ def cmd_pretrain(args) -> int:
     if cfg.vocab_size != len(vocab):
         raise ConfigError(f"vocab size {len(vocab)} does not match model config {cfg.vocab_size}")
 
-    if metrics_out.exists():
-        metrics_out.unlink()
+    metrics_out.unlink(missing_ok=True)
     valid_examples = list(load_jsonl(valid_path)) if valid_path else None
-    opt_cfg = pretraining_config(lr=lr, warmup_steps=warmup, eval_interval=eval_interval)
-    if (beta1, beta2, weight_decay) != (0.9, 0.98, 0.0):
-        from .optim import OptimizerConfig
-
-        opt_cfg = OptimizerConfig(kind=opt_cfg.kind, lr=lr, beta1=beta1, beta2=beta2,
-                                  weight_decay=weight_decay, warmup_steps=warmup,
-                                  schedule=opt_cfg.schedule, eval_interval=eval_interval)
+    opt_cfg = replace(pretraining_config(lr=lr, warmup_steps=warmup, eval_interval=eval_interval),
+                      beta1=beta1, beta2=beta2, weight_decay=weight_decay)
     if steps > 0:
         pretrain_loop(model, vocab, examples, opt_cfg, steps, batch_size, seed,
                       metrics_path=metrics_out, valid_examples=valid_examples,
@@ -247,15 +274,15 @@ def cmd_train(args) -> int:
     import numpy as np
 
     from .heads import parse_arch
-    from .model import Scorer, load_checkpoint, save_checkpoint
+    from .model import KINDS, save_checkpoint
     from .optim import OptimizerConfig
-    from .text import Vocabulary, load_jsonl
+    from .text import load_jsonl
     from .training import FinetuneSettings, finetune_loop, rescale_final_layer
 
     r = Resolver(args)
-    data_path = r.get("data", required=True)
-    base_path = r.get("checkpoint", required=True)
-    vocab_path = r.get("vocab", required=True)
+    data_path = r.path("data", "data", required=True)
+    base_path = r.path("checkpoint", "checkpoint", required=True)
+    vocab_path = r.path("vocab", "vocab", required=True)
     out_dir = Path(r.get("out_dir", required=True) or ".")
     seed = r.get("seed", cast=int, required=True)
     arch = r.get("arch", "bi")
@@ -270,12 +297,9 @@ def cmd_train(args) -> int:
     n_candidates = r.get("n_candidates", 16, int)
     reduction = r.get("reduction", "first")
     rescale_std = r.get("rescale_std", None, float)
-    valid_path = r.get("valid", None)
+    valid_path = r.path("valid", "valid set")
     augment = bool(r.get("augment_history", False, bool))
-    precision = r.get("precision", 64, int)
-    for p, what in ((data_path, "data"), (base_path, "checkpoint"), (vocab_path, "vocab")):
-        if p and not Path(p).exists():
-            r.errors.append(f"{what} not found: {p}")
+    dtype = r.dtype(64)
     kind = variant = m = None
     if arch:
         try:
@@ -287,12 +311,10 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_out = out_dir / "checkpoint.bin"
     metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "train", r.resolved, seed,
-                        [data_path, valid_path, base_path, vocab_path])
+    manifest = Manifest(out_dir / "manifest.json", "train", r)
 
-    vocab = Vocabulary.load(vocab_path)
-    dtype = _dtype_of(precision)
-    base = load_checkpoint(base_path, dtype=dtype)
+    scorer = _load_scorer("train", base_path, vocab_path, dtype, KINDS)
+    base, vocab = scorer.model, scorer.vocab
     train_examples = list(load_jsonl(data_path))
     if augment:
         train_examples = _augment_history(train_examples)
@@ -310,9 +332,7 @@ def cmd_train(args) -> int:
     rng = np.random.Generator(np.random.PCG64(seed))
     if base.kind == "pretrain":
         if rescale_std is not None:
-            scorer_probe = Scorer(base, vocab)
-            probes = [scorer_probe.encode_cross(ex.context, ex.gold)
-                      for ex in train_examples[:8]]
+            probes = [scorer.encode_cross(ex.context, ex.gold) for ex in train_examples[:8]]
             base.towers["enc"], factor = rescale_final_layer(base.towers["enc"],
                                                              rescale_std, probes)
             print(f"rescaled final layer by {factor:.4f}")
@@ -336,8 +356,7 @@ def cmd_train(args) -> int:
     )
     settings = FinetuneSettings(steps=steps, batch_size=batch_size, freeze=freeze,
                                 neg_mode=neg_mode, n_candidates=n_candidates, seed=seed)
-    if metrics_out.exists():
-        metrics_out.unlink()
+    metrics_out.unlink(missing_ok=True)
     finetune_loop(model, vocab, train_examples, valid_examples, opt_cfg, settings,
                   metrics_path=metrics_out)
     save_checkpoint(model, ckpt_out)
@@ -346,18 +365,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _rank_examples(model, scorer, examples, ks):
+def _rank_examples(scorer, examples, ks):
     """Per-example candidate ranking for metric evaluation."""
     from .retrieval import build_cache, mrr, rank_bi, rank_cross, rank_poly, recall_at_k
 
     results = []
     for ex in examples:
-        if model.kind == "cross":
+        if scorer.model.kind == "cross":
             res = rank_cross(scorer, ex.context, list(ex.candidates),
                              len(ex.candidates), gold_index=ex.label_index)
         else:
             cache = build_cache(list(ex.candidates), scorer)
-            rank = rank_bi if model.kind == "bi" else rank_poly
+            rank = rank_bi if scorer.model.kind == "bi" else rank_poly
             res = rank(scorer, ex.context, cache, len(ex.candidates), gold_id=ex.label_index)
         results.append(res)
     metrics = {"n_examples": len(results),
@@ -367,40 +386,24 @@ def _rank_examples(model, scorer, examples, ks):
 
 
 def cmd_eval(args) -> int:
-    from .model import Scorer, load_checkpoint
-    from .text import Vocabulary, load_jsonl
+    from .text import load_jsonl
 
     r = Resolver(args)
-    data_path = r.get("data", required=True)
-    ckpt_path = r.get("checkpoint", required=True)
-    vocab_path = r.get("vocab", required=True)
+    data_path = r.path("data", "data", required=True)
+    ckpt_path = r.path("checkpoint", "checkpoint", required=True)
+    vocab_path = r.path("vocab", "vocab", required=True)
     out_path = r.get("out", None)
-    ks_raw = r.get("k", "1,2,5")
+    ks = sorted(set(r.get_list("k", "1,2,5", int)))
     max_examples = r.get("max_examples", None, int)
-    precision = r.get("precision", 64, int)
-    for p, what in ((data_path, "data"), (ckpt_path, "checkpoint"), (vocab_path, "vocab")):
-        if p and not Path(p).exists():
-            r.errors.append(f"{what} not found: {p}")
-    try:
-        ks = sorted({int(x) for x in str(ks_raw).split(",") if x.strip()})
-    except ValueError:
-        r.errors.append(f"cannot parse k list {ks_raw!r}")
-        ks = [1]
+    dtype = r.dtype(64)
     r.fail_if_errors()
 
-    manifest = None
-    if out_path:
-        manifest = Manifest(str(out_path) + ".manifest.json", "eval", r.resolved, None,
-                            [data_path, ckpt_path, vocab_path])
-    model = load_checkpoint(ckpt_path, dtype=_dtype_of(precision))
-    if model.kind == "pretrain":
-        raise ConfigError("eval needs a fine-tuned bi/poly/cross checkpoint")
-    vocab = Vocabulary.load(vocab_path)
-    scorer = Scorer(model, vocab)
+    manifest = Manifest(str(out_path) + ".manifest.json", "eval", r) if out_path else None
+    scorer = _load_scorer("eval", ckpt_path, vocab_path, dtype, ("bi", "poly", "cross"))
     examples = list(load_jsonl(data_path))
     if max_examples:
         examples = examples[:max_examples]
-    metrics = _rank_examples(model, scorer, examples, ks)
+    metrics = _rank_examples(scorer, examples, ks)
     text = json.dumps(metrics, indent=2, sort_keys=True)
     print(text)
     if out_path:
@@ -410,29 +413,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_index(args) -> int:
-    from .model import Scorer, load_checkpoint
     from .retrieval import build_cache, save_cache
-    from .text import Vocabulary
 
     r = Resolver(args)
-    cand_path = r.get("candidates", required=True)
-    ckpt_path = r.get("checkpoint", required=True)
-    vocab_path = r.get("vocab", required=True)
+    cand_path = r.path("candidates", "candidates", required=True)
+    ckpt_path = r.path("checkpoint", "checkpoint", required=True)
+    vocab_path = r.path("vocab", "vocab", required=True)
     out_path = r.get("out", required=True)
-    precision = r.get("precision", 32, int)
-    for p, what in ((cand_path, "candidates"), (ckpt_path, "checkpoint"), (vocab_path, "vocab")):
-        if p and not Path(p).exists():
-            r.errors.append(f"{what} not found: {p}")
+    dtype = r.dtype(32)
     r.fail_if_errors()
 
-    manifest = Manifest(str(out_path) + ".manifest.json", "index", r.resolved, None,
-                        [cand_path, ckpt_path, vocab_path])
-    model = load_checkpoint(ckpt_path, dtype=_dtype_of(precision))
-    if model.kind not in ("bi", "poly"):
-        raise ConfigError(f"cannot precompute candidate embeddings for a {model.kind} model")
-    vocab = Vocabulary.load(vocab_path)
-    candidates = [line.rstrip("\n") for line in open(cand_path, encoding="utf-8") if line.strip()]
-    cache = build_cache(candidates, Scorer(model, vocab))
+    manifest = Manifest(str(out_path) + ".manifest.json", "index", r)
+    scorer = _load_scorer("index", ckpt_path, vocab_path, dtype, ("bi", "poly"))
+    cache = build_cache(_read_candidates(cand_path), scorer)
     save_cache(cache, out_path)
     manifest.finish([out_path])
     print(f"indexed {cache.size} candidates -> {out_path}")
@@ -440,59 +433,43 @@ def cmd_index(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .model import Scorer, load_checkpoint
     from .retrieval import build_cache, load_cache, rank_bi, rank_cross, rank_poly
-    from .text import Vocabulary
+    from .text import read_lines
 
     r = Resolver(args)
-    queries_path = r.get("queries", required=True)
-    ckpt_path = r.get("checkpoint", required=True)
-    vocab_path = r.get("vocab", required=True)
-    cache_path = r.get("cache", None)
-    cand_path = r.get("candidates", None)
+    queries_path = r.path("queries", "queries", required=True)
+    ckpt_path = r.path("checkpoint", "checkpoint", required=True)
+    vocab_path = r.path("vocab", "vocab", required=True)
+    cache_path = r.path("cache", "cache")
+    cand_path = r.path("candidates", "candidates")
     no_cache = bool(r.get("no_cache", False, bool))
     k = r.get("k", 10, int)
     out_path = r.get("out", required=True)
-    precision = r.get("precision", 32, int)
-    for p, what in ((queries_path, "queries"), (ckpt_path, "checkpoint"), (vocab_path, "vocab")):
-        if p and not Path(p).exists():
-            r.errors.append(f"{what} not found: {p}")
-    if cache_path and not Path(cache_path).exists():
-        r.errors.append(f"cache not found: {cache_path}")
-    if cand_path and not Path(cand_path).exists():
-        r.errors.append(f"candidates not found: {cand_path}")
+    dtype = r.dtype(32)
     r.fail_if_errors()
 
-    manifest = Manifest(str(out_path) + ".manifest.json", "rank", r.resolved, None,
-                        [queries_path, ckpt_path, vocab_path, cache_path, cand_path])
-    model = load_checkpoint(ckpt_path, dtype=_dtype_of(precision))
-    vocab = Vocabulary.load(vocab_path)
-    scorer = Scorer(model, vocab)
+    manifest = Manifest(str(out_path) + ".manifest.json", "rank", r)
+    scorer = _load_scorer("rank", ckpt_path, vocab_path, dtype, ("bi", "poly", "cross"))
+    kind = scorer.model.kind
 
-    candidates = None
-    cache = None
-    if model.kind == "cross":
-        if not cand_path:
-            raise ConfigError("cross ranking needs --candidates (no cache possible)")
-        candidates = [line.rstrip("\n") for line in open(cand_path, encoding="utf-8")
-                      if line.strip()]
-    elif no_cache or cache_path is None:
-        if not cand_path:
-            raise ConfigError("rank needs --cache, or --candidates for the no-cache path")
-        candidates = [line.rstrip("\n") for line in open(cand_path, encoding="utf-8")
-                      if line.strip()]
-        cache = build_cache(candidates, scorer)
-    else:
+    candidates = cache = None
+    if kind != "cross" and not no_cache and cache_path is not None:
         cache = load_cache(cache_path)
+    elif not cand_path:
+        raise ConfigError("cross ranking needs --candidates (no cache possible)" if kind == "cross"
+                          else "rank needs --cache, or --candidates for the no-cache path")
+    else:
+        candidates = _read_candidates(cand_path)
+        if kind != "cross":
+            cache = build_cache(candidates, scorer)
 
     n_cands = cache.size if cache is not None else len(candidates)
     if k > n_cands:
         print(f"warning: k={k} clamped to {n_cands} candidates", file=sys.stderr)
         k = n_cands
 
-    with open(queries_path, encoding="utf-8") as f, \
-            open(out_path, "w", encoding="utf-8") as out:
-        for lineno, line in enumerate(f):
+    with open(out_path, "w", encoding="utf-8") as out:
+        for lineno, line in enumerate(read_lines(queries_path)):
             if not line.strip():
                 continue
             try:
@@ -503,9 +480,9 @@ def cmd_rank(args) -> int:
             if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
                 raise ParseError(f"{queries_path}:{lineno + 1}: 'context' must be an array "
                                  f"of strings, got {turns!r}")
-            if model.kind == "cross":
+            if kind == "cross":
                 res = rank_cross(scorer, turns, candidates, k)
-            elif model.kind == "bi":
+            elif kind == "bi":
                 res = rank_bi(scorer, turns, cache, k)
             else:
                 res = rank_poly(scorer, turns, cache, k)
@@ -527,8 +504,8 @@ def cmd_bench(args) -> int:
     from .text import Vocabulary
 
     r = Resolver(args)
-    archs = r.get("arch", "bi,poly:16,cross")
-    counts_raw = r.get("candidates", "1000,10000")
+    architectures = r.get_list("arch", "bi,poly:16,cross")
+    counts = r.get_list("candidates", "1000,10000", int)
     n_queries = r.get("queries", 100, int)
     warmup = r.get("warmup", 10, int)
     extrapolate = r.get("extrapolate_cross_from", None, int)
@@ -537,32 +514,21 @@ def cmd_bench(args) -> int:
     context_tokens = r.get("context_tokens", 64, int)
     candidate_tokens = r.get("candidate_tokens", 16, int)
     vocab_size = r.get("vocab_size", 256, int)
-    cand_file = r.get("candidate_file", None)
-    try:
-        architectures = [a.strip() for a in str(archs).split(",") if a.strip()]
-        counts = [int(c) for c in str(counts_raw).split(",") if c.strip()]
-    except ValueError:
-        r.errors.append(f"cannot parse arch/candidates lists: {archs!r} / {counts_raw!r}")
-        architectures, counts = [], []
-    if cand_file and not Path(cand_file).exists():
-        r.errors.append(f"candidate file not found: {cand_file}")
+    cand_file = r.path("candidate_file", "candidate file")
     r.fail_if_errors()
 
     spec = BenchSpec(architectures=architectures, candidate_counts=counts,
                      n_queries=n_queries, warmup_queries=warmup,
                      context_tokens=context_tokens, candidate_tokens=candidate_tokens,
                      extrapolate_cross_from=extrapolate, seed=seed)
-    manifest = None
-    if out_path:
-        manifest = Manifest(str(out_path) + ".manifest.json", "bench", r.resolved, seed,
-                            [cand_file])
+    manifest = Manifest(str(out_path) + ".manifest.json", "bench", r) if out_path else None
     rng = np.random.Generator(np.random.PCG64(seed))
     words = [f"w{i:04d}" for i in range(max(5, vocab_size - 4))]
     vocab = Vocabulary(words)
     cfg = ModelConfig(vocab_size=len(vocab))
     models = make_bench_models(cfg, spec.architectures, seed)
     if cand_file:
-        pool = [line.rstrip("\n") for line in open(cand_file, encoding="utf-8") if line.strip()]
+        pool = _read_candidates(cand_file)
     else:
         pool = synthetic_candidates(spec, vocab, max(spec.candidate_counts, default=1), rng)
     queries = synthetic_queries(spec, vocab, min(spec.n_queries + spec.warmup_queries, 64), rng)
@@ -588,7 +554,7 @@ def cmd_synth(args) -> int:
     r.fail_if_errors()
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out_dir / "manifest.json", "synth", r.resolved, seed, [])
+    manifest = Manifest(out_dir / "manifest.json", "synth", r)
     outputs = []
     if task == "overlap":
         train, test = make_overlap_dataset(n_train, n_test, seed=seed)

@@ -11,7 +11,7 @@ so pad rows never leak into real ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,10 +147,6 @@ class TransformerOutput:
 
     hidden_states: Tensor
     pad_mask: tuple[bool, ...] | np.ndarray
-
-    @property
-    def n_real(self) -> int:
-        return int(np.count_nonzero(self.pad_mask))
 
 
 def embed(tokens: TokenizedPair | TokenBatch, w: TransformerWeights) -> Tensor:

@@ -9,9 +9,6 @@ from . import tensor as T
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
-# training batch size for cross-style external negatives: 15 negatives + 1 gold
-DEFAULT_EXTERNAL_CANDIDATES = 16
-
 
 def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     """Mean cross-entropy of each row of `logits` against its target column."""

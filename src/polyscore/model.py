@@ -18,22 +18,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, ShapeError
 from .heads import CrossHead, PolyHeadState, cross_score, init_codes, parse_reduction, \
     poly_context_vectors, poly_score, reduce_output, bi_score
+from .records import RecordReader, RecordWriter
 from .tensor import Tensor
 from .text import TokenBatch, TokenizedPair, Vocabulary, encode_pair, encode_pairs, \
     encode_single, flatten_context
 
 MAGIC = b"PLYSCKPT"
 FORMAT_VERSION = 1
-KINDS = ("pretrain", "bi", "poly", "cross")
+TOWERS = {"pretrain": ("enc",), "bi": ("ctxt", "cand"), "poly": ("ctxt", "cand"),
+          "cross": ("enc",)}  # tower names by model kind
+KINDS = tuple(TOWERS)
 
 # ingestion caps for context/candidate token counts
 DEFAULT_MAX_CONTEXT_TOKENS = 360
@@ -68,10 +69,8 @@ class Model:
     ):
         if kind not in KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
-        expected_towers = {"pretrain": {"enc"}, "cross": {"enc"}, "bi": {"ctxt", "cand"},
-                           "poly": {"ctxt", "cand"}}[kind]
-        if set(towers) != expected_towers:
-            raise ConfigError(f"kind {kind} needs towers {sorted(expected_towers)}, got {sorted(towers)}")
+        if set(towers) != set(TOWERS[kind]):
+            raise ConfigError(f"kind {kind} needs towers {sorted(TOWERS[kind])}, got {sorted(towers)}")
         parse_reduction(reduction)
         if kind == "poly":
             if poly_variant is None or poly_m is None:
@@ -189,28 +188,19 @@ def _header_dict(model: Model) -> dict:
 
 def save_checkpoint(model: Model, path) -> str:
     """Write the checkpoint; returns the file fingerprint (sha256 hex)."""
-    header = json.dumps(_header_dict(model), sort_keys=True, separators=(",", ":")).encode()
+    w = RecordWriter(MAGIC, FORMAT_VERSION)
+    w.text(json.dumps(_header_dict(model), sort_keys=True, separators=(",", ":")))
     records = sorted(model.named_parameters().items())
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    blob += struct.pack("<I", len(header))
-    blob += header
-    blob += struct.pack("<I", len(records))
+    w.u32(len(records))
     for name, t in records:
-        nb = name.encode()
         arr = np.ascontiguousarray(t.data, dtype="<f8")
-        blob += struct.pack("<I", len(nb))
-        blob += nb
-        blob += struct.pack("<B", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.tobytes()
-    data = bytes(blob)
-    with open(path, "wb") as f:
-        f.write(data)
-    fp = hashlib.sha256(data).hexdigest()
-    model.fingerprint = fp
-    return fp
+        w.text(name)
+        w.u8(arr.ndim)
+        w.u32(*arr.shape)
+        w.floats(arr, "<f8")
+    w.save(path)
+    model.fingerprint = hashlib.sha256(w.data).hexdigest()
+    return model.fingerprint
 
 
 def _extra_shapes(cfg: ModelConfig, kind: str, poly_variant, poly_m) -> dict[str, tuple]:
@@ -231,68 +221,37 @@ def load_checkpoint(path, dtype=np.float64) -> Model:
     until a training loop marks the parameters it trains. Any malformed file
     (truncated, trailing bytes, corrupt header or records) raises ParseError.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    r = RecordReader(path, MAGIC, FORMAT_VERSION, "checkpoint")
     try:
-        model = _parse_checkpoint(raw, dtype)
-    except ParseError as e:
-        raise ParseError(f"{path}: {e}") from e
-    except (ValueError, TypeError, KeyError, AttributeError, struct.error,
-            ConfigError, ShapeError) as e:
-        # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        raise ParseError(f"{path}: corrupt checkpoint ({type(e).__name__}: {e})") from e
-    model.fingerprint = hashlib.sha256(raw).hexdigest()
+        model = _parse_checkpoint(r, dtype)
+    except (ValueError, TypeError, KeyError, AttributeError, ConfigError, ShapeError) as e:
+        # JSONDecodeError is a ValueError
+        raise r.error(f"corrupt checkpoint ({type(e).__name__}: {e})") from e
+    model.fingerprint = hashlib.sha256(r.raw).hexdigest()
     return model
 
 
-def _parse_checkpoint(raw: bytes, dtype) -> Model:
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(raw):
-            raise ParseError(f"checkpoint truncated while reading {what}")
-        piece = raw[off:off + n]
-        off += n
-        return piece
-
-    if take(len(MAGIC), "magic") != MAGIC:
-        raise ParseError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<I", take(4, "header length"))
-    header = json.loads(take(hlen, "header").decode())
-    cfg = ModelConfig(**header["config"])
-    (count,) = struct.unpack("<I", take(4, "record count"))
-    flat: dict[str, Tensor] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", take(4, "name length"))
-        name = take(nlen, "name").decode()
-        (ndim,) = struct.unpack("<B", take(1, "ndim"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
-        vals = np.frombuffer(take(8 * math.prod(shape), f"values of {name}"), dtype="<f8")
-        flat[name] = Tensor(vals.reshape(shape).astype(dtype))
-    if off != len(raw):
-        raise ParseError(f"{len(raw) - off} trailing bytes after the last record")
-
-    kind = header["kind"]
-    prefixes = {"pretrain": ["enc"], "cross": ["enc"], "bi": ["ctxt", "cand"],
-                "poly": ["ctxt", "cand"]}.get(kind)
-    if prefixes is None:
-        raise ParseError(f"unknown model kind {kind!r} in header")
-    towers = {}
-    extras = {}
-    for name, t in flat.items():
+def _parse_checkpoint(r: RecordReader, dtype) -> Model:
+    header = json.loads(r.text("header"))
+    cfg, kind = ModelConfig(**header["config"]), header["kind"]
+    if kind not in TOWERS:
+        raise r.error(f"unknown model kind {kind!r} in header")
+    towers, extras = {p: {} for p in TOWERS[kind]}, {}
+    for _ in range(r.u32("record count")):
+        name = r.text("name")
+        shape = tuple(r.u32("shape") for _ in range(r.u8("ndim")))
+        vals = r.floats(math.prod(shape), "<f8", f"values of {name}")
+        t = Tensor(vals.reshape(shape).astype(dtype))
         prefix, _, rest = name.partition(".")
-        if prefix in prefixes:
-            towers.setdefault(prefix, {})[rest] = t
+        if prefix in towers:
+            towers[prefix][rest] = t
         else:
             extras[name] = t
+    r.end()
     want = _extra_shapes(cfg, kind, header["poly_variant"], header["poly_m"])
     got = {n: t.shape for n, t in extras.items()}
     if got != want:
-        raise ParseError(f"head parameters {got} do not match kind {kind!r}: want {want}")
+        raise r.error(f"head parameters {got} do not match kind {kind!r}: want {want}")
     tower_objs = {p: TransformerWeights(cfg, params) for p, params in towers.items()}
     return Model(cfg, kind, tower_objs, extras, reduction=header["reduction"],
                  poly_variant=header["poly_variant"], poly_m=header["poly_m"])

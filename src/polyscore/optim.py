@@ -8,7 +8,7 @@ decay; fine-tuning pairs linear warmup with multiply-by-0.4-on-plateau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

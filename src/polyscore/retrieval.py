@@ -11,13 +11,13 @@ that (ties included) are sorted, by descending score then ascending id.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ParseError, ShapeError, StaleCacheError
+from .errors import ContractError, ShapeError, StaleCacheError
 from .model import Scorer
+from .records import RecordReader, RecordWriter
 
 # Sequences per batched encoder forward in build_cache and rank_cross: large
 # enough that per-op interpreter cost is amortised, small enough that the
@@ -169,54 +169,20 @@ def _need_gold(results):
 
 def save_cache(cache: CandidateCache, path) -> None:
     """Header (fingerprint, C, hidden), float32 LE matrix, then the id/string table."""
-    blob = bytearray()
-    blob += CACHE_MAGIC
-    blob += struct.pack("<I", CACHE_VERSION)
-    fp = cache.fingerprint.encode()
-    blob += struct.pack("<I", len(fp))
-    blob += fp
-    c, hidden = cache.embeddings.shape
-    blob += struct.pack("<II", c, hidden)
-    blob += np.ascontiguousarray(cache.embeddings, dtype="<f4").tobytes()
-    for cid, s in zip(cache.ids, cache.strings):
-        sb = s.encode()
-        blob += struct.pack("<II", cid, len(sb))
-        blob += sb
-    with open(path, "wb") as f:
-        f.write(bytes(blob))
+    w = RecordWriter(CACHE_MAGIC, CACHE_VERSION)
+    w.text(cache.fingerprint)
+    w.u32(*cache.embeddings.shape)
+    w.floats(cache.embeddings, "<f4")
+    w.u32_texts(cache.ids, cache.strings)
+    w.save(path)
 
 
 def load_cache(path) -> CandidateCache:
     """Read a cache written by save_cache; any malformed file raises ParseError."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(raw):
-            raise ParseError(f"{path}: cache truncated while reading {what}")
-        piece = raw[off:off + n]
-        off += n
-        return piece
-
-    try:
-        if take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
-            raise ParseError(f"{path}: not a cache file (bad magic)")
-        (version,) = struct.unpack("<I", take(4, "version"))
-        if version != CACHE_VERSION:
-            raise ParseError(f"{path}: unsupported cache version {version}")
-        (fplen,) = struct.unpack("<I", take(4, "fingerprint length"))
-        fingerprint = take(fplen, "fingerprint").decode()
-        c, hidden = struct.unpack("<II", take(8, "dimensions"))
-        emb = np.frombuffer(take(4 * c * hidden, "embeddings"), dtype="<f4").reshape(c, hidden)
-        ids, strings = [], []
-        for _ in range(c):
-            cid, slen = struct.unpack("<II", take(8, "id/string header"))
-            ids.append(cid)
-            strings.append(take(slen, "candidate string").decode())
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: corrupt cache text ({e})") from e
-    if off != len(raw):
-        raise ParseError(f"{path}: {len(raw) - off} trailing bytes after the last candidate")
+    r = RecordReader(path, CACHE_MAGIC, CACHE_VERSION, "cache")
+    fingerprint = r.text("fingerprint")
+    c, hidden = r.u32("candidate count"), r.u32("hidden size")
+    emb = r.floats(c * hidden, "<f4", "embeddings").reshape(c, hidden)
+    ids, strings = r.u32_texts(c, "candidate id and string")
+    r.end()
     return CandidateCache(ids, strings, emb.copy(), fingerprint)

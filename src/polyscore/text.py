@@ -63,10 +63,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        words = [line.rstrip("\n") for line in read_lines(path)]
+        return cls([w for w in words if w])
+
+
+def read_lines(path) -> Iterator[str]:
+    """Lines of a UTF-8 text file; anything else raises ParseError naming the path."""
+    try:
         with open(path, encoding="utf-8") as f:
-            words = [line.rstrip("\n") for line in f]
-        words = [w for w in words if w]
-        return cls(words)
+            yield from f
+    except (UnicodeDecodeError, IsADirectoryError) as e:
+        raise ParseError(f"{path}: not a UTF-8 text file ({e})") from e
 
 
 def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:
@@ -247,15 +254,14 @@ def parse_example(obj, where: str) -> Example:
 
 def load_jsonl(path) -> Iterator[Example]:
     """Stream Examples from a JSON-lines file; errors carry line numbers."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            yield parse_example(obj, f"{path}:{lineno}")
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        yield parse_example(obj, f"{path}:{lineno}")
 
 
 def example_token_stream(examples: Iterable[Example]) -> Iterator[str]:

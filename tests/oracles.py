@@ -6,7 +6,9 @@ cross-entropy, a from-scratch transformer trace, brute-force reranking and
 finite differences.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -315,3 +317,55 @@ def encode_pair_reference(input_text, label_text, vocab, max_len):
     n = len(ids)
     return TokenizedPair(tuple(ids), tuple(range(n)),
                          tuple([0] * (1 + len(inp)) + [1] * (1 + len(lab))), (True,) * n)
+
+
+def checkpoint_bytes_reference(model) -> bytes:
+    """A checkpoint file as the struct-based writer built it before the shared
+    record layer: magic, u32 version, u32-prefixed canonical JSON header, u32
+    record count, then per parameter (sorted by name) a u32-prefixed name, u8
+    ndim, u32 dims and float64 little-endian values."""
+    header = json.dumps({
+        "config": model.cfg.to_dict(),
+        "kind": model.kind,
+        "poly_m": model.poly_m,
+        "poly_variant": model.poly_variant,
+        "reduction": model.reduction,
+        "version": 1,
+    }, sort_keys=True, separators=(",", ":")).encode()
+    records = sorted(model.named_parameters().items())
+    blob = bytearray()
+    blob += b"PLYSCKPT"
+    blob += struct.pack("<I", 1)
+    blob += struct.pack("<I", len(header))
+    blob += header
+    blob += struct.pack("<I", len(records))
+    for name, t in records:
+        nb = name.encode()
+        arr = np.ascontiguousarray(t.data, dtype="<f8")
+        blob += struct.pack("<I", len(nb))
+        blob += nb
+        blob += struct.pack("<B", arr.ndim)
+        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        blob += arr.tobytes()
+    return bytes(blob)
+
+
+def cache_bytes_reference(cache) -> bytes:
+    """A cache file as the struct-based writer built it before the shared
+    record layer: magic, u32 version, u32-prefixed fingerprint, u32 C and
+    hidden, the float32 little-endian matrix, then per candidate a u32 id and
+    a u32-prefixed UTF-8 string."""
+    blob = bytearray()
+    blob += b"PLYCACHE"
+    blob += struct.pack("<I", 1)
+    fp = cache.fingerprint.encode()
+    blob += struct.pack("<I", len(fp))
+    blob += fp
+    c, hidden = cache.embeddings.shape
+    blob += struct.pack("<II", c, hidden)
+    blob += np.ascontiguousarray(cache.embeddings, dtype="<f4").tobytes()
+    for cid, s in zip(cache.ids, cache.strings):
+        sb = s.encode()
+        blob += struct.pack("<II", cid, len(sb))
+        blob += sb
+    return bytes(blob)

@@ -289,6 +289,34 @@ class TestIndexAndRank:
         assert rc == 2
         assert str(cache) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["candidates", "queries", "vocab", "config", "dataset",
+                                     "candidates_directory"])
+    def test_undecodable_or_non_file_input_exit_2(self, ranked_world, tmp_path, capsys, bad):
+        root, wd = ranked_world
+        good = {"candidates": root / "cands.txt", "queries": root / "queries.jsonl",
+                "vocab": wd / "ft_base" / "vocab.txt", "config": None,
+                "dataset": wd / "test.jsonl"}
+        if bad == "candidates_directory":
+            path = tmp_path / "dir"
+            path.mkdir()
+            bad = "candidates"
+        else:
+            # a 0xFF byte is never valid UTF-8
+            prefix = good[bad].read_bytes() if good[bad] else b"k=3\n"
+            path = tmp_path / f"bad_{bad}"
+            path.write_bytes(prefix + b"\xff\n")
+        given = {**good, bad: path}
+        ckpt = ["--checkpoint", str(root / "bi" / "checkpoint.bin"), "--vocab", str(given["vocab"])]
+        config = ["--config", str(given["config"])] if given["config"] else []
+        if bad == "dataset":
+            argv = ["eval", "--data", str(path), *ckpt]
+        else:
+            argv = ["rank", "--queries", str(given["queries"]), *ckpt, "--no-cache",
+                    "--candidates", str(given["candidates"]), "--out", str(tmp_path / "r.jsonl")]
+        rc = main(argv + config)
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_index_with_cross_checkpoint_rejected(self, ranked_world, workdir, tmp_path):
         root, wd = ranked_world
         assert main(["train", "--data", str(wd / "train.jsonl"),

@@ -1,0 +1,84 @@
+"""Import hygiene of the package sources, checked with the standard library's
+ast module: every name an import binds is referenced in the scope that
+imports it (the module for a top-level import, the function for a local one)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polyscore"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def _referenced(scope: ast.AST) -> set[str]:
+    """Names loaded anywhere under scope, including quoted annotations."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is None:
+                continue
+            for c in ast.walk(annotation):
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):  # -> "Model"
+                    names |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                              if isinstance(n, ast.Name)}
+    return names
+
+
+def _scope_imports(scope: ast.AST):
+    """Import statements of scope itself, not of the functions or classes in it."""
+    todo = list(scope.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """'line: name' for each imported name its importing scope never uses."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = {e.value for e in node.value.elts}
+    found = []
+    scopes = [tree] + [n for n in ast.walk(tree)
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        used = _referenced(scope) | exported
+        found += [(node.lineno, name) for node in _scope_imports(scope)
+                  for name in _bound_names(node) if name not in used]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
+
+
+def test_checker_flags_unused_imports():
+    tree = ast.parse(
+        "import os\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "def f():\n"
+        "    from json import dumps, loads\n"
+        "    return loads('1')\n"
+        "def g(v: 'Counter'):\n"
+        "    from collections import Counter\n"
+        "    return dumps\n"
+    )
+    assert unused_imports(tree) == ["1: os", "2: field", "7: dumps"]

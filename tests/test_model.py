@@ -13,6 +13,7 @@ from polyscore.model import Model, Scorer, load_checkpoint, save_checkpoint
 from polyscore.text import Vocabulary
 
 from conftest import make_rng
+from oracles import checkpoint_bytes_reference
 
 
 @pytest.fixture
@@ -157,6 +158,32 @@ class TestCheckpoint:
         save_checkpoint(pretrain_model, path)
         f32 = load_checkpoint(path, dtype=np.float32)
         assert f32.dtype == np.float32
+
+
+class TestCheckpointFormat:
+    """The checkpoint bytes match the struct-based writer they replaced."""
+
+    @pytest.fixture
+    def poly_model(self, pretrain_model):
+        return pretrain_model.derive("poly", make_rng(3), reduction="avg_first:2",
+                                     poly_variant="learnt", poly_m=5)
+
+    def test_writer_matches_reference(self, tmp_path, poly_model):
+        path = tmp_path / "m.bin"
+        save_checkpoint(poly_model, path)
+        assert path.read_bytes() == checkpoint_bytes_reference(poly_model)
+
+    def test_reference_file_loads(self, tmp_path, poly_model):
+        path = tmp_path / "m.bin"
+        path.write_bytes(checkpoint_bytes_reference(poly_model))
+        back = load_checkpoint(path)
+        assert (back.kind, back.poly_variant, back.poly_m, back.reduction, back.cfg) == \
+            ("poly", "learnt", 5, "avg_first:2", poly_model.cfg)
+        want = poly_model.named_parameters()
+        got = back.named_parameters()
+        assert sorted(got) == sorted(want)
+        for name, t in want.items():
+            assert np.array_equal(got[name].data, t.data), name
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,7 @@ from polyscore.retrieval import (
 from polyscore.text import Vocabulary
 
 from conftest import make_rng
-from oracles import brute_force_rank, lexsort_rank, poly_scores_pooled
+from oracles import brute_force_rank, cache_bytes_reference, lexsort_rank, poly_scores_pooled
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +347,30 @@ class TestCacheFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError):
             load_cache(path)
+
+
+class TestCacheFormat:
+    """The cache bytes match the struct-based writer they replaced."""
+
+    @pytest.fixture
+    def cache(self):
+        strings = ["plain", "", "café au lait", "日本語のテキスト", "emoji \U0001F600 end"]
+        emb = make_rng(21).normal(size=(len(strings), 6)).astype(np.float32)
+        return CandidateCache([3, 0, 7, 1, 2**32 - 1], strings, emb, "fp-" + "ä" * 4)
+
+    def test_writer_matches_reference(self, cache, tmp_path):
+        path = tmp_path / "c.bin"
+        save_cache(cache, path)
+        assert path.read_bytes() == cache_bytes_reference(cache)
+
+    def test_reference_file_loads(self, cache, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(cache_bytes_reference(cache))
+        back = load_cache(path)
+        assert (back.ids, back.strings, back.fingerprint) == \
+            (cache.ids, cache.strings, cache.fingerprint)
+        assert back.embeddings.dtype == np.float32
+        assert np.array_equal(back.embeddings, cache.embeddings)
 
 
 @pytest.fixture(scope="module")
