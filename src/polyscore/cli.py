@@ -580,10 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polyscore {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, precision=True):  # only commands that read the setting take --precision
         p.add_argument("--config", help="flat key=value config file; flags override it")
         p.add_argument("--seed", type=int)
-        p.add_argument("--precision", type=int, choices=(32, 64))
+        if precision:
+            p.add_argument("--precision", type=int, choices=(32, 64))
 
     p = sub.add_parser("pretrain", help="alternating masked-token / next-utterance pre-training")
     common(p)
@@ -663,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("bench", help="latency by architecture and candidate count")
-    common(p)
+    common(p, precision=False)
     p.add_argument("--arch", help="comma-separated: bi,poly:16,cross")
     p.add_argument("--candidates", help="comma-separated candidate counts")
     p.add_argument("--queries", type=int)
@@ -677,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("synth", help="generate synthetic datasets")
-    common(p)
+    common(p, precision=False)
     p.add_argument("--task", choices=("overlap", "chain"))
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--n-train", dest="n_train", type=int)

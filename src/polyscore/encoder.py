@@ -149,10 +149,11 @@ class TransformerOutput:
     pad_mask: tuple[bool, ...] | np.ndarray
 
 
-def embed(tokens: TokenizedPair | TokenBatch, w: TransformerWeights) -> Tensor:
+def embed(tokens: TokenizedPair | TokenBatch, w: TransformerWeights, prm=None):
     """Sum of token, position and segment embeddings, one row per input
-    position; a batch's [B, L] positions are flattened row-major to B*L rows."""
-    cfg = w.cfg
+    position; a batch's [B, L] positions are flattened row-major to B*L rows.
+    The tables are `prm`'s (forward's operands) if given, else w's Tensors."""
+    cfg, prm = w.cfg, prm or w.params
     ids = np.asarray(tokens.token_ids).ravel()
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise ConfigError(f"token id out of range for vocab_size {cfg.vocab_size}")
@@ -161,9 +162,9 @@ def embed(tokens: TokenizedPair | TokenBatch, w: TransformerWeights) -> Tensor:
         raise ConfigError(
             f"sequence length {length} exceeds max_positions {cfg.max_positions}"
         )
-    tok = T.gather_rows(w["embeddings.token"], ids)
-    pos = T.gather_rows(w["embeddings.position"], np.asarray(tokens.position_ids).ravel())
-    seg = T.gather_rows(w["embeddings.segment"], np.asarray(tokens.segment_ids).ravel())
+    tok = T.gather_rows(prm["embeddings.token"], ids)
+    pos = T.gather_rows(prm["embeddings.position"], np.asarray(tokens.position_ids).ravel())
+    seg = T.gather_rows(prm["embeddings.segment"], np.asarray(tokens.segment_ids).ravel())
     return T.add(T.add(tok, pos), seg)
 
 
@@ -207,6 +208,9 @@ def forward(
     by reshape/transpose; pad keys get an additive -inf bias before the
     softmax, so pad positions never leak into real ones. With dropout, masks
     are drawn sequence by sequence (see _dropout_keeps).
+    Each op gets a parameter's bare array unless the parameter needs a
+    gradient, so an inference forward runs array kernels end to end and wraps
+    only its result in a Tensor; training runs the same kernels under the tape.
     `taps`, when given, receives intermediate tensors keyed by name
     (currently the last block's FFN output projection, pre-residual, [B*L, hidden]).
     """
@@ -226,11 +230,13 @@ def forward(
     def split_heads(t, axes):  # [B*L, H] -> [B, heads, L, d], or [B, heads, d, L] for keys
         return T.transpose(T.reshape(t, (b, n, heads, head_dim)), axes)
 
-    def project(t, name):
-        return T.add(T.matmul(t, w[f"{name}.weight"]), w[f"{name}.bias"])
+    prm = {name: T.operand(t) for name, t in w.params.items()}
 
-    x = embed(batch, w)
-    x = T.layer_norm(x, w["embeddings.norm.gain"], w["embeddings.norm.bias"], LN_EPS)
+    def project(t, name):
+        return T.add(T.matmul(t, prm[f"{name}.weight"]), prm[f"{name}.bias"])
+
+    x = embed(batch, w, prm)
+    x = T.layer_norm(x, prm["embeddings.norm.gain"], prm["embeddings.norm.bias"], LN_EPS)
     x = _maybe_dropout(x, cfg.dropout_p, keeps)
 
     for i in range(cfg.layers):
@@ -243,18 +249,17 @@ def forward(
         ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * n, hidden))
         attn_out = _maybe_dropout(project(ctx, f"{p}.attn.out"), cfg.dropout_p, keeps)
         x = T.layer_norm(
-            T.add(x, attn_out), w[f"{p}.attn_norm.gain"], w[f"{p}.attn_norm.bias"], LN_EPS
+            T.add(x, attn_out), prm[f"{p}.attn_norm.gain"], prm[f"{p}.attn_norm.bias"], LN_EPS
         )
 
         ffn_out = project(T.gelu(project(x, f"{p}.ffn.inner")), f"{p}.ffn.out")
         if taps is not None and i == cfg.layers - 1:
-            taps["last_ffn_out"] = ffn_out
+            taps["last_ffn_out"] = T.as_tensor(ffn_out)
         ffn_out = _maybe_dropout(ffn_out, cfg.dropout_p, keeps)
         x = T.layer_norm(
-            T.add(x, ffn_out), w[f"{p}.ffn_norm.gain"], w[f"{p}.ffn_norm.bias"], LN_EPS
+            T.add(x, ffn_out), prm[f"{p}.ffn_norm.gain"], prm[f"{p}.ffn_norm.bias"], LN_EPS
         )
 
     if batch is tokens:
-        return TransformerOutput(hidden_states=T.reshape(x, (b, n, hidden)),
-                                 pad_mask=batch.pad_mask)
-    return TransformerOutput(hidden_states=x, pad_mask=tokens.pad_mask)
+        x = T.reshape(x, (b, n, hidden))
+    return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=tokens.pad_mask)

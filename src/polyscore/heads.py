@@ -59,7 +59,7 @@ def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
     n_real = mask.sum(axis=1)
     if n_real.min() < 1:
         raise ContractError("reduce needs at least one non-pad position")
-    h = out.hidden_states
+    h = T.operand(out.hidden_states)
     b, length = mask.shape
     hid = h.shape[-1]
     if base == REDUCTION_FIRST:
@@ -68,14 +68,9 @@ def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
         # pads are trailing, so the first `stop` positions of a row are real
         stop = n_real if base == REDUCTION_AVG_ALL else np.minimum(m, n_real)
         weights = (np.arange(length) < stop[:, None]) / stop[:, None]
-        weights = Tensor(weights[:, None, :].astype(h.dtype))  # [B, 1, L]
+        weights = weights[:, None, :].astype(h.dtype)  # [B, 1, L]
         pooled = T.reshape(T.matmul(weights, T.reshape(h, (b, length, hid))), (b, hid))
-    return T.reshape(pooled, (hid,)) if h.data.ndim == 2 else pooled
-
-
-def bi_score(y_ctxt: Tensor, y_cand: Tensor) -> Tensor:
-    """Dot-product score between one context vector and one candidate vector."""
-    return T.dot(y_ctxt, y_cand)
+    return T.as_tensor(T.reshape(pooled, (hid,)) if len(h.shape) == 2 else pooled)
 
 
 @dataclass(frozen=True)
@@ -139,41 +134,28 @@ def poly_context_vectors(out: TransformerOutput, st: PolyHeadState):
     n_real = mask.sum(axis=1)
     if n_real.min() < 1:
         raise ContractError("poly head needs at least one non-pad position")
-    h = out.hidden_states
-    single = h.data.ndim == 2
+    h = T.operand(out.hidden_states)
     b, length = mask.shape
     hid = h.shape[-1]
     flat = T.reshape(h, (b * length, hid))
     if st.variant == "learnt":
         # unscaled dot products of every code with every position: [B, m, L]
-        logits = T.transpose(T.reshape(T.matmul(flat, T.transpose(st.codes)),
+        logits = T.transpose(T.reshape(T.matmul(flat, T.transpose(T.operand(st.codes))),
                                        (b, length, st.m)), (0, 2, 1))
         key_bias = np.where(mask, 0.0, -np.inf).astype(h.dtype)[:, None, :]
         vecs = T.matmul(T.softmax(logits, bias=key_bias), T.reshape(h, (b, length, hid)))
-        if single:
-            return T.reshape(vecs, (st.m, hid))
-        return vecs, np.ones((b, st.m), dtype=bool)
-    keep = np.minimum(st.m, n_real)  # raw rows taken per context
-    slot = np.arange(keep.max())
-    valid = slot < keep[:, None]
-    first = 0 if st.variant == "first_m" else (n_real - keep)[:, None]
-    pos = np.where(valid, first + slot, 0)
-    if st.variant == "last_m_h1":
-        pos = np.concatenate([np.zeros((b, 1), dtype=pos.dtype), pos], axis=1)
-        valid = np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
-    rows = pos + (np.arange(b) * length)[:, None]
-    if single:
-        return T.gather_rows(flat, rows[valid])
-    return T.reshape(T.gather_rows(flat, rows.ravel()), (b, rows.shape[1], hid)), valid
-
-
-def poly_score(ctxt_vecs: Tensor, y_cand: Tensor) -> Tensor:
-    """Attend over context vectors with the candidate as query, then dot."""
-    m = ctxt_vecs.shape[0]
-    hid = ctxt_vecs.shape[1]
-    if y_cand.shape != (hid,):
-        raise ShapeError(f"candidate vector {y_cand.shape} does not match context vectors {ctxt_vecs.shape}")
-    logits = T.reshape(T.matmul(ctxt_vecs, T.reshape(y_cand, (hid, 1))), (m,))
-    w = T.softmax(logits)
-    pooled = T.reshape(T.matmul(T.reshape(w, (1, m)), ctxt_vecs), (hid,))
-    return T.dot(pooled, y_cand)
+        valid = np.ones((b, st.m), dtype=bool)
+    else:
+        keep = np.minimum(st.m, n_real)  # raw rows taken per context
+        slot = np.arange(keep.max())
+        valid = slot < keep[:, None]
+        first = 0 if st.variant == "first_m" else (n_real - keep)[:, None]
+        pos = np.where(valid, first + slot, 0)
+        if st.variant == "last_m_h1":
+            pos = np.concatenate([np.zeros((b, 1), dtype=pos.dtype), pos], axis=1)
+            valid = np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
+        rows = pos + (np.arange(b) * length)[:, None]
+        vecs = T.reshape(T.gather_rows(flat, rows.ravel()), (b, rows.shape[1], hid))
+    if len(h.shape) == 2:  # one sequence's slots are all valid
+        return T.as_tensor(T.reshape(vecs, vecs.shape[1:]))
+    return T.as_tensor(vecs), valid

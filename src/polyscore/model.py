@@ -24,7 +24,7 @@ import numpy as np
 from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward
 from .errors import ConfigError, ShapeError
 from .heads import CrossHead, PolyHeadState, cross_score, init_codes, parse_reduction, \
-    poly_context_vectors, poly_score, reduce_output, bi_score
+    poly_context_vectors, reduce_output
 from .records import RecordReader, RecordWriter
 from .tensor import Tensor
 from .text import TokenBatch, TokenizedPair, Vocabulary, encode_pair, encode_pairs, \
@@ -325,12 +325,6 @@ class Scorer:
         return poly_context_vectors(self.context_output(turns), self.model.poly_state())
 
     # scores
-
-    def score_bi(self, turns, cand: str) -> float:
-        return bi_score(self.context_vector(turns), self.candidate_vector(cand)).item()
-
-    def score_poly(self, turns, cand: str) -> float:
-        return poly_score(self.poly_vectors(turns), self.candidate_vector(cand)).item()
 
     def score_cross(self, turns, cand: str) -> Tensor:
         return cross_score(self.encode_cross(turns, cand), self.model.context_tower(),

@@ -3,10 +3,11 @@
 Bi/Poly score against precomputed candidate embeddings; Cross re-encodes
 every (context, candidate) pair. Cache builds and cross reranks encode in
 padded batches. All scoring is exact - no approximate nearest-neighbor
-shortcuts. Poly attends over the cache in [m', C] layout: softmax max and sum
-are m' vectorised passes over C logits. Top k is exact in O(C) plus a sort of
-about k: a partition finds the k-th best score, and only rows scoring at least
-that (ties included) are sorted, by descending score then ascending id.
+shortcuts. Poly attends over the cache in [m', rows] blocks of cache rows,
+small enough to stay in cache: softmax max and sum are m' vectorised passes
+over a block's logits. Top k is exact in O(C) plus a sort of about k: a
+partition finds the k-th best score, and only rows scoring at least that (ties
+included) are sorted, by descending score then ascending id.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .records import RecordReader, RecordWriter
 # enough that per-op interpreter cost is amortised, small enough that the
 # [B, heads, L, L] attention arrays stay a few MB for thousands of candidates.
 ENCODE_CHUNK = 64
+
+# Elements of one block's [m', rows] poly logits: rank_poly scores this // m'
+# cache rows per pass (728 rows at m'=360; 16384, one block here, at m'=16).
+POLY_BLOCK_ELEMENTS = 1 << 18
 
 CACHE_MAGIC = b"PLYCACHE"
 CACHE_VERSION = 1
@@ -122,15 +127,19 @@ def rank_bi(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
 def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
               gold_id=None) -> RankResult:
     """Candidate-as-query attention over the context vectors, batched across
-    the whole cache in single matrix passes."""
+    blocks of cache rows in single matrix passes."""
     _check_fresh(cache, scorer)
     vecs = scorer.poly_vectors(context_turns).data  # [m', H]
-    w = vecs @ cache.embeddings.T  # [m', C] logits, exponentiated in place
-    w -= w.max(axis=0)
-    np.exp(w, out=w)
-    # pool with unnormalised weights, then divide each score by its weight sum
-    scores = np.einsum("ch,ch->c", w.T @ vecs, cache.embeddings) / w.sum(axis=0)
-    return _result(cache.id_array, scores, k, gold_id)
+    rows = max(1, POLY_BLOCK_ELEMENTS // vecs.shape[0])
+    parts = []
+    for start in range(0, cache.size, rows):
+        emb = cache.embeddings[start:start + rows]
+        w = vecs @ emb.T  # [m', rows] logits, exponentiated in place
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        # pool with unnormalised weights, then divide each score by its weight sum
+        parts.append(np.einsum("ch,ch->c", w.T @ vecs, emb) / w.sum(axis=0))
+    return _result(cache.id_array, np.concatenate(parts), k, gold_id)
 
 
 def rank_cross(scorer: Scorer, context_turns, candidates: list[str], k: int,

@@ -1,11 +1,13 @@
-"""Dense tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation: plain-array
+kernels under a thin tape layer.
 
-Arrays are numpy-backed (float64 for training/verification, float32 for
-speed paths). Each op that has a differentiable input records its parents
-and a vector-Jacobian closure on the output node; `backward` replays the
-implicit tape in reverse topological order. Nodes whose inputs carry no
-gradient requirement skip graph construction entirely, so inference-mode
-forwards build no tape.
+Each op takes Tensors or bare numpy arrays (float64 for training and
+verification, float32 for speed paths), checks and computes on the arrays, and
+hands its output and vector-Jacobian closure to `_result`. That returns a
+Tensor recording parents and closure if an input needs a gradient, an untaped
+Tensor if an input is one, and else the bare array: a forward that hands its
+ops bare arrays (see `operand`) runs kernels end to end and builds no Tensor
+per op. `backward` replays the implicit tape in reverse topological order.
 
 Tensors are immutable after creation for graph purposes: training code may
 swap `.data` in place only between forward passes, never while a tape that
@@ -55,149 +57,167 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _result(data, parents, vjp):
-    """Build an op output; drop the tape record when no parent needs grads."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
-    return Tensor(data)
+def operand(t: Tensor):
+    """What a forward hands an op for `t`: the Tensor when it needs a
+    gradient, else its bare array, so no tape or Tensor is built for it."""
+    return t if t.requires_grad else t.data
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def as_tensor(x) -> Tensor:
+    """An op result as a Tensor: Tensors pass through, a bare array is wrapped."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _data(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _result(out, inputs, vjp):
+    """The tape layer: an op's kernel output as the op's result (see the
+    module docstring); `vjp` is recorded only when an input needs a gradient."""
+    wrap = False
+    for x in inputs:
+        if isinstance(x, Tensor):
+            if x.requires_grad:  # array inputs become constant parents: Tensors only
+                parents = tuple(p if isinstance(p, Tensor) else Tensor(p) for p in inputs)
+                return Tensor(out, requires_grad=True, _parents=parents, _vjp=vjp)
+            wrap = True
+    return Tensor(out) if wrap else out
+
+
+def matmul(a, b):
     """Matrix product over the last two axes, a[..., M, K] @ b[..., K, N].
 
     Leading (batch) axes must be identical; nothing is broadcast.
     """
-    if (a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
+    inputs = a, b
+    a, b = _data(a), _data(b)
+    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
 
     def vjp(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+        return g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
 
-    return _result(out, (a, b), vjp)
+    return _result(a @ b, inputs, vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a, b):
     """Elementwise add; the only broadcast allowed is a 1-D bias on the last axis."""
-    bias = b.data.ndim == 1 and a.data.ndim > 1
+    inputs = a, b
+    a, b = _data(a), _data(b)
+    bias = b.ndim == 1 and a.ndim > 1
     if bias:
         if a.shape[-1] != b.shape[0]:
             raise ShapeError(f"bias length {b.shape} does not match last axis of {a.shape}")
     elif a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = a.data + b.data
 
     def vjp(g):
-        gb = g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
-        return g, gb
+        return g, g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
 
-    return _result(out, (a, b), vjp)
+    return _result(a + b, inputs, vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a, b):
     """Elementwise product, identical shapes only."""
+    inputs = a, b
+    a, b = _data(a), _data(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = a.data * b.data
-
-    def vjp(g):
-        return g * b.data, g * a.data
-
-    return _result(out, (a, b), vjp)
+    return _result(a * b, inputs, lambda g: (g * b, g * a))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a, c: float):
     c = float(c)
-    return _result(a.data * c, (a,), lambda g: (g * c,))
+    return _result(_data(a) * c, (a,), lambda g: (g * c,))
 
 
-def neg(a: Tensor) -> Tensor:
+def neg(a):
     return scale(a, -1.0)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a, axes=None):
     """Permute axes into a contiguous copy; without `axes`, the matrix transpose."""
+    x = _data(a)
     if axes is None:
-        if a.data.ndim != 2:
-            raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+        if x.ndim != 2:
+            raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
         axes = (1, 0)
-    elif sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"axes {axes} are not a permutation of the axes of {a.shape}")
-    inverse = tuple(np.argsort(axes))
-    out = np.ascontiguousarray(np.transpose(a.data, axes))
-    return _result(out, (a,), lambda g: (np.transpose(g, inverse),))
+    elif sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"axes {axes} are not a permutation of the axes of {x.shape}")
+    out = np.ascontiguousarray(np.transpose(x, axes))
+    return _result(out, (a,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.shape
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
+def reshape(a, shape):
+    x = _data(a)
+    orig = x.shape
+    return _result(x.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two equal-length vectors, as a scalar tensor."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot expects equal-length vectors: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        return g * b.data, g * a.data
-
-    return _result(out, (a, b), vjp)
-
-
-def softmax(x: Tensor, axis: int = -1, bias=None) -> Tensor:
+def softmax(x, axis: int = -1, bias=None):
     """Max-subtracted softmax along the last axis; NaN inputs are rejected.
 
     `bias`, a constant array broadcast onto x, is added first: -inf masks an
     entry to probability 0, 0 keeps it. Every row needs one finite entry.
     """
-    if axis not in (-1, x.data.ndim - 1):
+    inputs = (x,)
+    x = _data(x)
+    if axis not in (-1, x.ndim - 1):
         raise ShapeError("softmax is defined along the last axis only")
-    if np.isnan(x.data).any():
-        raise NumericError("softmax received NaN input")
-    z = x.data if bias is None else x.data + bias
+    z = x if bias is None else x + bias
     if z.shape != x.shape:
         raise ShapeError(f"softmax bias {np.shape(bias)} does not broadcast onto {x.shape}")
-    out = z - z.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)  # in place: attention-sized arrays make temporaries costly
+    top = z.max(axis=-1, keepdims=True)
+    # max propagates NaN, so a NaN anywhere in a row shows in its max, also
+    # under a -inf mask (NaN - inf is NaN)
+    if np.isnan(top).any():
+        raise NumericError("softmax received NaN input")
+    # in place past x itself: attention-sized arrays make temporaries costly
+    out = np.subtract(z, top, out=None if z is x else z)
+    np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         return ((g - (g * out).sum(axis=-1, keepdims=True)) * out,)
 
-    return _result(out, (x,), vjp)
+    return _result(out, inputs, vjp)
 
 
-def log_softmax(x: Tensor) -> Tensor:
+def log_softmax(x):
     """log(softmax(x)) along the last axis, stable for widely spread logits."""
-    if np.isnan(x.data).any():
+    inputs = (x,)
+    x = _data(x)
+    if np.isnan(x).any():
         raise NumericError("log_softmax received NaN input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    sm = np.exp(out)
 
     def vjp(g):
-        return (g - sm * g.sum(axis=-1, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return _result(out, (x,), vjp)
+    return _result(out, inputs, vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x, gain, bias, eps: float = 1e-12):
     """Normalize the last axis to zero mean / unit variance, then affine."""
+    inputs = x, gain, bias
+    x, gain, bias = _data(x), _data(gain), _data(bias)
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} do not match last axis of {x.shape}"
         )
-    centred = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    # sum / n is mean() bit for bit (a float32 quotient rounded through
+    # float64 rounds once), without mean()'s Python-level wrapper
+    centred = x - x.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + eps)
     xhat = centred * inv
-    out = xhat * gain.data + bias.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        gxhat = g * gain.data
+        gxhat = g * gain
         gx = (
             gxhat
             - gxhat.mean(axis=-1, keepdims=True)
@@ -205,117 +225,105 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         ) * inv
         return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
-    return _result(out, (x, gain, bias), vjp)
+    return _result(xhat * gain + bias, inputs, vjp)
 
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x):
     """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    inputs = (x,)
+    x = _data(x)
     # products, not `**`: np.power with exponent 3 is ~30x slower
-    xd = x.data
-    x2 = xd * xd
-    t = np.tanh(GELU_SCALE * (xd + GELU_COEFF * x2 * xd))
-    out = 0.5 * xd * (1.0 + t)
+    x2 = x * x
+    t = np.tanh(GELU_SCALE * (x + GELU_COEFF * x2 * x))
 
     def vjp(g):
         du = GELU_SCALE * (1.0 + 3.0 * GELU_COEFF * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
 
-    return _result(out, (x,), vjp)
+    return _result(0.5 * x * (1.0 + t), inputs, vjp)
 
 
-def tsum(x: Tensor, axis=None) -> Tensor:
+def tsum(x, axis=None):
     """Sum to a scalar (axis=None) or reduce the last axis (axis=-1)."""
+    inputs = (x,)
+    x = _data(x)
     if axis is None:
-        out = x.data.sum()
-
-        def vjp(g):
-            return (np.full(x.shape, g, dtype=x.dtype),)
-
-    elif axis in (-1, x.data.ndim - 1):
-        out = x.data.sum(axis=-1)
-
-        def vjp(g):
-            return (np.broadcast_to(np.expand_dims(g, -1), x.shape).copy(),)
-
-    else:
+        return _result(x.sum(), inputs, lambda g: (np.full(x.shape, g, dtype=x.dtype),))
+    if axis not in (-1, x.ndim - 1):
         raise ShapeError("tsum supports axis None or the last axis")
-    return _result(out, (x,), vjp)
-
-
-def tmean(x: Tensor) -> Tensor:
-    """Mean over all elements, as a scalar tensor."""
-    size = x.data.size
-    out = x.data.mean()
 
     def vjp(g):
-        return (np.full(x.shape, g / size, dtype=x.dtype),)
+        return (np.broadcast_to(np.expand_dims(g, -1), x.shape).copy(),)
 
-    return _result(out, (x,), vjp)
+    return _result(x.sum(axis=-1), inputs, vjp)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None,
-            keep: np.ndarray | None = None) -> Tensor:
+def tmean(x):
+    """Mean over all elements, as a scalar."""
+    inputs = (x,)
+    x = _data(x)
+    return _result(x.mean(), inputs, lambda g: (np.full(x.shape, g / x.size, dtype=x.dtype),))
+
+
+def dropout(x, p: float, rng: np.random.Generator | None = None,
+            keep: np.ndarray | None = None):
     """Inverted dropout; call only on training paths. The boolean `keep` mask
     is drawn as rng.random(x.shape) >= p unless the caller passes it."""
+    inputs = (x,)
+    x = _data(x)
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0,1), got {p}")
     if p == 0.0:
-        return _result(x.data.copy(), (x,), lambda g: (g,))
+        return _result(x.copy(), inputs, lambda g: (g,))
     # the tape keeps a boolean mask, not a float array of the input's size;
-    # mask * scale rebuilds the 0 or 1/(1-p) multiplier exactly (signed zeros
-    # of dropped entries included)
+    # mask * c rebuilds the 0 or 1/(1-p) multiplier exactly (signed zeros of
+    # dropped entries included)
     mask = rng.random(x.shape) >= p if keep is None else keep
     if mask.shape != x.shape:
         raise ShapeError(f"dropout mask {mask.shape} does not match input {x.shape}")
-    scale = x.dtype.type(1.0 / (1.0 - p))
-
-    def vjp(g):
-        return (g * (mask * scale),)
-
-    return _result(x.data * (mask * scale), (x,), vjp)
+    c = x.dtype.type(1.0 / (1.0 - p))
+    return _result(x * (mask * c), inputs, lambda g: (g * (mask * c),))
 
 
-def gather_rows(table: Tensor, ids) -> Tensor:
+def gather_rows(table, ids):
     """Row lookup out[i] = table[ids[i]]; repeated ids accumulate gradient."""
+    inputs = (table,)
+    table = _data(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2:
+    if table.ndim != 2:
         raise ShapeError(f"gather_rows expects a matrix table, got {table.shape}")
-    out = table.data[ids]
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros_like(table)
         np.add.at(gt, ids, g)
         return (gt,)
 
-    return _result(out, (table,), vjp)
+    return _result(table[ids], inputs, vjp)
 
 
-def take_pairs(x: Tensor, rows, cols) -> Tensor:
+def take_pairs(x, rows, cols):
     """Pick x[rows[i], cols[i]] into a vector; used for picking target logits."""
+    inputs = (x,)
+    x = _data(x)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    out = x.data[rows, cols]
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(x)
         np.add.at(gx, (rows, cols), g)
         return (gx,)
 
-    return _result(out, (x,), vjp)
+    return _result(x[rows, cols], inputs, vjp)
 
 
-def stack(tensors) -> Tensor:
+def stack(tensors):
     """Stack equal-shape tensors along a new leading axis."""
-    tensors = list(tensors)
-    shapes = {t.shape for t in tensors}
+    inputs = tuple(tensors)
+    arrays = [_data(t) for t in inputs]
+    shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise ShapeError(f"stack needs equal shapes, got {sorted(shapes)}")
-    out = np.stack([t.data for t in tensors])
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return _result(out, tuple(tensors), vjp)
+    return _result(np.stack(arrays), inputs, tuple)
 
 
 def backward(loss: Tensor, params) -> dict:

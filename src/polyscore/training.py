@@ -229,8 +229,7 @@ def next_batch_loss(model: Model, vocab, triples, drop_rng=None, train_mode=True
     pairs = [encode_pair(inp, cand, vocab, model.cfg.max_positions) for inp, cand, _ in triples]
     scores = cross_score(TokenBatch.of(pairs), model.towers["enc"], model.cross_head,
                          train_mode=train_mode, rng=drop_rng)
-    zero = Tensor(np.zeros(scores.shape, dtype=scores.dtype))
-    logits = T.transpose(T.stack([zero, scores]))
+    logits = T.transpose(T.stack([np.zeros(scores.shape, dtype=scores.dtype), scores]))
     return cross_entropy_rows(logits, [label for _, _, label in triples])
 
 
@@ -387,7 +386,7 @@ def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
     idx = np.where(real, (np.cumsum(counts) - counts)[:, None] + slot, 0)
     logits = T.reshape(T.gather_rows(T.reshape(scores, (len(pairs), 1)), idx.ravel()),
                        real.shape)
-    logits = T.add(logits, Tensor(np.where(real, 0.0, -np.inf).astype(scores.dtype)))
+    logits = T.add(logits, np.where(real, 0.0, -np.inf).astype(scores.dtype))
     return cross_entropy_rows(logits, np.zeros(len(batch)))
 
 

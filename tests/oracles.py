@@ -128,6 +128,48 @@ def poly_scores_pooled(vecs, emb):
     return np.einsum("ch,ch->c", attn @ vecs, emb)
 
 
+def dot(a, b):
+    """Inner product of two equal-length vector Tensors, as a scalar Tensor."""
+    from polyscore import tensor as T
+    from polyscore.errors import ShapeError
+
+    if len(a.shape) != 1 or a.shape != b.shape:
+        raise ShapeError(f"dot expects equal-length vectors: {a.shape} vs {b.shape}")
+    n = a.shape[0]
+    return T.reshape(T.matmul(T.reshape(a, (1, n)), T.reshape(b, (n, 1))), ())
+
+
+def bi_score(y_ctxt, y_cand):
+    """Dot-product score between one context vector and one candidate vector."""
+    return dot(y_ctxt, y_cand)
+
+
+def poly_score(ctxt_vecs, y_cand):
+    """One candidate's poly score, Tensor ops only: the candidate attends over
+    the [m', H] context vectors, then dots with the pooled vector."""
+    from polyscore import tensor as T
+    from polyscore.errors import ShapeError
+
+    m, hid = ctxt_vecs.shape
+    if y_cand.shape != (hid,):
+        raise ShapeError(f"candidate vector {y_cand.shape} does not match context "
+                         f"vectors {ctxt_vecs.shape}")
+    logits = T.reshape(T.matmul(ctxt_vecs, T.reshape(y_cand, (hid, 1))), (m,))
+    w = T.softmax(logits)
+    pooled = T.reshape(T.matmul(T.reshape(w, (1, m)), ctxt_vecs), (hid,))
+    return dot(pooled, y_cand)
+
+
+def score_bi(scorer, turns, cand):
+    """One (context, candidate) bi score through the Scorer's own vectors."""
+    return bi_score(scorer.context_vector(turns), scorer.candidate_vector(cand)).item()
+
+
+def score_poly(scorer, turns, cand):
+    """One (context, candidate) poly score through the Scorer's own vectors."""
+    return poly_score(scorer.poly_vectors(turns), scorer.candidate_vector(cand)).item()
+
+
 def adam_first_step(theta, grad, lr, beta1, beta2, eps, weight_decay):
     m = (1 - beta1) * grad
     v = (1 - beta2) * grad * grad
@@ -203,7 +245,6 @@ def bi_loss_per_sequence(scorer, batch):
 
 def poly_loss_per_sequence(scorer, batch):
     from polyscore import tensor as T
-    from polyscore.heads import poly_score
 
     y_cand = [scorer.candidate_vector(ex.gold) for ex in batch]
     rows = []

@@ -17,8 +17,7 @@ from polyscore import tensor as T
 from polyscore.bench import BenchSpec, make_bench_models, run_bench, \
     synthetic_candidates, synthetic_queries
 from polyscore.encoder import ModelConfig
-from polyscore.heads import PolyHeadState, bi_score, poly_context_vectors, poly_score, \
-    reduce_output
+from polyscore.heads import PolyHeadState, poly_context_vectors, reduce_output
 from polyscore.losses import external_neg_loss
 from polyscore.model import Model, Scorer, load_checkpoint, save_checkpoint
 from polyscore.optim import OptimizerConfig, pretraining_config
@@ -31,7 +30,7 @@ from polyscore.training import FinetuneSettings, batch_kind, bi_batch_loss, \
     poly_batch_loss, pretrain_loop
 
 from conftest import make_rng
-from oracles import grad_check
+from oracles import bi_score, grad_check, poly_score
 
 REPO_ROOT = Path(__file__).parent.parent
 

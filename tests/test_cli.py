@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polyscore.bench import _openblas_thread_calls
-from polyscore.cli import main
+from polyscore.cli import build_parser, main
 from polyscore.synth import make_chain_corpus, make_overlap_dataset, write_jsonl
 
 
@@ -370,3 +370,16 @@ class TestSynthCommand:
         assert rc == 0
         assert (tmp_path / "d" / "train.jsonl").exists()
         assert (tmp_path / "d" / "test.jsonl").exists()
+
+
+class TestPrecisionFlag:
+    @pytest.mark.parametrize("command", ["bench", "synth"])
+    def test_rejected_where_unread(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--precision", "64"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "train", "eval", "index", "rank"])
+    def test_accepted_where_read(self, command):
+        assert build_parser().parse_args([command, "--precision", "32"]).precision == 32

@@ -9,19 +9,17 @@ from polyscore.errors import ConfigError, ShapeError
 from polyscore.heads import (
     CrossHead,
     PolyHeadState,
-    bi_score,
     cross_score,
     init_codes,
     parse_reduction,
     poly_context_vectors,
-    poly_score,
     reduce_output,
 )
 from polyscore.tensor import Tensor
 from polyscore.text import Vocabulary, encode_pair, encode_single, pad_to
 
 from conftest import make_rng
-from oracles import softmax_closed_form, transformer_trace
+from oracles import bi_score, poly_score, softmax_closed_form, transformer_trace
 
 
 def output_of(rows, n_pads=0):

@@ -1,8 +1,10 @@
-"""Import hygiene of the package sources, checked with the standard library's
-ast module: every name an import binds is referenced in the scope that
-imports it (the module for a top-level import, the function for a local one)."""
+"""Hygiene of the package sources, checked with the standard library's ast
+module: every name an import binds is referenced in the scope that imports it
+(the module for a top-level import, the function for a local one), and every
+function the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,31 @@ def test_checker_flags_unused_imports():
         "    return dumps\n"
     )
     assert unused_imports(tree) == ["1: os", "2: field", "7: dumps"]
+
+
+def benchmark_targets() -> list[tuple[str, str]]:
+    """(owner, attribute) of every entry in the benchmark tracer's TARGETS,
+    read from the source of perfbench/tracing.py without importing it; an
+    owner is a dotted name such as `model.Scorer`."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets))
+    return [(ast.unparse(owner), attr.value) for _, owner, attr in
+            (entry.elts for entry in table.elts)]
+
+
+def test_benchmark_targets_resolve():
+    """Every function the benchmark wraps still exists, so deleting one
+    cannot silently break the benchmark."""
+    targets = benchmark_targets()
+    assert len(targets) > 20
+    missing = []
+    for owner_name, attr in targets:
+        module, *path = owner_name.split(".")
+        target = importlib.import_module(f"polyscore.{module}")
+        for part in (*path, attr):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{owner_name}.{attr}")
+    assert missing == []

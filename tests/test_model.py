@@ -13,7 +13,7 @@ from polyscore.model import Model, Scorer, load_checkpoint, save_checkpoint
 from polyscore.text import Vocabulary
 
 from conftest import make_rng
-from oracles import checkpoint_bytes_reference
+from oracles import checkpoint_bytes_reference, score_bi, score_poly
 
 
 @pytest.fixture
@@ -236,12 +236,12 @@ class TestScorer:
 
     def test_bi_scoring_runs(self, pretrain_model, vocab):
         scorer = Scorer(pretrain_model.derive("bi", make_rng(0)), vocab)
-        s = scorer.score_bi(["w1 w2", "w3"], "w4 w5")
+        s = score_bi(scorer, ["w1 w2", "w3"], "w4 w5")
         assert np.isfinite(s)
 
     def test_poly_scoring_runs(self, pretrain_model, vocab):
         model = pretrain_model.derive("poly", make_rng(0), poly_variant="learnt", poly_m=4)
-        s = Scorer(model, vocab).score_poly(["w1 w2"], "w4")
+        s = score_poly(Scorer(model, vocab), ["w1 w2"], "w4")
         assert np.isfinite(s)
 
     def test_cross_scoring_runs(self, pretrain_model, vocab):

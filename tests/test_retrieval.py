@@ -25,7 +25,8 @@ from polyscore.retrieval import (
 from polyscore.text import Vocabulary
 
 from conftest import make_rng
-from oracles import brute_force_rank, cache_bytes_reference, lexsort_rank, poly_scores_pooled
+from oracles import brute_force_rank, cache_bytes_reference, lexsort_rank, poly_scores_pooled, \
+    score_bi, score_poly
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ class TestRankBi:
         cands = texts(rng, 50)
         cache = build_cache(cands, bi)
         res = rank_bi(bi, ["w9 w8 w7"], cache, k=50)
-        oracle_scores = [bi.score_bi(["w9 w8 w7"], c) for c in cands]
+        oracle_scores = [score_bi(bi, ["w9 w8 w7"], c) for c in cands]
         expected = brute_force_rank(list(range(50)), oracle_scores)
         assert [cid for cid, _ in res.ranking] == [cid for cid, _ in expected]
         got = dict(res.ranking)
@@ -153,7 +154,7 @@ class TestRankPoly:
         cands = texts(rng, 30)
         cache = build_cache(cands, poly)
         res = rank_poly(poly, ["w2 w4 w6"], cache, k=30)
-        oracle = [poly.score_poly(["w2 w4 w6"], c) for c in cands]
+        oracle = [score_poly(poly, ["w2 w4 w6"], c) for c in cands]
         expected = brute_force_rank(list(range(30)), oracle)
         assert [cid for cid, _ in res.ranking] == [cid for cid, _ in expected]
         got = dict(res.ranking)
@@ -225,14 +226,28 @@ class TestPartialTopK:
 
 
 class TestRankPolyLayout:
-    """rank_poly's [m', C] pass equals the [C, m'] pooled formula, computed
-    in float64 from the same inputs, within tol relative to the largest score."""
+    """rank_poly's blocked [m', C] pass equals the [C, m'] pooled formula,
+    computed in float64 from the same inputs, within tol relative to the
+    largest score."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
                              ids=["float64", "float32"])
     @pytest.mark.parametrize("m", [1, 16, 360])
     @pytest.mark.parametrize("c", [1, 1000])
     def test_matches_pooled_reference(self, vocab, dtype, tol, m, c):
+        self.check(vocab, dtype, tol, m, c)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("m", [1, 3, 16, 360])
+    def test_blocks_match_pooled_reference(self, vocab, dtype, tol, m, monkeypatch):
+        # 50 logits per block: 50, 16, 3 and (at least) 1 rows, none of which
+        # divides C=101, so every pass ends on a short block
+        monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", 50)
+        self.check(vocab, dtype, tol, m, 101)
+
+    @staticmethod
+    def check(vocab, dtype, tol, m, c):
         base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17), dtype=dtype)
         model = base.derive("poly", make_rng(1), poly_variant="learnt", poly_m=m)
         # unit-scale codes and rows, so the attention is far from uniform
