@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import MALLOC
 from .encoder import ModelConfig
 from .errors import ConfigError, ContractError
 from .heads import parse_arch
@@ -105,10 +106,11 @@ def _openblas_thread_calls():
 
 
 def environment() -> dict:
-    """Python and numpy versions, and the thread count BLAS runs with (None: unknown)."""
+    """Python and numpy versions, the thread count BLAS runs with (None: unknown)
+    and the malloc thresholds fixed at import (None: glibc left alone)."""
     calls = _openblas_thread_calls()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas_threads": calls[0]() if calls else None}
+            "blas_threads": calls[0]() if calls else None, "malloc": MALLOC}
 
 
 @contextlib.contextmanager

@@ -102,6 +102,10 @@ class Resolver:
         return value
 
     def fail_if_errors(self):
+        """Call once every setting is read: a config-file key that none of the
+        reads named is an error too."""
+        self.errors += [f"config key {key}: not a setting of this command"
+                        for key in self.file_values if key not in self.resolved]
         if self.errors:
             raise ConfigError("configuration errors:\n  " + "\n  ".join(self.errors))
 

@@ -243,21 +243,6 @@ def gelu(x):
     return _result(0.5 * x * (1.0 + t), inputs, vjp)
 
 
-def tsum(x, axis=None):
-    """Sum to a scalar (axis=None) or reduce the last axis (axis=-1)."""
-    inputs = (x,)
-    x = _data(x)
-    if axis is None:
-        return _result(x.sum(), inputs, lambda g: (np.full(x.shape, g, dtype=x.dtype),))
-    if axis not in (-1, x.ndim - 1):
-        raise ShapeError("tsum supports axis None or the last axis")
-
-    def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, -1), x.shape).copy(),)
-
-    return _result(x.sum(axis=-1), inputs, vjp)
-
-
 def tmean(x):
     """Mean over all elements, as a scalar."""
     inputs = (x,)

@@ -168,23 +168,11 @@ def encode_single(text: str, vocab: Vocabulary, max_len: int, segment: int = 0) 
     return _assemble(ids, [segment] * len(ids))
 
 
-def pad_to(tp: TokenizedPair, length: int) -> TokenizedPair:
-    """Right-pad with PAD tokens up to `length`."""
-    extra = length - len(tp)
-    if extra < 0:
-        raise ContractError(f"cannot pad length {len(tp)} down to {length}")
-    return TokenizedPair(
-        token_ids=tp.token_ids + (PAD_ID,) * extra,
-        position_ids=tuple(range(length)),
-        segment_ids=tp.segment_ids + (tp.segment_ids[-1],) * extra,
-        pad_mask=tp.pad_mask + (False,) * extra,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class TokenBatch:
-    """B encoder inputs as [B, L] arrays, each row right-padded with `pad_to`
-    to the longest one. Like TokenizedPair, len() counts every token slot,
+    """B encoder inputs as [B, L] arrays, each row right-padded to the longest
+    one: PAD tokens, pad_mask False, the row's last segment id, and positions
+    0..L-1 in every row. Like TokenizedPair, len() counts every token slot,
     pads included, and n_real the non-pad ones."""
 
     token_ids: np.ndarray
@@ -197,13 +185,18 @@ class TokenBatch:
         if not pairs:
             raise ContractError("a batch needs at least one sequence")
         length = max(len(tp) for tp in pairs)
-        padded = [pad_to(tp, length) for tp in pairs]
-        return cls(
-            token_ids=np.array([tp.token_ids for tp in padded], dtype=np.int64),
-            position_ids=np.array([tp.position_ids for tp in padded], dtype=np.int64),
-            segment_ids=np.array([tp.segment_ids for tp in padded], dtype=np.int64),
-            pad_mask=np.array([tp.pad_mask for tp in padded], dtype=bool),
-        )
+        shape = (len(pairs), length)
+        token_ids = np.full(shape, PAD_ID, dtype=np.int64)
+        last_segments = np.array([tp.segment_ids[-1] for tp in pairs], dtype=np.int64)
+        segment_ids = np.repeat(last_segments[:, None], length, axis=1)
+        pad_mask = np.zeros(shape, dtype=bool)
+        for row, tp in enumerate(pairs):
+            n = len(tp)
+            token_ids[row, :n] = tp.token_ids
+            segment_ids[row, :n] = tp.segment_ids
+            pad_mask[row, :n] = tp.pad_mask
+        positions = np.tile(np.arange(length, dtype=np.int64), (len(pairs), 1))
+        return cls(token_ids, positions, segment_ids, pad_mask)
 
     def __len__(self) -> int:
         return self.token_ids.size

@@ -139,6 +139,25 @@ def dot(a, b):
     return T.reshape(T.matmul(T.reshape(a, (1, n)), T.reshape(b, (n, 1))), ())
 
 
+def tsum(x, axis=None):
+    """Sum to a scalar (axis=None) or reduce the last axis (axis=-1), as a
+    tensor op: tests reduce an output to a scalar loss with it."""
+    from polyscore import tensor as T
+    from polyscore.errors import ShapeError
+
+    inputs = (x,)
+    x = T._data(x)
+    if axis is None:
+        return T._result(x.sum(), inputs, lambda g: (np.full(x.shape, g, dtype=x.dtype),))
+    if axis not in (-1, x.ndim - 1):
+        raise ShapeError("tsum supports axis None or the last axis")
+
+    def vjp(g):
+        return (np.broadcast_to(np.expand_dims(g, -1), x.shape).copy(),)
+
+    return T._result(x.sum(axis=-1), inputs, vjp)
+
+
 def bi_score(y_ctxt, y_cand):
     """Dot-product score between one context vector and one candidate vector."""
     return dot(y_ctxt, y_cand)
@@ -358,6 +377,23 @@ def encode_pair_reference(input_text, label_text, vocab, max_len):
     n = len(ids)
     return TokenizedPair(tuple(ids), tuple(range(n)),
                          tuple([0] * (1 + len(inp)) + [1] * (1 + len(lab))), (True,) * n)
+
+
+def pad_to(tp, length):
+    """Right-pad a TokenizedPair with PAD tokens up to `length`: pad_mask
+    False, the last segment id repeated, positions 0..length-1."""
+    from polyscore.errors import ContractError
+    from polyscore.text import PAD_ID, TokenizedPair
+
+    extra = length - len(tp)
+    if extra < 0:
+        raise ContractError(f"cannot pad length {len(tp)} down to {length}")
+    return TokenizedPair(
+        token_ids=tp.token_ids + (PAD_ID,) * extra,
+        position_ids=tuple(range(length)),
+        segment_ids=tp.segment_ids + (tp.segment_ids[-1],) * extra,
+        pad_mask=tp.pad_mask + (False,) * extra,
+    )
 
 
 def checkpoint_bytes_reference(model) -> bytes:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polyscore
 from polyscore.bench import _openblas_thread_calls
 from polyscore.cli import build_parser, main
 from polyscore.synth import make_chain_corpus, make_overlap_dataset, write_jsonl
@@ -51,7 +52,8 @@ class TestPretrain:
         calls = _openblas_thread_calls()
         assert manifest["environment"] == {"python": platform.python_version(),
                                            "numpy": np.__version__,
-                                           "blas_threads": calls[0]() if calls else None}
+                                           "blas_threads": calls[0]() if calls else None,
+                                           "malloc": polyscore.MALLOC}
 
     def test_missing_corpus_exit_2(self, workdir, capsys):
         rc = main(["pretrain", "--corpus", str(workdir / "nope.jsonl"),
@@ -370,6 +372,23 @@ class TestSynthCommand:
         assert rc == 0
         assert (tmp_path / "d" / "train.jsonl").exists()
         assert (tmp_path / "d" / "test.jsonl").exists()
+
+    def synth_with_config(self, tmp_path, text):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(text)
+        return main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
+
+    def test_config_with_read_keys_only(self, tmp_path):
+        assert self.synth_with_config(tmp_path, "task=chain\nn_train=6\nn_test=3\nseed=4\n") == 0
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["config"]["task"] == "chain" and manifest["config"]["n_train"] == 6
+
+    @pytest.mark.parametrize("text", ["bogus_key=3\n", "n_train=6\nbogus_key=3\n",
+                                      "precision=64\nbogus_key=3\n"])
+    def test_unread_config_key_exit_2(self, tmp_path, text, capsys):
+        assert self.synth_with_config(tmp_path, text) == 2
+        assert "bogus_key" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestPrecisionFlag:

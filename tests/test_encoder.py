@@ -7,10 +7,10 @@ from polyscore import tensor as T
 from polyscore.encoder import ModelConfig, TransformerWeights, embed, forward
 from polyscore.errors import ConfigError
 from polyscore.tensor import Tensor
-from polyscore.text import TokenBatch, Vocabulary, encode_pair, encode_single, pad_to
+from polyscore.text import TokenBatch, Vocabulary, encode_pair, encode_single
 
 from conftest import make_rng
-from oracles import transformer_trace
+from oracles import pad_to, transformer_trace, tsum
 
 
 @pytest.fixture
@@ -103,7 +103,7 @@ class TestForward:
         tp = encode_pair("w1 w2 w3 w4", "w5 w6", vocab, 16)
         out = forward(tp, desk_weights)
         proj = Tensor(make_rng(4).normal(size=out.hidden_states.shape))
-        loss = T.tsum(T.mul(out.hidden_states, proj))
+        loss = tsum(T.mul(out.hidden_states, proj))
         grads = T.backward(loss, list(desk_weights.params.values()))
         dead = [n for n, t in desk_weights.params.items()
                 if np.abs(grads[t]).max() == 0.0]
@@ -112,7 +112,7 @@ class TestForward:
     def test_segment_row_one_dead_for_single_side_input(self, desk_weights, vocab):
         tp = encode_single("w1 w2", vocab, 8, segment=0)
         out = forward(tp, desk_weights)
-        loss = T.tsum(out.hidden_states)
+        loss = tsum(out.hidden_states)
         grads = T.backward(loss, [desk_weights.params["embeddings.segment"]])
         seg_grad = grads[desk_weights.params["embeddings.segment"]]
         assert np.abs(seg_grad[0]).max() > 0.0
@@ -164,7 +164,7 @@ class TestBatchedForward:
     def test_gradient_flows_through_batch(self, desk_weights, seqs):
         out = forward(TokenBatch.of(seqs), desk_weights)
         proj = Tensor(make_rng(5).normal(size=out.hidden_states.shape))
-        grads = T.backward(T.tsum(T.reshape(T.mul(out.hidden_states, proj), (proj.data.size,))),
+        grads = T.backward(tsum(T.reshape(T.mul(out.hidden_states, proj), (proj.data.size,))),
                            list(desk_weights.params.values()))
         dead = [n for n, t in desk_weights.params.items() if np.abs(grads[t]).max() == 0.0]
         assert dead == []

