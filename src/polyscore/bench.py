@@ -57,6 +57,9 @@ class BenchSpec:
             raise ConfigError("candidate counts must be positive")
         if self.n_queries < 1 or self.warmup_queries < 0:
             raise ConfigError("need n_queries >= 1 and warmup_queries >= 0")
+        if self.extrapolate_cross_from is not None and self.extrapolate_cross_from < 1:
+            raise ConfigError(f"extrapolate_cross_from must be >= 1, "
+                              f"got {self.extrapolate_cross_from}")
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Command-line entry point: pretrain, train, eval, index, rank, bench, synth.
 
-Every command resolves its configuration (defaults < config file < flags),
-writes a RunManifest before doing any work, and finishes by recording output
-hashes into the same manifest. Exit codes: 0 success, 1 internal error,
-2 config/input error, 3 stale artifact.
+Each command's settings are declared once, in COMMANDS: the table generates
+the flags and resolves defaults < config file < flags, checking both sources
+alike before anything is written. A command then writes a run manifest before
+doing any work, and finishes by recording output hashes into the same
+manifest. Exit codes: 0 success, 1 internal error, 2 config/input error,
+3 stale artifact.
 """
 
 from __future__ import annotations
@@ -13,11 +15,15 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ContractError, ParseError, PolyscoreError, StaleCacheError
+from .heads import parse_arch, parse_reduction
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -41,83 +47,112 @@ def load_config_file(path) -> dict[str, str]:
     return out
 
 
-class Resolver:
-    """Merges defaults, config file and CLI flags; flags win.
+class Setting(NamedTuple):
+    """One setting of a command: the flag `--a-b` and the config key `a_b`."""
 
-    Collects every validation failure instead of stopping at the first, and
-    the input files named by path settings, for the run manifest.
-    """
+    key: str
+    type: str = "str"  # a key of _CASTS
+    default: object = None
+    help: str = ""
+    required: bool = False
+    choices: tuple | None = None
+    minimum: int | None = None
+    check: Callable[[str], object] | None = None  # raises ConfigError for a bad value
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-        self.resolved: dict = {}
-        self.errors: list[str] = []
-        self.inputs: list[str] = []
 
-    def get(self, key: str, default=None, cast=str, required=False):
-        flag_value = getattr(self.args, key, None)
-        if flag_value is not None:
-            value = flag_value
-        elif key in self.file_values:
-            raw = self.file_values[key]
-            try:
-                value = _cast(raw, cast)
-            except (TypeError, ValueError):
-                self.errors.append(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
-                value = default
-        else:
-            value = default
-        if required and value is None:
-            self.errors.append(f"missing required setting: {key}")
-        self.resolved[key] = value
-        return value
+def _flag(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes"):
+        return True
+    if raw.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(raw)
 
-    def get_list(self, key: str, default: str, cast=str) -> list:
-        """A comma-separated setting; records an error if an item does not parse."""
-        raw = self.get(key, default)
+
+# what a flag or config-file string becomes; the "ints"/"strs" lists and the
+# precision are turned into the values commands read by _value
+_CASTS = {"int": int, "float": float, "str": str, "path": str, "flag": _flag,
+          "precision": int, "ints": str, "strs": str}
+
+
+@dataclass
+class Settings:
+    """A command's resolved settings: attributes by key, and what the run
+    manifest records."""
+
+    values: dict
+    config: dict  # as given: lists stay comma-separated, precision stays bits
+    given: set  # keys a flag or the config file set
+    inputs: list  # the files path settings name
+
+    def __getattr__(self, key):
         try:
-            return [cast(x.strip()) for x in str(raw).split(",") if x.strip()]
+            return self.values[key]
+        except KeyError:
+            raise AttributeError(key) from None
+
+
+def resolve(args: argparse.Namespace) -> Settings:
+    """Each setting of the command: its flag, else its config-file value, else
+    its default; cast, range- and choice-checked, with every error collected,
+    before the command writes anything."""
+    table = COMMANDS[args.command][2]
+    file_values = load_config_file(args.config) if args.config else {}
+    settings, errors = Settings({}, {}, set(), []), []
+    for s in table:
+        value = getattr(args, s.key)
+        if value is None and s.key in file_values:
+            raw = file_values[s.key]
+            try:
+                value = _CASTS[s.type](raw)
+            except ValueError:
+                errors.append(f"config key {s.key}: cannot parse {raw!r} as {s.type}")
+        if value is None:
+            value = s.default
+        else:
+            settings.given.add(s.key)
+        settings.config[s.key] = value
+        try:
+            settings.values[s.key] = _value(s, value, settings.inputs)
+        except ConfigError as e:
+            errors.append(str(e))
+    keys = {s.key for s in table}
+    errors += [f"config key {key}: not a setting of this command"
+               for key in file_values if key not in keys]
+    if errors:
+        raise ConfigError("configuration errors:\n  " + "\n  ".join(errors))
+    return settings
+
+
+def _value(s: Setting, value, inputs: list):
+    """The value a command reads for setting s; a ConfigError names the key."""
+    if value is None:
+        if s.required:
+            raise ConfigError(f"missing required setting: {s.key}")
+        return None
+    if s.choices and value not in s.choices:
+        raise ConfigError(f"{s.key} must be one of {', '.join(map(str, s.choices))}, "
+                          f"got {value!r}")
+    if s.minimum is not None and value < s.minimum:
+        raise ConfigError(f"{s.key} must be >= {s.minimum}, got {value}")
+    if s.check:
+        try:
+            s.check(value)
+        except ConfigError as e:
+            raise ConfigError(f"{s.key}: {e}") from None
+    if s.type == "path" and value:
+        inputs.append(value)
+        if not Path(value).is_file():
+            problem = "is not a file" if Path(value).exists() else "not found"
+            raise ConfigError(f"{s.key} {problem}: {value}")
+    if s.type in ("ints", "strs"):
+        item = int if s.type == "ints" else str
+        try:
+            return [item(x.strip()) for x in value.split(",") if x.strip()]
         except ValueError:
-            self.errors.append(f"cannot parse {key} list {raw!r}")
-            return []
-
-    def dtype(self, default: int):
-        """The float dtype the precision setting names: 32 or 64 bits."""
-        import numpy as np
-
-        bits = self.get("precision", default, int)
-        if bits not in (32, 64):
-            self.errors.append(f"precision must be 32 or 64, got {bits}")
-        return np.float32 if bits == 32 else np.float64
-
-    def path(self, key: str, what: str, required=False):
-        """An input file setting; records an error unless it names a file."""
-        value = self.get(key, required=required)
-        if value:
-            self.inputs.append(value)
-            if not Path(value).is_file():
-                problem = "is not a file" if Path(value).exists() else "not found"
-                self.errors.append(f"{what} {problem}: {value}")
-        return value
-
-    def fail_if_errors(self):
-        """Call once every setting is read: a config-file key that none of the
-        reads named is an error too."""
-        self.errors += [f"config key {key}: not a setting of this command"
-                        for key in self.file_values if key not in self.resolved]
-        if self.errors:
-            raise ConfigError("configuration errors:\n  " + "\n  ".join(self.errors))
-
-
-def _cast(raw: str, cast):
-    if cast is bool:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(raw)
-    return cast(raw)
+            raise ConfigError(f"cannot parse {s.key} list {value!r}") from None
+    if s.type == "precision":
+        return np.float32 if value == 32 else np.float64
+    return value
 
 
 def _sha256(path) -> str:
@@ -131,17 +166,17 @@ def _sha256(path) -> str:
 class Manifest:
     """Reproducibility record: resolved config, environment, input/output hashes."""
 
-    def __init__(self, path, command: str, r: Resolver):
+    def __init__(self, path, command: str, s: Settings):
         from .bench import environment
 
         self.path = Path(path)
         self.doc = {
             "command": command,
             "tool_version": __version__,
-            "seed": r.resolved.get("seed"),
-            "config": dict(sorted(r.resolved.items())),
+            "seed": s.config.get("seed"),
+            "config": dict(sorted(s.config.items())),
             "environment": environment(),
-            "inputs": {str(p): _sha256(p) for p in r.inputs},
+            "inputs": {str(p): _sha256(p) for p in s.inputs},
             "outputs": None,
         }
         self._write()
@@ -192,138 +227,86 @@ def _augment_history(examples):
 # ---- commands ----
 
 
-def cmd_pretrain(args) -> int:
-    import numpy as np
-
+def cmd_pretrain(s: Settings) -> int:
     from .encoder import ModelConfig
     from .model import Model, save_checkpoint
     from .optim import pretraining_config
     from .text import Vocabulary, build_vocab, example_token_stream, load_jsonl
     from .training import pretrain_loop
 
-    r = Resolver(args)
-    corpus_path = r.path("corpus", "corpus", required=True)
-    out_dir = Path(r.get("out_dir", required=True) or ".")
-    seed = r.get("seed", cast=int, required=True)
-    steps = r.get("steps", 50, int)
-    batch_size = r.get("batch_size", 8, int)
-    vocab_size = r.get("vocab_size", 256, int)
-    layers = r.get("layers", 2, int)
-    heads = r.get("heads", 2, int)
-    hidden = r.get("hidden", 32, int)
-    ffn_hidden = r.get("ffn_hidden", 64, int)
-    max_positions = r.get("max_positions", 64, int)
-    dropout = r.get("dropout", 0.1, float)
-    lr = r.get("lr", 2e-4, float)
-    warmup = r.get("warmup", 100, int)
-    beta1 = r.get("beta1", 0.9, float)
-    beta2 = r.get("beta2", 0.98, float)
-    weight_decay = r.get("weight_decay", 0.0, float)
-    eval_interval = r.get("eval_interval", 10, int)
-    batch_tokens = r.get("batch_tokens", None, int)
-    valid_path = r.path("valid", "valid set")
-    vocab_path_in = r.path("vocab", "vocab")
-    init_checkpoint = r.path("init_checkpoint", "init checkpoint")
-    dtype = r.dtype(64)
-    if steps is not None and steps < 0:
-        r.errors.append(f"steps must be >= 0, got {steps}")
-    if batch_size is not None and batch_size < 1:
-        r.errors.append(f"batch_size must be >= 1, got {batch_size}")
-    r.fail_if_errors()
-
+    out_dir = Path(s.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_out = out_dir / "checkpoint.bin"
     vocab_out = out_dir / "vocab.txt"
     metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "pretrain", r)
+    manifest = Manifest(out_dir / "manifest.json", "pretrain", s)
 
-    examples = list(load_jsonl(corpus_path))
-    if vocab_path_in:
-        vocab = Vocabulary.load(vocab_path_in)
+    examples = list(load_jsonl(s.corpus))
+    if s.vocab:
+        vocab = Vocabulary.load(s.vocab)
     else:
-        vocab = build_vocab(example_token_stream(examples), vocab_size)
+        vocab = build_vocab(example_token_stream(examples), s.vocab_size)
     vocab.save(vocab_out)
 
-    if init_checkpoint:
+    if s.init_checkpoint:
         from .model import load_checkpoint
 
-        model = load_checkpoint(init_checkpoint, dtype=dtype)
+        model = load_checkpoint(s.init_checkpoint, dtype=s.precision)
         if model.kind != "pretrain":
             raise ConfigError(f"init checkpoint has kind {model.kind}, expected pretrain")
         cfg = model.cfg
     else:
-        cfg = ModelConfig(layers=layers, heads=heads, hidden=hidden, ffn_hidden=ffn_hidden,
-                          vocab_size=len(vocab), max_positions=max_positions,
-                          dropout_p=dropout)
-        model = Model.init_pretrain(cfg, np.random.Generator(np.random.PCG64(seed)),
-                                    dtype=dtype)
+        cfg = ModelConfig(layers=s.layers, heads=s.heads, hidden=s.hidden,
+                          ffn_hidden=s.ffn_hidden, vocab_size=len(vocab),
+                          max_positions=s.max_positions, dropout_p=s.dropout)
+        model = Model.init_pretrain(cfg, np.random.Generator(np.random.PCG64(s.seed)),
+                                    dtype=s.precision)
     if cfg.vocab_size != len(vocab):
         raise ConfigError(f"vocab size {len(vocab)} does not match model config {cfg.vocab_size}")
 
     metrics_out.unlink(missing_ok=True)
-    valid_examples = list(load_jsonl(valid_path)) if valid_path else None
-    opt_cfg = replace(pretraining_config(lr=lr, warmup_steps=warmup, eval_interval=eval_interval),
-                      beta1=beta1, beta2=beta2, weight_decay=weight_decay)
-    if steps > 0:
-        pretrain_loop(model, vocab, examples, opt_cfg, steps, batch_size, seed,
+    valid_examples = list(load_jsonl(s.valid)) if s.valid else None
+    opt_cfg = replace(pretraining_config(lr=s.lr, warmup_steps=s.warmup,
+                                         eval_interval=s.eval_interval),
+                      beta1=s.beta1, beta2=s.beta2, weight_decay=s.weight_decay)
+    if s.steps > 0:
+        pretrain_loop(model, vocab, examples, opt_cfg, s.steps, s.batch_size, s.seed,
                       metrics_path=metrics_out, valid_examples=valid_examples,
-                      batch_tokens=batch_tokens)
+                      batch_tokens=s.batch_tokens)
     save_checkpoint(model, ckpt_out)
     manifest.finish([ckpt_out, vocab_out, metrics_out])
-    print(f"pretrain done: {steps} steps, checkpoint {ckpt_out}")
+    print(f"pretrain done: {s.steps} steps, checkpoint {ckpt_out}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    import numpy as np
-
-    from .heads import parse_arch
+def cmd_train(s: Settings) -> int:
     from .model import KINDS, save_checkpoint
     from .optim import OptimizerConfig
     from .text import load_jsonl
     from .training import FinetuneSettings, finetune_loop, rescale_final_layer
 
-    r = Resolver(args)
-    data_path = r.path("data", "data", required=True)
-    base_path = r.path("checkpoint", "checkpoint", required=True)
-    vocab_path = r.path("vocab", "vocab", required=True)
-    out_dir = Path(r.get("out_dir", required=True) or ".")
-    seed = r.get("seed", cast=int, required=True)
-    arch = r.get("arch", "bi")
-    steps = r.get("steps", 200, int)
-    batch_size = r.get("batch_size", 32, int)
-    freeze = r.get("freeze", "every_layer")
-    optimizer = r.get("optimizer", "adam_decay")
-    lr = r.get("lr", 5e-5, float)
-    warmup = r.get("warmup", None, int)
-    eval_interval = r.get("eval_interval", None, int)
-    neg_mode = r.get("neg_mode", "sampled")
-    n_candidates = r.get("n_candidates", 16, int)
-    reduction = r.get("reduction", "first")
-    rescale_std = r.get("rescale_std", None, float)
-    valid_path = r.path("valid", "valid set")
-    augment = bool(r.get("augment_history", False, bool))
-    dtype = r.dtype(64)
-    kind = variant = m = None
-    if arch:
-        try:
-            kind, variant, m = parse_arch(arch)
-        except ConfigError as e:
-            r.errors.append(str(e))
-    r.fail_if_errors()
+    kind, variant, m = parse_arch(s.arch)
+    scorer = _load_scorer("train", s.checkpoint, s.vocab, s.precision, KINDS)
+    base, vocab = scorer.model, scorer.vocab
+    if base.kind != "pretrain":  # continue fine-tuning: the checkpoint fixes the head
+        if (base.kind, base.poly_variant, base.poly_m) != (kind, variant, m):
+            raise ConfigError(f"checkpoint architecture {base.kind!r} does not match "
+                              f"requested {s.arch!r}")
+        if "reduction" in s.given and s.reduction != base.reduction:
+            raise ConfigError(f"reduction {s.reduction!r} does not match the checkpoint's "
+                              f"{base.reduction!r}")
 
+    out_dir = Path(s.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_out = out_dir / "checkpoint.bin"
     metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "train", r)
+    manifest = Manifest(out_dir / "manifest.json", "train", s)
 
-    scorer = _load_scorer("train", base_path, vocab_path, dtype, KINDS)
-    base, vocab = scorer.model, scorer.vocab
-    train_examples = list(load_jsonl(data_path))
-    if augment:
+    train_examples = list(load_jsonl(s.data))
+    if s.augment_history:
         train_examples = _augment_history(train_examples)
-    if valid_path:
-        valid_examples = list(load_jsonl(valid_path))
+    if s.valid:
+        valid_examples = list(load_jsonl(s.valid))
     else:
         # hold out a deterministic tail slice when no valid set is supplied
         n_valid = max(2, len(train_examples) // 10)
@@ -333,39 +316,34 @@ def cmd_train(args) -> int:
         else:
             valid_examples = train_examples
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(s.seed))
+    model = base
     if base.kind == "pretrain":
-        if rescale_std is not None:
+        if s.rescale_std is not None:
             probes = [scorer.encode_cross(ex.context, ex.gold) for ex in train_examples[:8]]
             base.towers["enc"], factor = rescale_final_layer(base.towers["enc"],
-                                                             rescale_std, probes)
+                                                             s.rescale_std, probes)
             print(f"rescaled final layer by {factor:.4f}")
-        model = base.derive(kind, rng, reduction=reduction, poly_variant=variant, poly_m=m)
-    elif base.kind == kind and (kind != "poly" or (base.poly_variant == variant
-                                                   and base.poly_m == m)):
-        model = base  # continue fine-tuning
-    else:
-        raise ConfigError(
-            f"checkpoint architecture {base.kind!r} does not match requested {arch!r}"
-        )
+        model = base.derive(kind, rng, reduction=s.reduction, poly_variant=variant, poly_m=m)
 
-    epoch_steps = max(1, math.ceil(len(train_examples) / max(1, batch_size)))
+    epoch_steps = max(1, math.ceil(len(train_examples) / max(1, s.batch_size)))
     opt_cfg = OptimizerConfig(
-        kind=optimizer, lr=lr,
+        kind=s.optimizer, lr=s.lr,
         beta2=0.999,
-        weight_decay=0.01 if optimizer == "adam_decay" else 0.0,
-        warmup_steps=warmup if warmup is not None else (1000 if kind == "cross" else 100),
+        weight_decay=0.01 if s.optimizer == "adam_decay" else 0.0,
+        warmup_steps=s.warmup if s.warmup is not None else (1000 if kind == "cross" else 100),
         schedule="plateau",
-        eval_interval=eval_interval if eval_interval is not None else max(1, epoch_steps // 2),
+        eval_interval=(s.eval_interval if s.eval_interval is not None
+                       else max(1, epoch_steps // 2)),
     )
-    settings = FinetuneSettings(steps=steps, batch_size=batch_size, freeze=freeze,
-                                neg_mode=neg_mode, n_candidates=n_candidates, seed=seed)
+    settings = FinetuneSettings(steps=s.steps, batch_size=s.batch_size, freeze=s.freeze,
+                                neg_mode=s.neg_mode, n_candidates=s.n_candidates, seed=s.seed)
     metrics_out.unlink(missing_ok=True)
     finetune_loop(model, vocab, train_examples, valid_examples, opt_cfg, settings,
                   metrics_path=metrics_out)
     save_checkpoint(model, ckpt_out)
     manifest.finish([ckpt_out, metrics_out])
-    print(f"train done: arch {arch}, {steps} steps, checkpoint {ckpt_out}")
+    print(f"train done: arch {s.arch}, {s.steps} steps, checkpoint {ckpt_out}")
     return EXIT_OK
 
 
@@ -389,100 +367,69 @@ def _rank_examples(scorer, examples, ks):
     return metrics
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(s: Settings) -> int:
     from .text import load_jsonl
 
-    r = Resolver(args)
-    data_path = r.path("data", "data", required=True)
-    ckpt_path = r.path("checkpoint", "checkpoint", required=True)
-    vocab_path = r.path("vocab", "vocab", required=True)
-    out_path = r.get("out", None)
-    ks = sorted(set(r.get_list("k", "1,2,5", int)))
-    max_examples = r.get("max_examples", None, int)
-    dtype = r.dtype(64)
-    r.fail_if_errors()
-
-    manifest = Manifest(str(out_path) + ".manifest.json", "eval", r) if out_path else None
-    scorer = _load_scorer("eval", ckpt_path, vocab_path, dtype, ("bi", "poly", "cross"))
-    examples = list(load_jsonl(data_path))
-    if max_examples:
-        examples = examples[:max_examples]
-    metrics = _rank_examples(scorer, examples, ks)
+    manifest = Manifest(str(s.out) + ".manifest.json", "eval", s) if s.out else None
+    scorer = _load_scorer("eval", s.checkpoint, s.vocab, s.precision, ("bi", "poly", "cross"))
+    examples = list(load_jsonl(s.data))[:s.max_examples]
+    metrics = _rank_examples(scorer, examples, sorted(set(s.k)))
     text = json.dumps(metrics, indent=2, sort_keys=True)
     print(text)
-    if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
-        manifest.finish([out_path])
+    if s.out:
+        Path(s.out).write_text(text + "\n", encoding="utf-8")
+        manifest.finish([s.out])
     return EXIT_OK
 
 
-def cmd_index(args) -> int:
+def cmd_index(s: Settings) -> int:
     from .retrieval import build_cache, save_cache
 
-    r = Resolver(args)
-    cand_path = r.path("candidates", "candidates", required=True)
-    ckpt_path = r.path("checkpoint", "checkpoint", required=True)
-    vocab_path = r.path("vocab", "vocab", required=True)
-    out_path = r.get("out", required=True)
-    dtype = r.dtype(32)
-    r.fail_if_errors()
-
-    manifest = Manifest(str(out_path) + ".manifest.json", "index", r)
-    scorer = _load_scorer("index", ckpt_path, vocab_path, dtype, ("bi", "poly"))
-    cache = build_cache(_read_candidates(cand_path), scorer)
-    save_cache(cache, out_path)
-    manifest.finish([out_path])
-    print(f"indexed {cache.size} candidates -> {out_path}")
+    manifest = Manifest(str(s.out) + ".manifest.json", "index", s)
+    scorer = _load_scorer("index", s.checkpoint, s.vocab, s.precision, ("bi", "poly"))
+    cache = build_cache(_read_candidates(s.candidates), scorer)
+    save_cache(cache, s.out)
+    manifest.finish([s.out])
+    print(f"indexed {cache.size} candidates -> {s.out}")
     return EXIT_OK
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(s: Settings) -> int:
     from .retrieval import build_cache, load_cache, rank_bi, rank_cross, rank_poly
     from .text import read_lines
 
-    r = Resolver(args)
-    queries_path = r.path("queries", "queries", required=True)
-    ckpt_path = r.path("checkpoint", "checkpoint", required=True)
-    vocab_path = r.path("vocab", "vocab", required=True)
-    cache_path = r.path("cache", "cache")
-    cand_path = r.path("candidates", "candidates")
-    no_cache = bool(r.get("no_cache", False, bool))
-    k = r.get("k", 10, int)
-    out_path = r.get("out", required=True)
-    dtype = r.dtype(32)
-    r.fail_if_errors()
-
-    manifest = Manifest(str(out_path) + ".manifest.json", "rank", r)
-    scorer = _load_scorer("rank", ckpt_path, vocab_path, dtype, ("bi", "poly", "cross"))
+    manifest = Manifest(str(s.out) + ".manifest.json", "rank", s)
+    scorer = _load_scorer("rank", s.checkpoint, s.vocab, s.precision, ("bi", "poly", "cross"))
     kind = scorer.model.kind
 
     candidates = cache = None
-    if kind != "cross" and not no_cache and cache_path is not None:
-        cache = load_cache(cache_path)
-    elif not cand_path:
+    if kind != "cross" and not s.no_cache and s.cache is not None:
+        cache = load_cache(s.cache)
+    elif not s.candidates:
         raise ConfigError("cross ranking needs --candidates (no cache possible)" if kind == "cross"
                           else "rank needs --cache, or --candidates for the no-cache path")
     else:
-        candidates = _read_candidates(cand_path)
+        candidates = _read_candidates(s.candidates)
         if kind != "cross":
             cache = build_cache(candidates, scorer)
 
+    k = s.k
     n_cands = cache.size if cache is not None else len(candidates)
     if k > n_cands:
         print(f"warning: k={k} clamped to {n_cands} candidates", file=sys.stderr)
         k = n_cands
 
-    with open(out_path, "w", encoding="utf-8") as out:
-        for lineno, line in enumerate(read_lines(queries_path)):
+    with open(s.out, "w", encoding="utf-8") as out:
+        for lineno, line in enumerate(read_lines(s.queries)):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
                 turns = obj["context"]
             except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ParseError(f"{queries_path}:{lineno + 1}: bad query line ({e})") from e
+                raise ParseError(f"{s.queries}:{lineno + 1}: bad query line ({e})") from e
             if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
-                raise ParseError(f"{queries_path}:{lineno + 1}: 'context' must be an array "
+                raise ParseError(f"{s.queries}:{lineno + 1}: 'context' must be an array "
                                  f"of strings, got {turns!r}")
             if kind == "cross":
                 res = rank_cross(scorer, turns, candidates, k)
@@ -494,87 +441,166 @@ def cmd_rank(args) -> int:
                 "query_id": obj.get("query_id", lineno),
                 "ranking": [{"id": cid, "score": score} for cid, score in res.ranking],
             }) + "\n")
-    manifest.finish([out_path])
-    print(f"ranked queries -> {out_path}")
+    manifest.finish([s.out])
+    print(f"ranked queries -> {s.out}")
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    import numpy as np
-
+def cmd_bench(s: Settings) -> int:
     from .bench import (BenchSpec, make_bench_models, report_table, report_to_jsonl,
                         run_bench, synthetic_candidates, synthetic_queries)
     from .encoder import ModelConfig
     from .text import Vocabulary
 
-    r = Resolver(args)
-    architectures = r.get_list("arch", "bi,poly:16,cross")
-    counts = r.get_list("candidates", "1000,10000", int)
-    n_queries = r.get("queries", 100, int)
-    warmup = r.get("warmup", 10, int)
-    extrapolate = r.get("extrapolate_cross_from", None, int)
-    out_path = r.get("out", None)
-    seed = r.get("seed", 0, int)
-    context_tokens = r.get("context_tokens", 64, int)
-    candidate_tokens = r.get("candidate_tokens", 16, int)
-    vocab_size = r.get("vocab_size", 256, int)
-    cand_file = r.path("candidate_file", "candidate file")
-    r.fail_if_errors()
-
-    spec = BenchSpec(architectures=architectures, candidate_counts=counts,
-                     n_queries=n_queries, warmup_queries=warmup,
-                     context_tokens=context_tokens, candidate_tokens=candidate_tokens,
-                     extrapolate_cross_from=extrapolate, seed=seed)
-    manifest = Manifest(str(out_path) + ".manifest.json", "bench", r) if out_path else None
-    rng = np.random.Generator(np.random.PCG64(seed))
-    words = [f"w{i:04d}" for i in range(max(5, vocab_size - 4))]
+    spec = BenchSpec(architectures=s.arch, candidate_counts=s.candidates,
+                     n_queries=s.queries, warmup_queries=s.warmup,
+                     context_tokens=s.context_tokens, candidate_tokens=s.candidate_tokens,
+                     extrapolate_cross_from=s.extrapolate_cross_from, seed=s.seed)
+    manifest = Manifest(str(s.out) + ".manifest.json", "bench", s) if s.out else None
+    rng = np.random.Generator(np.random.PCG64(s.seed))
+    words = [f"w{i:04d}" for i in range(max(5, s.vocab_size - 4))]
     vocab = Vocabulary(words)
     cfg = ModelConfig(vocab_size=len(vocab))
-    models = make_bench_models(cfg, spec.architectures, seed)
-    if cand_file:
-        pool = _read_candidates(cand_file)
+    models = make_bench_models(cfg, spec.architectures, s.seed)
+    if s.candidate_file:
+        pool = _read_candidates(s.candidate_file)
     else:
         pool = synthetic_candidates(spec, vocab, max(spec.candidate_counts, default=1), rng)
     queries = synthetic_queries(spec, vocab, min(spec.n_queries + spec.warmup_queries, 64), rng)
     report = run_bench(spec, models, vocab, pool, queries)
     print(report_table(report))
-    if out_path:
-        Path(out_path).write_text(report_to_jsonl(report), encoding="utf-8")
-        manifest.finish([out_path])
+    if s.out:
+        Path(s.out).write_text(report_to_jsonl(report), encoding="utf-8")
+        manifest.finish([s.out])
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(s: Settings) -> int:
     from .synth import make_chain_corpus, make_overlap_dataset, write_jsonl
 
-    r = Resolver(args)
-    task = r.get("task", "overlap")
-    out_dir = Path(r.get("out_dir", required=True) or ".")
-    seed = r.get("seed", 0, int)
-    n_train = r.get("n_train", 200, int)
-    n_test = r.get("n_test", 50, int)
-    if task not in ("overlap", "chain"):
-        r.errors.append(f"unknown synth task {task!r} (overlap or chain)")
-    r.fail_if_errors()
-
+    out_dir = Path(s.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out_dir / "manifest.json", "synth", r)
-    outputs = []
-    if task == "overlap":
-        train, test = make_overlap_dataset(n_train, n_test, seed=seed)
+    manifest = Manifest(out_dir / "manifest.json", "synth", s)
+    if s.task == "overlap":
+        train, test = make_overlap_dataset(s.n_train, s.n_test, seed=s.seed)
         write_jsonl(train, out_dir / "train.jsonl")
         write_jsonl(test, out_dir / "test.jsonl")
         outputs = [out_dir / "train.jsonl", out_dir / "test.jsonl"]
     else:
-        corpus = make_chain_corpus(n_train, seed=seed)
+        corpus = make_chain_corpus(s.n_train, seed=s.seed)
         write_jsonl(corpus, out_dir / "corpus.jsonl")
         outputs = [out_dir / "corpus.jsonl"]
     manifest.finish(outputs)
-    print(f"wrote {task} dataset to {out_dir}")
+    print(f"wrote {s.task} dataset to {out_dir}")
     return EXIT_OK
 
 
-# ---- parser ----
+# ---- settings: one table per command drives its flags, config keys and checks ----
+
+
+def _precision(default: int) -> Setting:
+    return Setting("precision", "precision", default, "float width in bits", choices=(32, 64))
+
+
+_MODEL = (Setting("checkpoint", "path", required=True),
+          Setting("vocab", "path", required=True, help="the checkpoint's vocabulary file"))
+
+COMMANDS = {  # name: (function, help, settings)
+    "pretrain": (cmd_pretrain, "alternating masked-token / next-utterance pre-training", (
+        Setting("corpus", "path", required=True, help="JSONL of consecutive (input, next) pairs"),
+        Setting("out_dir", required=True),
+        Setting("seed", "int", required=True),
+        Setting("steps", "int", 50, minimum=0),
+        Setting("batch_size", "int", 8, minimum=1),
+        Setting("batch_tokens", "int", help="optional length-bucketed token-count batching"),
+        Setting("vocab", "path", help="reuse an existing vocabulary file"),
+        Setting("vocab_size", "int", 256),
+        Setting("valid", "path", help="JSONL for the validation loss"),
+        Setting("layers", "int", 2, minimum=1),
+        Setting("heads", "int", 2, minimum=1),
+        Setting("hidden", "int", 32, minimum=1),
+        Setting("ffn_hidden", "int", 64, minimum=1),
+        Setting("max_positions", "int", 64, minimum=1),
+        Setting("dropout", "float", 0.1),
+        Setting("lr", "float", 2e-4),
+        Setting("warmup", "int", 100, minimum=1),
+        Setting("beta1", "float", 0.9),
+        Setting("beta2", "float", 0.98),
+        Setting("weight_decay", "float", 0.0),
+        Setting("eval_interval", "int", 10, minimum=1),
+        Setting("init_checkpoint", "path", help="continue from this pretrain checkpoint"),
+        _precision(64),
+    )),
+    "train": (cmd_train, "fine-tune a bi/poly/cross scorer from a base checkpoint", (
+        Setting("data", "path", required=True),
+        Setting("valid", "path", help="validation JSONL; default a tail slice of --data"),
+        *_MODEL,
+        Setting("out_dir", required=True),
+        Setting("seed", "int", required=True),
+        Setting("arch", "str", "bi", "bi | cross | poly:<m> | poly:<variant>:<m>",
+                check=parse_arch),
+        Setting("freeze", "str", "every_layer", choices=("top_layer", "top4_layers",
+                                                         "all_but_embeddings", "every_layer")),
+        Setting("steps", "int", 200, minimum=0),
+        Setting("batch_size", "int", 32, minimum=1),
+        Setting("optimizer", "str", "adam_decay", choices=("adam_decay", "adamax_nodecay")),
+        Setting("lr", "float", 5e-5),
+        Setting("warmup", "int", help="default 1000 for cross, 100 otherwise", minimum=1),
+        Setting("eval_interval", "int", help="default half an epoch", minimum=1),
+        Setting("neg_mode", "str", "sampled", choices=("sampled", "provided")),
+        Setting("n_candidates", "int", 16, "cross: gold plus negatives", minimum=2),
+        Setting("reduction", "str", "first", "first | avg_all | avg_first:<m>",
+                check=parse_reduction),
+        Setting("rescale_std", "float"),
+        Setting("augment_history", "flag", False),
+        _precision(64),
+    )),
+    "eval": (cmd_eval, "R@k and MRR over a candidates dataset", (
+        Setting("data", "path", required=True),
+        *_MODEL,
+        Setting("k", "ints", "1,2,5", "comma-separated k list"),
+        Setting("max_examples", "int", minimum=1, help="evaluate the first N examples only"),
+        Setting("out"),
+        _precision(64),
+    )),
+    "index": (cmd_index, "precompute a candidate-embedding cache", (
+        Setting("candidates", "path", required=True, help="text file, one candidate per line"),
+        *_MODEL,
+        Setting("out", required=True),
+        _precision(32),
+    )),
+    "rank": (cmd_rank, "rank candidates for each query", (
+        Setting("queries", "path", required=True, help='JSONL, {"context": [...]} per line'),
+        *_MODEL,
+        Setting("cache", "path"),
+        Setting("candidates", "path"),
+        Setting("no_cache", "flag", False),
+        Setting("k", "int", 10, minimum=1),
+        Setting("out", required=True),
+        _precision(32),
+    )),
+    "bench": (cmd_bench, "latency by architecture and candidate count", (
+        Setting("arch", "strs", "bi,poly:16,cross", "comma-separated architectures"),
+        Setting("candidates", "ints", "1000,10000", "comma-separated candidate counts"),
+        Setting("queries", "int", 100),
+        Setting("warmup", "int", 10),
+        Setting("extrapolate_cross_from", "int", help="time cross at this many candidates "
+                                                      "and scale linearly"),
+        Setting("context_tokens", "int", 64),
+        Setting("candidate_tokens", "int", 16),
+        Setting("vocab_size", "int", 256),
+        Setting("candidate_file", "path", help="candidate pool, one per line; default synthetic"),
+        Setting("seed", "int", 0),
+        Setting("out"),
+    )),
+    "synth": (cmd_synth, "generate synthetic datasets", (
+        Setting("task", "str", "overlap", choices=("overlap", "chain")),
+        Setting("out_dir", required=True),
+        Setting("seed", "int", 0),
+        Setting("n_train", "int", 200),
+        Setting("n_test", "int", 50),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -583,119 +609,24 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "index, rank and benchmark bi/poly/cross scorers.")
     parser.add_argument("--version", action="version", version=f"polyscore {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, precision=True):  # only commands that read the setting take --precision
+    for name, (fn, help_text, table) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int)
-        if precision:
-            p.add_argument("--precision", type=int, choices=(32, 64))
-
-    p = sub.add_parser("pretrain", help="alternating masked-token / next-utterance pre-training")
-    common(p)
-    p.add_argument("--corpus", help="JSONL of consecutive (input, next) pairs")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--batch-tokens", dest="batch_tokens", type=int,
-                   help="optional length-bucketed token-count batching")
-    p.add_argument("--vocab", help="reuse an existing vocabulary file")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--valid")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--ffn-hidden", dest="ffn_hidden", type=int)
-    p.add_argument("--max-positions", dest="max_positions", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--eval-interval", dest="eval_interval", type=int)
-    p.add_argument("--init-checkpoint", dest="init_checkpoint")
-    p.set_defaults(fn=cmd_pretrain)
-
-    p = sub.add_parser("train", help="fine-tune a bi/poly/cross scorer from a base checkpoint")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--valid")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--arch", help="bi | cross | poly:<m> | poly:<variant>:<m>")
-    p.add_argument("--freeze", choices=("top_layer", "top4_layers", "all_but_embeddings",
-                                        "every_layer"))
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=("adam_decay", "adamax_nodecay"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--eval-interval", dest="eval_interval", type=int)
-    p.add_argument("--neg-mode", dest="neg_mode", choices=("sampled", "provided"))
-    p.add_argument("--n-candidates", dest="n_candidates", type=int)
-    p.add_argument("--reduction", help="first | avg_all | avg_first:<m>")
-    p.add_argument("--rescale-std", dest="rescale_std", type=float)
-    p.add_argument("--augment-history", dest="augment_history", action="store_const",
-                   const=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="R@k and MRR over a candidates dataset")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--k", help="comma-separated k list, default 1,2,5")
-    p.add_argument("--max-examples", dest="max_examples", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("index", help="precompute a candidate-embedding cache")
-    common(p)
-    p.add_argument("--candidates", help="text file, one candidate per line")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_index)
-
-    p = sub.add_parser("rank", help="rank candidates for each query")
-    common(p)
-    p.add_argument("--queries", help='JSONL, {"context": [...]} per line')
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--cache")
-    p.add_argument("--candidates")
-    p.add_argument("--no-cache", dest="no_cache", action="store_const", const=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("bench", help="latency by architecture and candidate count")
-    common(p, precision=False)
-    p.add_argument("--arch", help="comma-separated: bi,poly:16,cross")
-    p.add_argument("--candidates", help="comma-separated candidate counts")
-    p.add_argument("--queries", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--extrapolate-cross-from", dest="extrapolate_cross_from", type=int)
-    p.add_argument("--context-tokens", dest="context_tokens", type=int)
-    p.add_argument("--candidate-tokens", dest="candidate_tokens", type=int)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--candidate-file", dest="candidate_file")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("synth", help="generate synthetic datasets")
-    common(p, precision=False)
-    p.add_argument("--task", choices=("overlap", "chain"))
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.set_defaults(fn=cmd_synth)
-
+        for s in table:
+            extra = (f" (default {s.default})" if s.default is not None and s.type != "flag"
+                     else " (required)" if s.required else "")
+            kwargs = ({"action": "store_const", "const": True} if s.type == "flag"
+                      else {"type": _CASTS[s.type], "choices": s.choices})
+            p.add_argument("--" + s.key.replace("_", "-"), dest=s.key,
+                           help=(s.help + extra).strip(), **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(resolve(args))
     except StaleCacheError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STALE

@@ -91,6 +91,22 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def init_parameters(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                    dtype=np.float64) -> dict[str, Tensor]:
+    """BERT-style init, drawn in the order of `shapes`: unit gains, zero biases,
+    N(0, 0.02) matrices, embeddings and codes."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith("gain"):
+            data = np.ones(shape, dtype=dtype)
+        elif name.endswith("bias"):
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
 class TransformerWeights:
     """All learnable parameters of one tower, addressable by name."""
 
@@ -108,17 +124,7 @@ class TransformerWeights:
 
     @classmethod
     def init(cls, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64):
-        """BERT-style init: N(0, 0.02) matrices/embeddings, zero biases, unit gains."""
-        params = {}
-        for name, shape in parameter_shapes(cfg).items():
-            if name.endswith(".gain"):
-                data = np.ones(shape, dtype=dtype)
-            elif name.endswith(".bias"):
-                data = np.zeros(shape, dtype=dtype)
-            else:
-                data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
-            params[name] = Tensor(data, requires_grad=True)
-        return cls(cfg, params)
+        return cls(cfg, init_parameters(parameter_shapes(cfg), rng, dtype))
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]

@@ -27,7 +27,10 @@ def parse_reduction(kind: str) -> tuple[str, int | None]:
     if kind in (REDUCTION_FIRST, REDUCTION_AVG_ALL):
         return kind, None
     if kind.startswith("avg_first:"):
-        m = int(kind.split(":", 1)[1])
+        try:
+            m = int(kind.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"avg_first reduction needs an integer m, got {kind!r}") from None
         if m < 1:
             raise ConfigError(f"avg_first reduction needs m >= 1, got {m}")
         return "avg_first", m
@@ -111,11 +114,6 @@ class PolyHeadState:
                 raise ShapeError("learnt variant needs a codes tensor with m rows")
         elif self.codes is not None:
             raise ConfigError(f"variant {self.variant!r} takes no codes tensor")
-
-
-def init_codes(m: int, hidden: int, rng: np.random.Generator, dtype=np.float64) -> Tensor:
-    """Context codes start i.i.d. normal(0, 0.02), BERT-style."""
-    return Tensor(rng.normal(0.0, 0.02, size=(m, hidden)).astype(dtype), requires_grad=True)
 
 
 def poly_context_vectors(out: TransformerOutput, st: PolyHeadState):

@@ -21,9 +21,10 @@ import math
 
 import numpy as np
 
-from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward
+from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward, \
+    init_parameters
 from .errors import ConfigError, ShapeError
-from .heads import CrossHead, PolyHeadState, cross_score, init_codes, parse_reduction, \
+from .heads import CrossHead, PolyHeadState, cross_score, parse_reduction, \
     poly_context_vectors, reduce_output
 from .records import RecordReader, RecordWriter
 from .tensor import Tensor
@@ -41,16 +42,18 @@ DEFAULT_MAX_CONTEXT_TOKENS = 360
 DEFAULT_MAX_CANDIDATE_TOKENS = 72
 
 
-def _pretrain_extra_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+def _extra_shapes(cfg: ModelConfig, kind: str, poly_variant=None, poly_m=None) -> dict[str, tuple]:
+    """Head parameters each model kind carries, by name, in init order."""
     h = cfg.hidden
-    return {
-        "mlm.transform.weight": (h, h),
-        "mlm.transform.bias": (h,),
-        "mlm.norm.gain": (h,),
-        "mlm.norm.bias": (h,),
-        "mlm.out_bias": (cfg.vocab_size,),
-        "next.w": (h, 1),
-    }
+    if kind == "pretrain":
+        return {"mlm.transform.weight": (h, h), "mlm.transform.bias": (h,),
+                "mlm.norm.gain": (h,), "mlm.norm.bias": (h,),
+                "mlm.out_bias": (cfg.vocab_size,), "next.w": (h, 1)}
+    if kind == "cross":
+        return {"cross.w": (h, 1)}
+    if kind == "poly" and poly_variant == "learnt":
+        return {"poly.codes": (poly_m, h)}
+    return {}
 
 
 class Model:
@@ -89,41 +92,25 @@ class Model:
     @classmethod
     def init_pretrain(cls, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float64) -> "Model":
         tower = TransformerWeights.init(cfg, rng, dtype)
-        extras = {}
-        for name, shape in _pretrain_extra_shapes(cfg).items():
-            if name.endswith(".gain"):
-                data = np.ones(shape, dtype=dtype)
-            elif name.endswith((".bias", ".out_bias")):
-                data = np.zeros(shape, dtype=dtype)
-            else:
-                data = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-            extras[name] = Tensor(data, requires_grad=True)
-        return cls(cfg, "pretrain", {"enc": tower}, extras)
+        return cls(cfg, "pretrain", {"enc": tower},
+                   init_parameters(_extra_shapes(cfg, "pretrain"), rng, dtype))
 
     def derive(self, kind: str, rng: np.random.Generator, reduction: str = "first",
                poly_variant: str | None = None, poly_m: int | None = None) -> "Model":
         """Fine-tune start: duplicate the encoder per side, init fresh heads."""
         if self.kind != "pretrain":
             raise ConfigError(f"can only derive from a pretrain model, not {self.kind}")
+        if kind not in ("bi", "poly", "cross"):
+            raise ConfigError(f"cannot derive model kind {kind!r}")
+        if kind != "poly":
+            poly_variant = poly_m = None
+        elif poly_variant is None or poly_m is None:
+            raise ConfigError("poly derivation needs poly_variant and poly_m")
         base = self.towers["enc"]
-        dtype = base.dtype
-        if kind == "bi":
-            return Model(self.cfg, "bi", {"ctxt": base.copy(), "cand": base.copy()}, {},
-                         reduction=reduction)
-        if kind == "poly":
-            if poly_variant is None or poly_m is None:
-                raise ConfigError("poly derivation needs poly_variant and poly_m")
-            extras = {}
-            if poly_variant == "learnt":
-                extras["poly.codes"] = init_codes(poly_m, self.cfg.hidden, rng, dtype)
-            return Model(self.cfg, "poly", {"ctxt": base.copy(), "cand": base.copy()}, extras,
-                         reduction=reduction, poly_variant=poly_variant, poly_m=poly_m)
-        if kind == "cross":
-            w = Tensor(rng.normal(0.0, 0.02, size=(self.cfg.hidden, 1)).astype(dtype),
-                       requires_grad=True)
-            return Model(self.cfg, "cross", {"enc": base.copy()}, {"cross.w": w},
-                         reduction=reduction)
-        raise ConfigError(f"cannot derive model kind {kind!r}")
+        extras = init_parameters(_extra_shapes(self.cfg, kind, poly_variant, poly_m), rng,
+                                 base.dtype)
+        return Model(self.cfg, kind, {p: base.copy() for p in TOWERS[kind]}, extras,
+                     reduction=reduction, poly_variant=poly_variant, poly_m=poly_m)
 
     # ---- parameter access ----
 
@@ -201,17 +188,6 @@ def save_checkpoint(model: Model, path) -> str:
     w.save(path)
     model.fingerprint = hashlib.sha256(w.data).hexdigest()
     return model.fingerprint
-
-
-def _extra_shapes(cfg: ModelConfig, kind: str, poly_variant, poly_m) -> dict[str, tuple]:
-    """Head parameters each model kind carries, by name."""
-    if kind == "pretrain":
-        return _pretrain_extra_shapes(cfg)
-    if kind == "cross":
-        return {"cross.w": (cfg.hidden, 1)}
-    if kind == "poly" and poly_variant == "learnt":
-        return {"poly.codes": (poly_m, cfg.hidden)}
-    return {}
 
 
 def load_checkpoint(path, dtype=np.float64) -> Model:

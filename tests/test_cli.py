@@ -9,7 +9,7 @@ import pytest
 
 import polyscore
 from polyscore.bench import _openblas_thread_calls
-from polyscore.cli import build_parser, main
+from polyscore.cli import COMMANDS, build_parser, main
 from polyscore.synth import make_chain_corpus, make_overlap_dataset, write_jsonl
 
 
@@ -402,3 +402,173 @@ class TestPrecisionFlag:
     @pytest.mark.parametrize("command", ["pretrain", "train", "eval", "index", "rank"])
     def test_accepted_where_read(self, command):
         assert build_parser().parse_args([command, "--precision", "32"]).precision == 32
+
+
+# One argv per command, in flag form; {data}, {rank} and {run} stand for the
+# workdir, ranked_world and the run's own output path.
+MODEL_ARGS = ["--checkpoint", "{rank}/bi/checkpoint.bin", "--vocab", "{data}/ft_base/vocab.txt"]
+SETTINGS_ARGV = {
+    "pretrain": ["--corpus", "{data}/corpus.jsonl", "--out-dir", "{run}", "--seed", "3",
+                 "--steps", "0", "--batch-size", "4", "--vocab-size", "600", "--hidden", "16",
+                 "--dropout", "0.0", "--valid", "{data}/corpus.jsonl", "--precision", "32"],
+    "train": ["--data", "{data}/train.jsonl", "--checkpoint", "{data}/ft_base/checkpoint.bin",
+              "--vocab", "{data}/ft_base/vocab.txt", "--out-dir", "{run}", "--seed", "2",
+              "--arch", "poly:first_m:4", "--steps", "2", "--batch-size", "4",
+              "--freeze", "top_layer", "--optimizer", "adamax_nodecay",
+              "--reduction", "avg_first:2", "--augment-history"],
+    "eval": ["--data", "{data}/test.jsonl", *MODEL_ARGS, "--k", "5,1", "--max-examples", "3",
+             "--out", "{run}"],
+    "index": ["--candidates", "{rank}/cands.txt", *MODEL_ARGS, "--out", "{run}",
+              "--precision", "64"],
+    "rank": ["--queries", "{rank}/queries.jsonl", *MODEL_ARGS, "--no-cache",
+             "--candidates", "{rank}/cands.txt", "--k", "3", "--out", "{run}"],
+    "bench": ["--arch", "bi,poly:2", "--candidates", "8", "--queries", "2", "--warmup", "0",
+              "--context-tokens", "8", "--candidate-tokens", "4",
+              "--extrapolate-cross-from", "4", "--out", "{run}"],
+    "synth": ["--task", "chain", "--n-train", "6", "--seed", "4", "--out-dir", "{run}"],
+}
+# The manifest `config` blocks those argvs resolved to before the settings
+# became one table per command.
+GOLDEN_CONFIG = {
+    "pretrain": {"batch_size": 4, "batch_tokens": None, "beta1": 0.9, "beta2": 0.98,
+                 "corpus": "{data}/corpus.jsonl", "dropout": 0.0, "eval_interval": 10,
+                 "ffn_hidden": 64, "heads": 2, "hidden": 16, "init_checkpoint": None,
+                 "layers": 2, "lr": 0.0002, "max_positions": 64, "out_dir": "{run}",
+                 "precision": 32, "seed": 3, "steps": 0, "valid": "{data}/corpus.jsonl",
+                 "vocab": None, "vocab_size": 600, "warmup": 100, "weight_decay": 0.0},
+    "train": {"arch": "poly:first_m:4", "augment_history": True, "batch_size": 4,
+              "checkpoint": "{data}/ft_base/checkpoint.bin", "data": "{data}/train.jsonl",
+              "eval_interval": None, "freeze": "top_layer", "lr": 5e-05, "n_candidates": 16,
+              "neg_mode": "sampled", "optimizer": "adamax_nodecay", "out_dir": "{run}",
+              "precision": 64, "reduction": "avg_first:2", "rescale_std": None, "seed": 2,
+              "steps": 2, "valid": None, "vocab": "{data}/ft_base/vocab.txt", "warmup": None},
+    "eval": {"checkpoint": "{rank}/bi/checkpoint.bin", "data": "{data}/test.jsonl", "k": "5,1",
+             "max_examples": 3, "out": "{run}", "precision": 64,
+             "vocab": "{data}/ft_base/vocab.txt"},
+    "index": {"candidates": "{rank}/cands.txt", "checkpoint": "{rank}/bi/checkpoint.bin",
+              "out": "{run}", "precision": 64, "vocab": "{data}/ft_base/vocab.txt"},
+    "rank": {"cache": None, "candidates": "{rank}/cands.txt",
+             "checkpoint": "{rank}/bi/checkpoint.bin", "k": 3, "no_cache": True,
+             "out": "{run}", "precision": 32, "queries": "{rank}/queries.jsonl",
+             "vocab": "{data}/ft_base/vocab.txt"},
+    "bench": {"arch": "bi,poly:2", "candidate_file": None, "candidate_tokens": 4,
+              "candidates": "8", "context_tokens": 8, "extrapolate_cross_from": 4,
+              "out": "{run}", "queries": 2, "seed": 0, "vocab_size": 256, "warmup": 0},
+    "synth": {"n_test": 50, "n_train": 6, "out_dir": "{run}", "seed": 4, "task": "chain"},
+}
+GOLDEN_SEED = {"pretrain": 3, "train": 2, "eval": None, "index": None, "rank": None,
+               "bench": 0, "synth": 4}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_flags_are_the_table_keys(self, command):
+        args = vars(build_parser().parse_args([command]))
+        assert set(args) - {"command", "config", "fn"} == {s.key for s in COMMANDS[command][2]}
+
+    @pytest.mark.parametrize("command", ["eval", "index", "rank"])
+    def test_seed_rejected_where_unread(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @staticmethod
+    def run(command, ranked_world, run, argv, config_file=None):
+        """Run argv (placeholders filled in); returns the manifest, with the
+        fixture and run paths put back as placeholders."""
+        root, workdir = ranked_world
+        places = {"data": str(workdir), "rank": str(root), "run": str(run)}
+        argv = [a.format(**places) for a in argv]
+        if config_file is not None:
+            argv += ["--config", str(config_file)]
+        assert main([command, *argv]) == 0
+        out_dir = "--out-dir" in argv or command in ("pretrain", "train", "synth")
+        doc = json.loads((run / "manifest.json" if out_dir
+                          else Path(str(run) + ".manifest.json")).read_text())
+        for key, value in doc["config"].items():
+            for name, path in places.items():
+                if isinstance(value, str):
+                    value = value.replace(path, "{" + name + "}")
+            doc["config"][key] = value
+        return doc
+
+    @pytest.mark.parametrize("command", list(SETTINGS_ARGV))
+    def test_config_matches_golden(self, command, ranked_world, tmp_path):
+        doc = self.run(command, ranked_world, tmp_path / "run", SETTINGS_ARGV[command])
+        assert doc["config"] == GOLDEN_CONFIG[command]
+        assert doc["seed"] == GOLDEN_SEED[command]
+
+    @pytest.mark.parametrize("command", list(SETTINGS_ARGV))
+    def test_config_file_resolves_like_flags(self, command, ranked_world, tmp_path):
+        """Every setting but the output path moved into --config resolves to
+        the same manifest config as the flags."""
+        argv, lines, rest = list(SETTINGS_ARGV[command]), [], []
+        while argv:
+            flag = argv.pop(0)
+            key = flag[2:].replace("-", "_")
+            if key in ("out", "out_dir"):
+                rest += [flag, argv.pop(0)]
+            elif argv and not argv[0].startswith("--"):
+                lines.append(f"{key}={argv.pop(0)}")
+            else:
+                lines.append(f"{key}=true")
+        root, workdir = ranked_world
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("\n".join(lines).format(data=workdir, rank=root) + "\n")
+        flags = self.run(command, ranked_world, tmp_path / "run", SETTINGS_ARGV[command])
+        filed = self.run(command, ranked_world, tmp_path / "run", rest, config_file=cfg)
+        assert filed["config"] == flags["config"]
+        assert filed["seed"] == flags["seed"]
+
+    @pytest.mark.parametrize("command,extra,key", [
+        ("train", ["--reduction", "avg_first:x"], "reduction"),
+        ("train", ["--reduction", "avg_first:"], "reduction"),
+        ("train", ["--steps", "-3"], "steps"),
+        ("train", ["--batch-size", "0"], "batch_size"),
+        ("train", ["--n-candidates", "1"], "n_candidates"),
+        ("train", ["--warmup", "0"], "warmup"),
+        ("train_from_bi", ["--reduction", "avg_all"], "reduction"),
+        ("eval", ["--max-examples", "0"], "max_examples"),
+        ("eval", ["--max-examples", "-1"], "max_examples"),
+        ("bench", ["--extrapolate-cross-from", "0"], "extrapolate_cross_from"),
+        ("bench", ["--extrapolate-cross-from", "-1"], "extrapolate_cross_from"),
+        ("rank", ["--k", "0"], "k"),
+    ])
+    def test_bad_setting_exit_2_writes_nothing(self, ranked_world, tmp_path, capsys,
+                                               command, extra, key):
+        root, workdir = ranked_world
+        out = tmp_path / "out"
+        vocab = ["--vocab", str(workdir / "ft_base" / "vocab.txt")]
+        base = {
+            "train": ["train", "--data", str(workdir / "train.jsonl"), *vocab,
+                      "--checkpoint", str(workdir / "ft_base" / "checkpoint.bin"),
+                      "--out-dir", str(out), "--seed", "2", "--steps", "2"],
+            "train_from_bi": ["train", "--data", str(workdir / "train.jsonl"), *vocab,
+                              "--checkpoint", str(root / "bi" / "checkpoint.bin"),
+                              "--out-dir", str(out), "--seed", "2", "--steps", "2"],
+            "eval": ["eval", "--data", str(workdir / "test.jsonl"), *vocab,
+                     "--checkpoint", str(root / "bi" / "checkpoint.bin"), "--out", str(out)],
+            "bench": ["bench", "--candidates", "8", "--queries", "2", "--warmup", "0",
+                      "--out", str(out)],
+            "rank": ["rank", "--queries", str(root / "queries.jsonl"), *vocab,
+                     "--checkpoint", str(root / "bi" / "checkpoint.bin"), "--no-cache",
+                     "--candidates", str(root / "cands.txt"), "--out", str(out)],
+        }[command]
+        assert main(base + extra) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_bad_choice_in_config_file_writes_nothing(self, ranked_world, tmp_path, capsys):
+        root, workdir = ranked_world
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("freeze=bogus\n")
+        out_dir = tmp_path / "out"
+        rc = main(["train", "--config", str(cfg), "--data", str(workdir / "train.jsonl"),
+                   "--checkpoint", str(workdir / "ft_base" / "checkpoint.bin"),
+                   "--vocab", str(workdir / "ft_base" / "vocab.txt"),
+                   "--out-dir", str(out_dir), "--seed", "2"])
+        assert rc == 2
+        assert "freeze" in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from polyscore import tensor as T
-from polyscore.encoder import ModelConfig, TransformerOutput, TransformerWeights, forward
+from polyscore.encoder import ModelConfig, TransformerOutput, TransformerWeights, forward, \
+    init_parameters
 from polyscore.errors import ConfigError, ShapeError
 from polyscore.heads import (
     CrossHead,
     PolyHeadState,
     cross_score,
-    init_codes,
     parse_reduction,
     poly_context_vectors,
     reduce_output,
@@ -26,6 +26,10 @@ def output_of(rows, n_pads=0):
     rows = np.asarray(rows, dtype=np.float64)
     mask = (True,) * (rows.shape[0] - n_pads) + (False,) * n_pads
     return TransformerOutput(hidden_states=Tensor(rows), pad_mask=mask)
+
+
+def init_codes(m, hidden, rng):
+    return init_parameters({"codes": (m, hidden)}, rng)["codes"]
 
 
 @pytest.fixture
@@ -61,6 +65,9 @@ class TestReduce:
             parse_reduction("avg_first:0")
         with pytest.raises(ConfigError):
             parse_reduction("nope")
+        for kind in ("avg_first:x", "avg_first:"):  # a non-integer m
+            with pytest.raises(ConfigError, match="integer m"):
+                parse_reduction(kind)
 
 
 class TestBiScore:
