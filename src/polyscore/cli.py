@@ -234,19 +234,11 @@ def cmd_pretrain(s: Settings) -> int:
     from .text import Vocabulary, build_vocab, example_token_stream, load_jsonl
     from .training import pretrain_loop
 
-    out_dir = Path(s.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_out = out_dir / "checkpoint.bin"
-    vocab_out = out_dir / "vocab.txt"
-    metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "pretrain", s)
-
     examples = list(load_jsonl(s.corpus))
     if s.vocab:
         vocab = Vocabulary.load(s.vocab)
     else:
         vocab = build_vocab(example_token_stream(examples), s.vocab_size)
-    vocab.save(vocab_out)
 
     if s.init_checkpoint:
         from .model import load_checkpoint
@@ -263,12 +255,18 @@ def cmd_pretrain(s: Settings) -> int:
                                     dtype=s.precision)
     if cfg.vocab_size != len(vocab):
         raise ConfigError(f"vocab size {len(vocab)} does not match model config {cfg.vocab_size}")
-
-    metrics_out.unlink(missing_ok=True)
     valid_examples = list(load_jsonl(s.valid)) if s.valid else None
     opt_cfg = replace(pretraining_config(lr=s.lr, warmup_steps=s.warmup,
                                          eval_interval=s.eval_interval),
                       beta1=s.beta1, beta2=s.beta2, weight_decay=s.weight_decay)
+
+    out_dir = Path(s.out_dir)
+    ckpt_out = out_dir / "checkpoint.bin"
+    vocab_out = out_dir / "vocab.txt"
+    metrics_out = out_dir / "metrics.jsonl"
+    manifest = Manifest(out_dir / "manifest.json", "pretrain", s)
+    vocab.save(vocab_out)
+    metrics_out.unlink(missing_ok=True)
     if s.steps > 0:
         pretrain_loop(model, vocab, examples, opt_cfg, s.steps, s.batch_size, s.seed,
                       metrics_path=metrics_out, valid_examples=valid_examples,
@@ -295,12 +293,6 @@ def cmd_train(s: Settings) -> int:
         if "reduction" in s.given and s.reduction != base.reduction:
             raise ConfigError(f"reduction {s.reduction!r} does not match the checkpoint's "
                               f"{base.reduction!r}")
-
-    out_dir = Path(s.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_out = out_dir / "checkpoint.bin"
-    metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "train", s)
 
     train_examples = list(load_jsonl(s.data))
     if s.augment_history:
@@ -338,6 +330,10 @@ def cmd_train(s: Settings) -> int:
     )
     settings = FinetuneSettings(steps=s.steps, batch_size=s.batch_size, freeze=s.freeze,
                                 neg_mode=s.neg_mode, n_candidates=s.n_candidates, seed=s.seed)
+    out_dir = Path(s.out_dir)
+    ckpt_out = out_dir / "checkpoint.bin"
+    metrics_out = out_dir / "metrics.jsonl"
+    manifest = Manifest(out_dir / "manifest.json", "train", s)
     metrics_out.unlink(missing_ok=True)
     finetune_loop(model, vocab, train_examples, valid_examples, opt_cfg, settings,
                   metrics_path=metrics_out)
@@ -398,7 +394,6 @@ def cmd_rank(s: Settings) -> int:
     from .retrieval import build_cache, load_cache, rank_bi, rank_cross, rank_poly
     from .text import read_lines
 
-    manifest = Manifest(str(s.out) + ".manifest.json", "rank", s)
     scorer = _load_scorer("rank", s.checkpoint, s.vocab, s.precision, ("bi", "poly", "cross"))
     kind = scorer.model.kind
 
@@ -413,6 +408,7 @@ def cmd_rank(s: Settings) -> int:
         if kind != "cross":
             cache = build_cache(candidates, scorer)
 
+    manifest = Manifest(str(s.out) + ".manifest.json", "rank", s)
     k = s.k
     n_cands = cache.size if cache is not None else len(candidates)
     if k > n_cands:
@@ -479,7 +475,6 @@ def cmd_synth(s: Settings) -> int:
     from .synth import make_chain_corpus, make_overlap_dataset, write_jsonl
 
     out_dir = Path(s.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir / "manifest.json", "synth", s)
     if s.task == "overlap":
         train, test = make_overlap_dataset(s.n_train, s.n_test, seed=s.seed)

@@ -95,44 +95,53 @@ def learning_rate(cfg: OptimizerConfig, step: int, plateau_scale: float = 1.0) -
 
 
 class Optimizer:
-    """Stateful Adam / Adamax over named parameters; updates data in place."""
+    """Stateful Adam / Adamax over named parameters: every parameter's moments
+    live in one flat buffer, and a step is one vectorised update over the
+    concatenated gradients that rounds as a per-parameter loop would."""
 
     def __init__(self, cfg: OptimizerConfig, trainable: dict[str, Tensor]):
         self.cfg = cfg
         self.trainable = dict(trainable)
-        self._m = {n: np.zeros_like(t.data) for n, t in trainable.items()}
-        self._v = {n: np.zeros_like(t.data) for n, t in trainable.items()}
+        self._sizes = [t.data.size for t in self.trainable.values()]
+        dtype = np.result_type(*(t.dtype for t in self.trainable.values()), np.float32)
+        self._m, self._v = np.zeros((2, sum(self._sizes)), dtype=dtype)
         self.plateau = PlateauTracker(factor=cfg.plateau_decay_factor)
 
     def step(self, grads: dict[str, np.ndarray], step: int) -> float:
-        """One update over all trainable params; returns the lr used."""
+        """One update over every trainable param with a gradient; returns the lr used."""
         cfg = self.cfg
         lr = learning_rate(cfg, step, self.plateau.scale)
+        live = [(n, p) for n, p in self.trainable.items() if grads.get(n) is not None]
+        if not live:
+            return lr
+        g = np.concatenate([np.ravel(grads[n]) for n, _ in live])
+        if not np.isfinite(g).all():
+            name, bad = next((n, grads[n]) for n, _ in live if not np.isfinite(grads[n]).all())
+            raise NumericError(
+                f"non-finite gradient for {name!r} at step {step}: "
+                f"|g|_max={np.abs(bad[np.isfinite(bad)]).max(initial=0.0):.3e}"
+            )
+        # a parameter without a gradient keeps its moments: update the others' slices
+        sel = slice(None) if len(live) == len(self.trainable) else np.repeat(
+            [grads.get(n) is not None for n in self.trainable], self._sizes)
+        m, v = self._m[sel], self._v[sel]
+        theta = np.concatenate([p.data.ravel() for _, p in live])
         b1, b2 = cfg.beta1, cfg.beta2
-        bias1 = 1.0 - b1**step
-        for name, param in self.trainable.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if np.isnan(g).any() or np.isinf(g).any():
-                raise NumericError(
-                    f"non-finite gradient for {name!r} at step {step}: "
-                    f"|g|_max={np.abs(g[np.isfinite(g)]).max(initial=0.0):.3e}"
-                )
-            m = self._m[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            if cfg.kind == ADAM_DECAY:
-                v = self._v[name]
-                v *= b2
-                v += (1.0 - b2) * g * g
-                bias2 = 1.0 - b2**step
-                update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-                if cfg.weight_decay:
-                    update = update + cfg.weight_decay * param.data
-            else:
-                u = self._v[name]
-                np.maximum(b2 * u, np.abs(g), out=u)
-                update = (m / bias1) / (u + cfg.eps)
-            param.data = param.data - lr * update
+        m *= b1
+        m += (1.0 - b1) * g
+        if cfg.kind == ADAM_DECAY:
+            v *= b2
+            v += (1.0 - b2) * g * g
+            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + cfg.eps)
+            if cfg.weight_decay:
+                update += cfg.weight_decay * theta
+        else:
+            np.maximum(b2 * v, np.abs(g), out=v)
+            update = (m / (1.0 - b1**step)) / (v + cfg.eps)
+        theta -= lr * update
+        if not isinstance(sel, slice):
+            self._m[sel], self._v[sel] = m, v
+        ends = np.cumsum([p.data.size for _, p in live])
+        for (_, param), part in zip(live, np.split(theta, ends[:-1])):
+            param.data = part.reshape(param.data.shape)
         return lr

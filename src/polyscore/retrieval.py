@@ -1,13 +1,14 @@
 """Candidate-embedding cache, exact brute-force ranking and IR metrics.
 
-Bi/Poly score against precomputed candidate embeddings; Cross re-encodes
-every (context, candidate) pair. Cache builds and cross reranks encode in
-padded batches. All scoring is exact - no approximate nearest-neighbor
-shortcuts. Poly attends over the cache in [m', rows] blocks of cache rows,
-small enough to stay in cache: softmax max and sum are m' vectorised passes
-over a block's logits. Top k is exact in O(C) plus a sort of about k: a
-partition finds the k-th best score, and only rows scoring at least that (ties
-included) are sorted, by descending score then ascending id.
+Bi/Poly score against precomputed candidate embeddings; Cross re-encodes every
+(context, candidate) pair. Cache builds and cross reranks encode in padded
+batches. All scoring is exact - no approximate nearest-neighbor shortcuts.
+Poly attends over the cache in [m', rows] blocks of cache rows, small enough
+to stay in cache: softmax max and sum are m' vectorised passes over a block's
+logits. A row's score, sum w*l / sum w over its m' logits l, equals its dot
+product with the attention-pooled vector. Top k is exact in O(C) plus a sort
+of about k: a partition finds the k-th best score, and only rows scoring at
+least that (ties included) are sorted, by descending score then ascending id.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .records import RecordReader, RecordWriter
 # [B, heads, L, L] attention arrays stay a few MB for thousands of candidates.
 ENCODE_CHUNK = 64
 
-# Elements of one block's [m', rows] poly logits: rank_poly scores this // m'
-# cache rows per pass (728 rows at m'=360; 16384, one block here, at m'=16).
-POLY_BLOCK_ELEMENTS = 1 << 18
+# Elements of one block's [m', rows] logits (and as many weights): rank_poly
+# scores this // m' cache rows per pass, 364 at m'=360 and 8192 at m'=16.
+POLY_BLOCK_ELEMENTS = 1 << 17
 
 CACHE_MAGIC = b"PLYCACHE"
 CACHE_VERSION = 1
@@ -133,12 +134,11 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
     rows = max(1, POLY_BLOCK_ELEMENTS // vecs.shape[0])
     parts = []
     for start in range(0, cache.size, rows):
-        emb = cache.embeddings[start:start + rows]
-        w = vecs @ emb.T  # [m', rows] logits, exponentiated in place
-        w -= w.max(axis=0)
+        logits = vecs @ cache.embeddings[start:start + rows].T  # [m', rows]
+        w = logits - logits.max(axis=0)
         np.exp(w, out=w)
-        # pool with unnormalised weights, then divide each score by its weight sum
-        parts.append(np.einsum("ch,ch->c", w.T @ vecs, emb) / w.sum(axis=0))
+        logits *= w
+        parts.append(logits.sum(axis=0) / w.sum(axis=0))
     return _result(cache.id_array, np.concatenate(parts), k, gold_id)
 
 

@@ -179,8 +179,11 @@ def softmax(x, axis: int = -1, bias=None):
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
-        return ((g - (g * out).sum(axis=-1, keepdims=True)) * out,)
+    def vjp(g):  # (g - sum(g * out)) * out
+        gx = g * out
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= out
+        return (gx,)
 
     return _result(out, inputs, vjp)
 
@@ -209,23 +212,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-12):
         raise ShapeError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} do not match last axis of {x.shape}"
         )
-    # sum / n is mean() bit for bit (a float32 quotient rounded through
-    # float64 rounds once), without mean()'s Python-level wrapper
-    centred = x - x.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + eps)
-    xhat = centred * inv
+    # sum / n is mean() bit for bit, float32 too; each in-place step keeps the
+    # operation order of the formula in its comment, so it rounds the same
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias  # xhat * gain + bias
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        gxhat = g * gain
-        gx = (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        ) * inv
-        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        gx = g * gain  # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv
+        gg = gx * xhat
+        proj = gg.sum(axis=-1, keepdims=True) / n
+        gx -= gx.sum(axis=-1, keepdims=True) / n
+        gx -= np.multiply(xhat, proj, out=gg)
+        gx *= inv
+        return gx, np.multiply(g, xhat, out=gg).sum(axis=lead), g.sum(axis=lead)
 
-    return _result(xhat * gain + bias, inputs, vjp)
+    return _result(out, inputs, vjp)
 
 
 def gelu(x):
@@ -235,12 +241,21 @@ def gelu(x):
     # products, not `**`: np.power with exponent 3 is ~30x slower
     x2 = x * x
     t = np.tanh(GELU_SCALE * (x + GELU_COEFF * x2 * x))
+    out = 1.0 + t
+    out *= 0.5 * x  # 0.5 * x * (1 + t)
 
-    def vjp(g):
-        du = GELU_SCALE * (1.0 + 3.0 * GELU_COEFF * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+    def vjp(g):  # g * (0.5*(1 + t) + 0.5*x*(1 - t*t) * SCALE*(1 + 3*COEFF*x2))
+        du = (3.0 * GELU_COEFF) * x2
+        du += 1.0
+        du *= GELU_SCALE
+        gx = 1.0 - t * t
+        gx *= 0.5 * x
+        gx *= du
+        gx += 0.5 * (1.0 + t)
+        gx *= g
+        return (gx,)
 
-    return _result(0.5 * x * (1.0 + t), inputs, vjp)
+    return _result(out, inputs, vjp)
 
 
 def tmean(x):
@@ -267,7 +282,19 @@ def dropout(x, p: float, rng: np.random.Generator | None = None,
     if mask.shape != x.shape:
         raise ShapeError(f"dropout mask {mask.shape} does not match input {x.shape}")
     c = x.dtype.type(1.0 / (1.0 - p))
-    return _result(x * (mask * c), inputs, lambda g: (g * (mask * c),))
+
+    def scaled(a):  # a * (mask * c)
+        out = np.multiply(mask, c)
+        out *= a
+        return out
+
+    return _result(scaled(x), inputs, lambda g: (scaled(g),))
+
+
+def _scatter_add(like, flat, g):
+    """np.add.at into zeros by flat index, via bincount: same order, float64 sums."""
+    out = np.bincount(flat.ravel(), weights=g.ravel(), minlength=like.size)
+    return out.reshape(like.shape).astype(like.dtype, copy=False)
 
 
 def gather_rows(table, ids):
@@ -279,9 +306,8 @@ def gather_rows(table, ids):
         raise ShapeError(f"gather_rows expects a matrix table, got {table.shape}")
 
     def vjp(g):
-        gt = np.zeros_like(table)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        rows, h = table.shape
+        return (_scatter_add(table, (ids % rows)[..., None] * h + np.arange(h), g),)
 
     return _result(table[ids], inputs, vjp)
 
@@ -294,9 +320,8 @@ def take_pairs(x, rows, cols):
     cols = np.asarray(cols, dtype=np.int64)
 
     def vjp(g):
-        gx = np.zeros_like(x)
-        np.add.at(gx, (rows, cols), g)
-        return (gx,)
+        r, c = x.shape
+        return (_scatter_add(x, rows % r * c + cols % c, g),)
 
     return _result(x[rows, cols], inputs, vjp)
 

@@ -203,6 +203,76 @@ def adamax_first_step(theta, grad, lr, beta1, eps):
     return theta - lr / (1 - beta1) * m / (u + eps)
 
 
+def optimizer_steps_per_parameter(cfg, params, grad_steps):
+    """Adam with decoupled decay or Adamax, one parameter at a time: the loop
+    the flat optimizer replaced. `params` maps name -> array, `grad_steps` is
+    one name -> gradient dict per step (a missing name skips that parameter);
+    returns the final arrays."""
+    from polyscore.optim import ADAM_DECAY, learning_rate
+
+    theta = {n: a.copy() for n, a in params.items()}
+    m = {n: np.zeros_like(a) for n, a in params.items()}
+    v = {n: np.zeros_like(a) for n, a in params.items()}
+    b1, b2 = cfg.beta1, cfg.beta2
+    for step, grads in enumerate(grad_steps, 1):
+        lr = learning_rate(cfg, step)
+        for name in params:
+            g = grads.get(name)
+            if g is None:
+                continue
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            if cfg.kind == ADAM_DECAY:
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                update = (m[name] / (1.0 - b1**step)) / (
+                    np.sqrt(v[name] / (1.0 - b2**step)) + cfg.eps)
+                if cfg.weight_decay:
+                    update = update + cfg.weight_decay * theta[name]
+            else:
+                v[name] = np.maximum(b2 * v[name], np.abs(g))
+                update = (m[name] / (1.0 - b1**step)) / (v[name] + cfg.eps)
+            theta[name] = theta[name] - lr * update
+    return theta
+
+
+# ---- the out-of-place formulas the in-place tensor kernels replaced: output
+# and vector-Jacobian product, in their original operation order ----
+
+
+def layer_norm_formula(x, gain, bias, eps, g):
+    centred = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    xhat = centred * inv
+    lead = tuple(range(g.ndim - 1))
+    gxhat = g * gain
+    gx = (gxhat - gxhat.mean(axis=-1, keepdims=True)
+          - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    return xhat * gain + bias, (gx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def gelu_formula(x, g):
+    c, s = 0.044715, math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    t = np.tanh(s * (x + c * x2 * x))
+    du = s * (1.0 + 3.0 * c * x2)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def dropout_formula(x, p, keep, g):
+    c = x.dtype.type(1.0 / (1.0 - p))
+    return x * (keep * c), g * (keep * c)
+
+
+def softmax_vjp_formula(out, g):
+    return (g - (g * out).sum(axis=-1, keepdims=True)) * out
+
+
+def scatter_add_formula(shape, dtype, index, g):
+    """The gradient of a gather: np.add.at into zeros, in `dtype`."""
+    out = np.zeros(shape, dtype=dtype)
+    np.add.at(out, index, g)
+    return out
+
+
 def finite_diff(loss_fn, array, idx, h=1e-5):
     orig = array[idx]
     array[idx] = orig + h

@@ -39,6 +39,7 @@ def report(n, slug, t0):
     print(f"\nACCEPTANCE {n} {slug}: PASS ({time.perf_counter() - t0:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_1_equation_fidelity():
     """Every [TRIVIAL]/[DERIVED] op example passes; oracles are test-only code."""
     t0 = time.perf_counter()
@@ -214,6 +215,7 @@ def _eval_r1(model, vocab, test, kind):
     return recall_at_k(results, 1)
 
 
+@pytest.mark.slow
 def test_criterion_5_latency_ordering():
     """t(Bi) <= t(Poly16) <= t(Poly64) <= t(Poly360), Cross >= 10x Poly360,
     Cross linear in candidate count."""
@@ -254,6 +256,7 @@ def test_criterion_5_latency_ordering():
     report(5, "latency-ordering", t0)
 
 
+@pytest.mark.slow
 def test_criterion_6_learnability(overlap_world):
     """Bi / Poly16 / Cross reach R@1/20 >= 0.60 on the token-overlap task."""
     t0 = time.perf_counter()

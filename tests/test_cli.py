@@ -534,6 +534,11 @@ class TestSettingsTable:
         ("bench", ["--extrapolate-cross-from", "0"], "extrapolate_cross_from"),
         ("bench", ["--extrapolate-cross-from", "-1"], "extrapolate_cross_from"),
         ("rank", ["--k", "0"], "k"),
+        ("pretrain", ["--hidden", "30", "--heads", "4"], "hidden"),
+        ("pretrain", ["--dropout", "1"], "dropout"),
+        ("pretrain", ["--lr", "-1"], "lr"),
+        ("train", ["--lr", "-1"], "lr"),
+        ("rank_without_candidates", [], "--cache"),
     ])
     def test_bad_setting_exit_2_writes_nothing(self, ranked_world, tmp_path, capsys,
                                                command, extra, key):
@@ -541,6 +546,8 @@ class TestSettingsTable:
         out = tmp_path / "out"
         vocab = ["--vocab", str(workdir / "ft_base" / "vocab.txt")]
         base = {
+            "pretrain": ["pretrain", "--corpus", str(workdir / "corpus.jsonl"),
+                         "--out-dir", str(out), "--seed", "3", "--steps", "1"],
             "train": ["train", "--data", str(workdir / "train.jsonl"), *vocab,
                       "--checkpoint", str(workdir / "ft_base" / "checkpoint.bin"),
                       "--out-dir", str(out), "--seed", "2", "--steps", "2"],
@@ -554,6 +561,9 @@ class TestSettingsTable:
             "rank": ["rank", "--queries", str(root / "queries.jsonl"), *vocab,
                      "--checkpoint", str(root / "bi" / "checkpoint.bin"), "--no-cache",
                      "--candidates", str(root / "cands.txt"), "--out", str(out)],
+            "rank_without_candidates": ["rank", "--queries", str(root / "queries.jsonl"), *vocab,
+                                        "--checkpoint", str(root / "bi" / "checkpoint.bin"),
+                                        "--out", str(out)],
         }[command]
         assert main(base + extra) == 2
         assert key in capsys.readouterr().err

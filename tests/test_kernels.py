@@ -16,6 +16,7 @@ from polyscore.text import PAD_ID, Example, TokenBatch, Vocabulary, encode_singl
 from polyscore.training import FinetuneSettings, apply_freeze
 
 from conftest import make_rng
+import oracles
 from oracles import tsum
 
 VOCAB = Vocabulary([f"w{i}" for i in range(28)])
@@ -210,3 +211,102 @@ def test_pretraining_step_tape_unchanged():
     triples = training.next_selection_batch(batch, make_rng(9), 4)
     nxt = training.next_batch_loss(model, VOCAB, triples, make_rng(8))
     assert (tape_nodes(mlm), tape_nodes(nxt)) == (127, 121)
+
+
+# ---- in-place kernels: the same float64 arithmetic as the out-of-place
+# formulas they replaced (tests/oracles.py), bit for bit ----
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        got.tobytes() == want.tobytes()
+
+
+def close_or_same(got, want, tol):
+    """Bit for bit at tol 0, else within tol relative to the largest entry."""
+    if tol == 0.0:
+        return same_bits(got, want)
+    return got.dtype == want.dtype and np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def taped(x):
+    return Tensor(x, requires_grad=True)
+
+
+SHAPES = [(7, 13), (2, 5, 13)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_layer_norm_bit_identical_to_formula(shape):
+    rng = make_rng(21)
+    x = rng.normal(0.5, 3.0, size=shape)
+    gain, bias, g = rng.normal(size=13), rng.normal(size=13), rng.normal(size=shape)
+    out = T.layer_norm(taped(x), taped(gain), taped(bias), 1e-12)
+    want_out, want_vjp = oracles.layer_norm_formula(x, gain, bias, 1e-12, g)
+    assert same_bits(out.data, want_out)
+    for got, want in zip(out._vjp(g), want_vjp):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_gelu_bit_identical_to_formula(shape):
+    rng = make_rng(22)
+    x, g = rng.normal(0.0, 4.0, size=shape), rng.normal(size=shape)
+    out = T.gelu(taped(x))
+    want_out, want_gx = oracles.gelu_formula(x, g)
+    assert same_bits(out.data, want_out)
+    assert same_bits(out._vjp(g)[0], want_gx)
+
+
+def test_dropout_bit_identical_to_formula():
+    rng = make_rng(23)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, -1e-300, 5e-324]
+    x = np.concatenate([special * 2, rng.normal(size=50)]).reshape(8, 8)
+    g = np.concatenate([special[::-1] * 2, rng.normal(size=50)]).reshape(8, 8)
+    keep = rng.random(x.shape) >= 0.3
+    keep[0, :7], keep[0, 7:], keep[1, :] = True, False, False  # each special kept and dropped
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
+        out = T.dropout(taped(x), 0.3, keep=keep)
+        got_gx = out._vjp(g)[0]
+        want_out, want_gx = oracles.dropout_formula(x, 0.3, keep, g)
+    assert same_bits(out.data, want_out)
+    assert same_bits(got_gx, want_gx)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_vjp_bit_identical_to_formula(masked):
+    rng = make_rng(24)
+    x, g = rng.normal(0.0, 3.0, size=(3, 4, 9)), rng.normal(size=(3, 4, 9))
+    bias = np.where(rng.random((3, 1, 9)) < 0.3, -np.inf, 0.0) if masked else None
+    if masked:
+        bias[..., 0] = 0.0
+    out = T.softmax(taped(x), bias=bias)
+    assert same_bits(out._vjp(g)[0], oracles.softmax_vjp_formula(out.data, g))
+
+
+IDS = np.array([0, 3, 3, 5, 0, 0, 2, 3, -1, 5])  # repeats, and -1 for the last row
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 0.0), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_gather_rows_scatter_matches_add_at(dtype, tol):
+    rng = make_rng(25)
+    table = rng.normal(size=(6, 4)).astype(dtype)
+    g = rng.normal(0.0, 10.0, size=(len(IDS), 4)).astype(dtype)
+    got = T.gather_rows(taped(table), IDS)._vjp(g)[0]
+    want = oracles.scatter_add_formula(table.shape, dtype, IDS, g)
+    # bincount accumulates in float64: float32 sums round once, at the end
+    assert close_or_same(got, want, tol)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 0.0), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_take_pairs_scatter_matches_add_at(dtype, tol):
+    rng = make_rng(26)
+    x = rng.normal(size=(4, 7)).astype(dtype)
+    rows, cols = np.array([0, 1, 1, 3, 0, 1, -1]), np.array([2, 6, 6, 0, 2, 6, 1])
+    g = rng.normal(0.0, 10.0, size=len(rows)).astype(dtype)
+    got = T.take_pairs(taped(x), rows, cols)._vjp(g)[0]
+    want = oracles.scatter_add_formula(x.shape, dtype, (rows, cols), g)
+    assert close_or_same(got, want, tol)

@@ -16,7 +16,8 @@ from polyscore.optim import (
 )
 from polyscore.tensor import Tensor
 
-from oracles import adam_first_step, adamax_first_step
+from conftest import make_rng
+from oracles import adam_first_step, adamax_first_step, optimizer_steps_per_parameter
 
 
 def one_param(value=1.0):
@@ -59,6 +60,47 @@ class TestAdam:
         params = one_param(3.0)
         Optimizer(cfg, params).step({}, 1)
         assert params["p"].data[0] == 3.0
+
+
+SHAPES = {"w": (3, 4), "b": (4,), "e": (5, 2, 3), "s": (1,)}
+
+
+class TestFlatUpdate:
+    """One vectorised update over every parameter rounds as the per-parameter
+    loop does: after 5 steps on mixed shapes the weights are equal bit for bit."""
+
+    @staticmethod
+    def run(cfg, skip=None):
+        rng = make_rng(31)
+        init = {n: rng.normal(size=shape) for n, shape in SHAPES.items()}
+        grad_steps = [{n: rng.normal(0.0, 0.1 * (k + 1), size=shape)
+                       for n, shape in SHAPES.items() if (k, n) != skip} for k in range(5)]
+        params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+        opt = Optimizer(cfg, params)
+        for step, grads in enumerate(grad_steps, 1):
+            opt.step(grads, step)
+        want = optimizer_steps_per_parameter(cfg, init, grad_steps)
+        for name, t in params.items():
+            assert t.shape == SHAPES[name]
+            assert t.data.tobytes() == want[name].tobytes(), name
+
+    def test_adam_with_weight_decay(self):
+        self.run(OptimizerConfig(lr=0.05, warmup_steps=2, weight_decay=0.01))
+
+    def test_adamax(self):
+        self.run(OptimizerConfig(kind=ADAMAX_NODECAY, lr=0.05, warmup_steps=2,
+                                 weight_decay=0.0))
+
+    @pytest.mark.parametrize("kind", ["adam_decay", ADAMAX_NODECAY])
+    def test_missing_grad_mid_run_keeps_moments(self, kind):
+        self.run(OptimizerConfig(kind=kind, lr=0.05, warmup_steps=2), skip=(2, "e"))
+
+    def test_nan_after_finite_params_names_the_param(self):
+        params = {n: Tensor(np.zeros(shape), requires_grad=True) for n, shape in SHAPES.items()}
+        grads = {n: np.ones(shape) for n, shape in SHAPES.items()}
+        grads["e"][1, 0, 2] = np.inf
+        with pytest.raises(NumericError, match="'e'"):
+            Optimizer(OptimizerConfig(lr=0.1, warmup_steps=1), params).step(grads, 1)
 
 
 class TestSchedules:

@@ -246,14 +246,25 @@ class TestRankPolyLayout:
         monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", 50)
         self.check(vocab, dtype, tol, m, 101)
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("block", [None, 50], ids=["one_block", "blocks"])
+    def test_peaked_attention_matches_pooled_reference(self, vocab, dtype, tol, block,
+                                                       monkeypatch):
+        # rows 8x larger: logits spread far enough that most of each row's
+        # softmax weight sits on one or two codes
+        if block:
+            monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", block)
+        self.check(vocab, dtype, tol, 16, 101, scale=8.0)
+
     @staticmethod
-    def check(vocab, dtype, tol, m, c):
+    def check(vocab, dtype, tol, m, c, scale=1.0):
         base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17), dtype=dtype)
         model = base.derive("poly", make_rng(1), poly_variant="learnt", poly_m=m)
         # unit-scale codes and rows, so the attention is far from uniform
         model.extras["poly.codes"].data[:] = make_rng(m).normal(0.0, 1.0, size=(m, 32))
         scorer = Scorer(model, vocab)
-        emb = make_rng(m + c).normal(0.0, 1.0, size=(c, 32)).astype(dtype)
+        emb = make_rng(m + c).normal(0.0, scale, size=(c, 32)).astype(dtype)
         cache = CandidateCache(list(range(c)), [""] * c, emb, "unsaved")
         context = ["w2 w4 w6 w8 w10 w12", "w1 w9 w3"]
         res = rank_poly(scorer, context, cache, k=c)
