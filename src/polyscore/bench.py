@@ -225,24 +225,12 @@ def make_bench_models(cfg: ModelConfig, architectures: list[str], seed: int,
     return models
 
 
-def synthetic_queries(spec: BenchSpec, vocab: Vocabulary, n: int,
-                      rng: np.random.Generator) -> list[list[str]]:
+def synthetic_texts(vocab: Vocabulary, n: int, tokens: int,
+                    rng: np.random.Generator) -> list[str]:
+    """n texts of `tokens` words each, drawn uniformly from vocab's non-special words."""
     words = [vocab.token_of(i) for i in range(4, len(vocab))]
-    out = []
-    for _ in range(n):
-        toks = rng.choice(len(words), size=spec.context_tokens)
-        out.append([" ".join(words[int(t)] for t in toks)])
-    return out
-
-
-def synthetic_candidates(spec: BenchSpec, vocab: Vocabulary, n: int,
-                         rng: np.random.Generator) -> list[str]:
-    words = [vocab.token_of(i) for i in range(4, len(vocab))]
-    out = []
-    for _ in range(n):
-        toks = rng.choice(len(words), size=spec.candidate_tokens)
-        out.append(" ".join(words[int(t)] for t in toks))
-    return out
+    return [" ".join(words[int(t)] for t in rng.choice(len(words), size=tokens))
+            for _ in range(n)]
 
 
 # ---- rendering ----
@@ -259,19 +247,6 @@ def report_to_jsonl(report: BenchReport) -> str:
         row["precision"] = report.precision
         lines.append(json.dumps(row, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def report_from_jsonl(text: str) -> BenchReport:
-    cells = []
-    threads, precision = 1, "float32"
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        threads = row.pop("threads")
-        precision = row.pop("precision")
-        cells.append(BenchCell(**row))
-    return BenchReport(cells=cells, threads=threads, precision=precision)
 
 
 def report_table(report: BenchReport) -> str:

@@ -366,9 +366,9 @@ def _rank_examples(scorer, examples, ks):
 def cmd_eval(s: Settings) -> int:
     from .text import load_jsonl
 
-    manifest = Manifest(str(s.out) + ".manifest.json", "eval", s) if s.out else None
     scorer = _load_scorer("eval", s.checkpoint, s.vocab, s.precision, ("bi", "poly", "cross"))
     examples = list(load_jsonl(s.data))[:s.max_examples]
+    manifest = Manifest(str(s.out) + ".manifest.json", "eval", s) if s.out else None
     metrics = _rank_examples(scorer, examples, sorted(set(s.k)))
     text = json.dumps(metrics, indent=2, sort_keys=True)
     print(text)
@@ -381,9 +381,10 @@ def cmd_eval(s: Settings) -> int:
 def cmd_index(s: Settings) -> int:
     from .retrieval import build_cache, save_cache
 
-    manifest = Manifest(str(s.out) + ".manifest.json", "index", s)
     scorer = _load_scorer("index", s.checkpoint, s.vocab, s.precision, ("bi", "poly"))
-    cache = build_cache(_read_candidates(s.candidates), scorer)
+    candidates = _read_candidates(s.candidates)
+    manifest = Manifest(str(s.out) + ".manifest.json", "index", s)
+    cache = build_cache(candidates, scorer)
     save_cache(cache, s.out)
     manifest.finish([s.out])
     print(f"indexed {cache.size} candidates -> {s.out}")
@@ -444,7 +445,7 @@ def cmd_rank(s: Settings) -> int:
 
 def cmd_bench(s: Settings) -> int:
     from .bench import (BenchSpec, make_bench_models, report_table, report_to_jsonl,
-                        run_bench, synthetic_candidates, synthetic_queries)
+                        run_bench, synthetic_texts)
     from .encoder import ModelConfig
     from .text import Vocabulary
 
@@ -461,8 +462,10 @@ def cmd_bench(s: Settings) -> int:
     if s.candidate_file:
         pool = _read_candidates(s.candidate_file)
     else:
-        pool = synthetic_candidates(spec, vocab, max(spec.candidate_counts, default=1), rng)
-    queries = synthetic_queries(spec, vocab, min(spec.n_queries + spec.warmup_queries, 64), rng)
+        pool = synthetic_texts(vocab, max(spec.candidate_counts, default=1),
+                               spec.candidate_tokens, rng)
+    n_queries = min(spec.n_queries + spec.warmup_queries, 64)
+    queries = [[q] for q in synthetic_texts(vocab, n_queries, spec.context_tokens, rng)]
     report = run_bench(spec, models, vocab, pool, queries)
     print(report_table(report))
     if s.out:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 from .text import TokenBatch, TokenizedPair
 
@@ -203,7 +203,6 @@ def _maybe_dropout(x, p, keeps):
 def forward(
     tokens: TokenizedPair | TokenBatch,
     w: TransformerWeights,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
     taps: dict | None = None,
 ) -> TransformerOutput:
@@ -212,8 +211,9 @@ def forward(
 
     Projections are single GEMMs over all B*L rows; heads are split and merged
     by reshape/transpose; pad keys get an additive -inf bias before the
-    softmax, so pad positions never leak into real ones. With dropout, masks
-    are drawn sequence by sequence (see _dropout_keeps).
+    softmax, so pad positions never leak into real ones. Dropout runs exactly
+    when an rng is given (and dropout_p > 0), its masks drawn sequence by
+    sequence (see _dropout_keeps).
     Each op gets a parameter's bare array unless the parameter needs a
     gradient, so an inference forward runs array kernels end to end and wraps
     only its result in a Tensor; training runs the same kernels under the tape.
@@ -227,11 +227,7 @@ def forward(
     head_dim = hidden // heads
     inv_sqrt = 1.0 / math.sqrt(head_dim)
     key_bias = np.where(batch.pad_mask, 0.0, -np.inf).astype(w.dtype)[:, None, None, :]
-    keeps = None
-    if train_mode and cfg.dropout_p > 0.0:
-        if rng is None:
-            raise ContractError("train_mode forward needs an rng for dropout")
-        keeps = _dropout_keeps(batch, cfg, rng)
+    keeps = _dropout_keeps(batch, cfg, rng) if rng is not None and cfg.dropout_p > 0.0 else None
 
     def split_heads(t, axes):  # [B*L, H] -> [B, heads, L, d], or [B, heads, d, L] for keys
         return T.transpose(T.reshape(t, (b, n, heads, head_dim)), axes)

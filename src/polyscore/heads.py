@@ -7,8 +7,6 @@ they serialize directly into checkpoint headers: "first", "avg_all" or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -76,48 +74,22 @@ def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
     return T.as_tensor(T.reshape(pooled, (hid,)) if len(h.shape) == 2 else pooled)
 
 
-@dataclass(frozen=True)
-class CrossHead:
-    """Final linear layer mapping the joint embedding to a scalar score."""
-
-    w: Tensor  # [hidden, 1]
-
-    def __post_init__(self):
-        if self.w.data.ndim != 2 or self.w.shape[1] != 1:
-            raise ShapeError(f"cross head weight must be [hidden, 1], got {self.w.shape}")
-
-
-def cross_score(pairs: TokenizedPair | TokenBatch, w: TransformerWeights, head: CrossHead,
-                train_mode: bool = False, rng=None) -> Tensor:
-    """Jointly encode (context, candidate) and score the first output: a scalar
-    for one pair, a [B] vector for a batch of pairs."""
-    first = reduce_output(forward(pairs, w, train_mode=train_mode, rng=rng), REDUCTION_FIRST)
-    scores = T.matmul(T.reshape(first, (-1, head.w.shape[0])), head.w)
+def cross_score(pairs: TokenizedPair | TokenBatch, w: TransformerWeights, head_w: Tensor,
+                rng=None) -> Tensor:
+    """Jointly encode (context, candidate) and score the first output through
+    the [hidden, 1] weight: a scalar for one pair, a [B] vector for a batch."""
+    if head_w.shape != (w.cfg.hidden, 1):
+        raise ShapeError(f"cross head weight must be [hidden, 1], got {head_w.shape}")
+    first = reduce_output(forward(pairs, w, rng=rng), REDUCTION_FIRST)
+    scores = T.matmul(T.reshape(first, (-1, w.cfg.hidden)), head_w)
     return T.reshape(scores, first.shape[:-1])
 
 
-@dataclass
-class PolyHeadState:
-    """Variant selector plus the learnt context codes when applicable."""
-
-    variant: str
-    m: int
-    codes: Tensor | None = None  # [m, hidden], learnt variant only
-
-    def __post_init__(self):
-        if self.variant not in POLY_VARIANTS:
-            raise ConfigError(f"unknown poly variant {self.variant!r}")
-        if self.m < 1:
-            raise ConfigError(f"poly head needs m >= 1, got {self.m}")
-        if self.variant == "learnt":
-            if self.codes is None or self.codes.shape != (self.m, self.codes.shape[1]):
-                raise ShapeError("learnt variant needs a codes tensor with m rows")
-        elif self.codes is not None:
-            raise ConfigError(f"variant {self.variant!r} takes no codes tensor")
-
-
-def poly_context_vectors(out: TransformerOutput, st: PolyHeadState):
-    """Extract the m' context vectors of encoded contexts.
+def poly_context_vectors(out: TransformerOutput, variant: str, m: int,
+                         codes: Tensor | None = None):
+    """Extract the m' context vectors of encoded contexts for a poly head of
+    `variant` and `m` (checked when its Model is built); `codes` are the
+    learnt variant's [m, hidden] context codes.
 
     learnt: each code attends over the non-pad outputs (pad keys get a -inf
     bias). first_m / last_m: min(m, N) raw output rows. last_m_h1: those rows
@@ -136,20 +108,20 @@ def poly_context_vectors(out: TransformerOutput, st: PolyHeadState):
     b, length = mask.shape
     hid = h.shape[-1]
     flat = T.reshape(h, (b * length, hid))
-    if st.variant == "learnt":
+    if variant == "learnt":
         # unscaled dot products of every code with every position: [B, m, L]
-        logits = T.transpose(T.reshape(T.matmul(flat, T.transpose(T.operand(st.codes))),
-                                       (b, length, st.m)), (0, 2, 1))
+        logits = T.transpose(T.reshape(T.matmul(flat, T.transpose(T.operand(codes))),
+                                       (b, length, m)), (0, 2, 1))
         key_bias = np.where(mask, 0.0, -np.inf).astype(h.dtype)[:, None, :]
         vecs = T.matmul(T.softmax(logits, bias=key_bias), T.reshape(h, (b, length, hid)))
-        valid = np.ones((b, st.m), dtype=bool)
+        valid = np.ones((b, m), dtype=bool)
     else:
-        keep = np.minimum(st.m, n_real)  # raw rows taken per context
+        keep = np.minimum(m, n_real)  # raw rows taken per context
         slot = np.arange(keep.max())
         valid = slot < keep[:, None]
-        first = 0 if st.variant == "first_m" else (n_real - keep)[:, None]
+        first = 0 if variant == "first_m" else (n_real - keep)[:, None]
         pos = np.where(valid, first + slot, 0)
-        if st.variant == "last_m_h1":
+        if variant == "last_m_h1":
             pos = np.concatenate([np.zeros((b, 1), dtype=pos.dtype), pos], axis=1)
             valid = np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
         rows = pos + (np.arange(b) * length)[:, None]

@@ -24,8 +24,8 @@ import numpy as np
 from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward, \
     init_parameters
 from .errors import ConfigError, ShapeError
-from .heads import CrossHead, PolyHeadState, cross_score, parse_reduction, \
-    poly_context_vectors, reduce_output
+from .heads import POLY_VARIANTS, cross_score, parse_reduction, poly_context_vectors, \
+    reduce_output
 from .records import RecordReader, RecordWriter
 from .tensor import Tensor
 from .text import TokenBatch, TokenizedPair, Vocabulary, encode_pair, encode_pairs, \
@@ -38,13 +38,18 @@ TOWERS = {"pretrain": ("enc",), "bi": ("ctxt", "cand"), "poly": ("ctxt", "cand")
 KINDS = tuple(TOWERS)
 
 # ingestion caps for context/candidate token counts
-DEFAULT_MAX_CONTEXT_TOKENS = 360
-DEFAULT_MAX_CANDIDATE_TOKENS = 72
+MAX_CONTEXT_TOKENS = 360
+MAX_CANDIDATE_TOKENS = 72
 
 
 def _extra_shapes(cfg: ModelConfig, kind: str, poly_variant=None, poly_m=None) -> dict[str, tuple]:
-    """Head parameters each model kind carries, by name, in init order."""
+    """Head parameters each model kind carries, by name, in init order. A
+    poly kind's variant and m are checked here, before any shape uses them."""
     h = cfg.hidden
+    if kind == "poly" and (poly_variant not in POLY_VARIANTS or type(poly_m) is not int
+                           or poly_m < 1):
+        raise ConfigError(f"poly head needs a variant in {POLY_VARIANTS} and an integer "
+                          f"m >= 1, got {poly_variant!r} and {poly_m!r}")
     if kind == "pretrain":
         return {"mlm.transform.weight": (h, h), "mlm.transform.bias": (h,),
                 "mlm.norm.gain": (h,), "mlm.norm.bias": (h,),
@@ -75,9 +80,10 @@ class Model:
         if set(towers) != set(TOWERS[kind]):
             raise ConfigError(f"kind {kind} needs towers {sorted(TOWERS[kind])}, got {sorted(towers)}")
         parse_reduction(reduction)
-        if kind == "poly":
-            if poly_variant is None or poly_m is None:
-                raise ConfigError("poly model needs poly_variant and poly_m")
+        want = _extra_shapes(cfg, kind, poly_variant, poly_m)
+        got = {n: t.shape for n, t in extras.items()}
+        if got != want:
+            raise ShapeError(f"head parameters {got} do not match kind {kind!r}: want {want}")
         self.cfg = cfg
         self.kind = kind
         self.towers = towers
@@ -104,8 +110,6 @@ class Model:
             raise ConfigError(f"cannot derive model kind {kind!r}")
         if kind != "poly":
             poly_variant = poly_m = None
-        elif poly_variant is None or poly_m is None:
-            raise ConfigError("poly derivation needs poly_variant and poly_m")
         base = self.towers["enc"]
         extras = init_parameters(_extra_shapes(self.cfg, kind, poly_variant, poly_m), rng,
                                  base.dtype)
@@ -140,17 +144,7 @@ class Model:
         return Model(self.cfg, self.kind, towers, extras, self.reduction,
                      self.poly_variant, self.poly_m, self.fingerprint)
 
-    # ---- heads ----
-
-    @property
-    def cross_head(self) -> CrossHead:
-        key = "cross.w" if self.kind == "cross" else "next.w"
-        return CrossHead(self.extras[key])
-
-    def poly_state(self) -> PolyHeadState:
-        if self.kind != "poly":
-            raise ConfigError(f"model kind {self.kind} has no poly head")
-        return PolyHeadState(self.poly_variant, self.poly_m, self.extras.get("poly.codes"))
+    # ---- towers ----
 
     def context_tower(self) -> TransformerWeights:
         return self.towers["ctxt" if "ctxt" in self.towers else "enc"]
@@ -224,10 +218,6 @@ def _parse_checkpoint(r: RecordReader, dtype) -> Model:
         else:
             extras[name] = t
     r.end()
-    want = _extra_shapes(cfg, kind, header["poly_variant"], header["poly_m"])
-    got = {n: t.shape for n, t in extras.items()}
-    if got != want:
-        raise r.error(f"head parameters {got} do not match kind {kind!r}: want {want}")
     tower_objs = {p: TransformerWeights(cfg, params) for p, params in towers.items()}
     return Model(cfg, kind, tower_objs, extras, reduction=header["reduction"],
                  poly_variant=header["poly_variant"], poly_m=header["poly_m"])
@@ -241,13 +231,11 @@ class Scorer:
 
     Context turns are flattened, encoded on the context tower and reduced or
     expanded per the model's head; candidates always go through the candidate
-    tower. Truncation caps default to 360 context / 72 candidate tokens,
+    tower. Contexts truncate to 360 tokens and candidates to 72, each cap
     clamped to the model's position table.
     """
 
-    def __init__(self, model: Model, vocab: Vocabulary,
-                 max_context_tokens: int | None = None,
-                 max_candidate_tokens: int | None = None):
+    def __init__(self, model: Model, vocab: Vocabulary):
         if len(vocab) != model.cfg.vocab_size:
             raise ConfigError(
                 f"vocabulary size {len(vocab)} does not match model vocab_size {model.cfg.vocab_size}"
@@ -255,8 +243,8 @@ class Scorer:
         self.model = model
         self.vocab = vocab
         cap = model.cfg.max_positions
-        self.max_context = min(max_context_tokens or DEFAULT_MAX_CONTEXT_TOKENS, cap)
-        self.max_candidate = min(max_candidate_tokens or DEFAULT_MAX_CANDIDATE_TOKENS, cap)
+        self.max_context = min(MAX_CONTEXT_TOKENS, cap)
+        self.max_candidate = min(MAX_CANDIDATE_TOKENS, cap)
         self.max_pair = cap
 
     # encoding
@@ -279,10 +267,11 @@ class Scorer:
     def context_output(self, turns) -> TransformerOutput:
         return forward(self.encode_context(turns), self.model.context_tower())
 
-    def context_outputs(self, contexts, train_mode=False, rng=None) -> TransformerOutput:
-        """[B, L, hidden] outputs of several contexts from one batched forward."""
+    def context_outputs(self, contexts, rng=None) -> TransformerOutput:
+        """[B, L, hidden] outputs of several contexts from one batched forward;
+        dropout runs when an rng is given."""
         batch = TokenBatch.of([self.encode_context(turns) for turns in contexts])
-        return forward(batch, self.model.context_tower(), train_mode=train_mode, rng=rng)
+        return forward(batch, self.model.context_tower(), rng=rng)
 
     def context_vector(self, turns) -> Tensor:
         return reduce_output(self.context_output(turns), self.model.reduction)
@@ -291,23 +280,24 @@ class Scorer:
         out = forward(self.encode_candidate(text), self.model.candidate_tower())
         return reduce_output(out, self.model.reduction)
 
-    def candidate_vectors(self, texts: list[str], train_mode=False, rng=None) -> Tensor:
+    def candidate_vectors(self, texts: list[str], rng=None) -> Tensor:
         """[B, hidden] candidate vectors from one batched forward."""
         batch = TokenBatch.of([self.encode_candidate(t) for t in texts])
-        out = forward(batch, self.model.candidate_tower(), train_mode=train_mode, rng=rng)
+        out = forward(batch, self.model.candidate_tower(), rng=rng)
         return reduce_output(out, self.model.reduction)
 
     def poly_vectors(self, turns) -> Tensor:
-        return poly_context_vectors(self.context_output(turns), self.model.poly_state())
+        return poly_context_vectors(self.context_output(turns), self.model.poly_variant,
+                                    self.model.poly_m, self.model.extras.get("poly.codes"))
 
     # scores
 
     def score_cross(self, turns, cand: str) -> Tensor:
         return cross_score(self.encode_cross(turns, cand), self.model.context_tower(),
-                           self.model.cross_head)
+                           self.model.extras["cross.w"])
 
-    def cross_scores(self, pairs: list[TokenizedPair], train_mode=False, rng=None) -> Tensor:
+    def cross_scores(self, pairs: list[TokenizedPair], rng=None) -> Tensor:
         """[P] cross scores of encoded (context, candidate) pairs, from one
         batched forward."""
         return cross_score(TokenBatch.of(pairs), self.model.context_tower(),
-                           self.model.cross_head, train_mode=train_mode, rng=rng)
+                           self.model.extras["cross.w"], rng=rng)

@@ -4,6 +4,7 @@ final-layer rescaling and the step loops.
 Pre-training strictly alternates masked-token batches with next-utterance
 batches (M, N, M, N, ...). Fine-tuning trains one of the three scoring
 architectures; Bi/Poly use in-batch negatives, Cross uses external negatives.
+Every batch loss runs dropout exactly when it is given a dropout rng.
 """
 
 from __future__ import annotations
@@ -200,8 +201,7 @@ def mlm_logits(model: Model, rows: Tensor) -> Tensor:
     return T.add(T.matmul(x, T.transpose(tok)), e["mlm.out_bias"])
 
 
-def mlm_batch_loss(model: Model, vocab, examples, data_rng, drop_rng=None,
-                   train_mode=True) -> Tensor:
+def mlm_batch_loss(model: Model, vocab, examples, data_rng, drop_rng=None) -> Tensor:
     """Mean masked-token loss over a batch of (context, gold) pairs, from one
     padded forward; examples left with no target are skipped."""
     corrupted, picks = [], []  # picks: (batch row, position, original id)
@@ -215,20 +215,20 @@ def mlm_batch_loss(model: Model, vocab, examples, data_rng, drop_rng=None,
         raise ContractError("no maskable tokens in batch")
     batch = TokenBatch.of(corrupted)
     b, length = batch.token_ids.shape
-    out = forward(batch, model.towers["enc"], train_mode=train_mode, rng=drop_rng)
+    out = forward(batch, model.towers["enc"], rng=drop_rng)
     row, pos, tok = np.array(picks).T
     picked = T.gather_rows(T.reshape(out.hidden_states, (b * length, model.cfg.hidden)),
                            row * length + pos)
     return masked_token_loss(mlm_logits(model, picked), tok)
 
 
-def next_batch_loss(model: Model, vocab, triples, drop_rng=None, train_mode=True) -> Tensor:
+def next_batch_loss(model: Model, vocab, triples, drop_rng=None) -> Tensor:
     """Mean binary next-utterance loss over (input, candidate, label) triples,
     from one padded forward. Each score is a logit against a fixed 0, so label
     1 is column 1 of the [B, 2] logits."""
     pairs = [encode_pair(inp, cand, vocab, model.cfg.max_positions) for inp, cand, _ in triples]
-    scores = cross_score(TokenBatch.of(pairs), model.towers["enc"], model.cross_head,
-                         train_mode=train_mode, rng=drop_rng)
+    scores = cross_score(TokenBatch.of(pairs), model.towers["enc"], model.extras["next.w"],
+                         rng=drop_rng)
     logits = T.transpose(T.stack([np.zeros(scores.shape, dtype=scores.dtype), scores]))
     return cross_entropy_rows(logits, [label for _, _, label in triples])
 
@@ -297,13 +297,13 @@ def pretrain_loop(model: Model, vocab, examples, opt_cfg: OptimizerConfig, steps
 
 def pretrain_valid_loss(model: Model, vocab, valid_examples, valid_seed: int,
                         max_examples: int = 64) -> float:
-    """Eval-mode MLM + next losses on a fixed validation sample."""
+    """MLM + next losses, without dropout, on a fixed validation sample."""
     rng = np.random.Generator(np.random.PCG64(valid_seed))
     sample = list(valid_examples)[:max_examples]
-    mlm = mlm_batch_loss(model, vocab, sample, rng, train_mode=False)
+    mlm = mlm_batch_loss(model, vocab, sample, rng)
     triples = next_selection_batch(sample if len(sample) > 1 else list(valid_examples),
                                    rng, min(len(sample), 16))
-    nxt = next_batch_loss(model, vocab, triples, train_mode=False)
+    nxt = next_batch_loss(model, vocab, triples)
     return 0.5 * (mlm.item() + nxt.item())
 
 
@@ -337,24 +337,25 @@ def _sample_negatives(gold: str, pool: list[str], rng, count: int) -> list[str]:
     return negs
 
 
-def bi_batch_loss(scorer: Scorer, batch, train_mode=True, rng=None) -> Tensor:
+def bi_batch_loss(scorer: Scorer, batch, rng=None) -> Tensor:
     """In-batch negatives over one context forward and one candidate forward."""
-    out = scorer.context_outputs([ex.context for ex in batch], train_mode, rng)
+    out = scorer.context_outputs([ex.context for ex in batch], rng)
     y_ctxt = reduce_output(out, scorer.model.reduction)
-    y_cand = scorer.candidate_vectors([ex.gold for ex in batch], train_mode, rng)
+    y_cand = scorer.candidate_vectors([ex.gold for ex in batch], rng)
     loss, _ = in_batch_loss(y_ctxt, y_cand)
     return loss
 
 
-def poly_batch_loss(scorer: Scorer, batch, train_mode=True, rng=None) -> Tensor:
+def poly_batch_loss(scorer: Scorer, batch, rng=None) -> Tensor:
     """In-batch negatives with candidate-as-query pooling over each context's
     vectors; logits[i, j] scores context i against candidate j."""
     b = len(batch)
     if b < 2:
         raise ContractError(f"in-batch negatives need batch size >= 2, got {b}")
-    y_cand = scorer.candidate_vectors([ex.gold for ex in batch], train_mode, rng)  # [B, H]
-    out = scorer.context_outputs([ex.context for ex in batch], train_mode, rng)
-    vecs, valid = poly_context_vectors(out, scorer.model.poly_state())  # [B, m', H]
+    y_cand = scorer.candidate_vectors([ex.gold for ex in batch], rng)  # [B, H]
+    out = scorer.context_outputs([ex.context for ex in batch], rng)
+    vecs, valid = poly_context_vectors(out, scorer.model.poly_variant, scorer.model.poly_m,
+                                       scorer.model.extras.get("poly.codes"))  # [B, m', H]
     m, hid = vecs.shape[1:]
     # attention logits of every candidate over every context's vectors: [B, B, m']
     logits = T.transpose(T.reshape(T.matmul(T.reshape(vecs, (b * m, hid)), T.transpose(y_cand)),
@@ -366,7 +367,7 @@ def poly_batch_loss(scorer: Scorer, batch, train_mode=True, rng=None) -> Tensor:
 
 
 def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
-                     data_rng, train_mode=True, drop_rng=None) -> Tensor:
+                     data_rng, drop_rng=None) -> Tensor:
     """External negatives: the gold then its negatives for every example, all
     pairs in one padded forward. Examples with fewer provided negatives get
     -inf logits in the missing columns."""
@@ -379,7 +380,7 @@ def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
             negs = _sample_negatives(ex.gold, pool, data_rng, settings.n_candidates - 1)
         pairs += scorer.cross_pairs(ex.context, [ex.gold, *negs])
         counts.append(1 + len(negs))
-    scores = scorer.cross_scores(pairs, train_mode, drop_rng)  # [P]
+    scores = scorer.cross_scores(pairs, drop_rng)  # [P]
     counts = np.asarray(counts)
     slot = np.arange(counts.max())
     real = slot < counts[:, None]  # [B, n]
@@ -399,7 +400,7 @@ def finetune_valid_loss(model: Model, scorer: Scorer, valid_examples, pool,
         # batch_size examples per forward, as in training; weighted by size
         chunks = [sample[i:i + settings.batch_size]
                   for i in range(0, len(sample), settings.batch_size)]
-        losses = [cross_batch_loss(scorer, chunk, pool, settings, rng, train_mode=False).item()
+        losses = [cross_batch_loss(scorer, chunk, pool, settings, rng).item()
                   for chunk in chunks]
         return float(np.average(losses, weights=[len(c) for c in chunks]))
     losses = []
@@ -407,7 +408,7 @@ def finetune_valid_loss(model: Model, scorer: Scorer, valid_examples, pool,
     for start in range(0, len(sample) - b + 1, b):
         chunk = sample[start:start + b]
         fn = bi_batch_loss if model.kind == "bi" else poly_batch_loss
-        losses.append(fn(scorer, chunk, train_mode=False).item())
+        losses.append(fn(scorer, chunk).item())
     if not losses:
         raise ContractError("validation set too small for one in-batch step")
     return float(np.mean(losses))
@@ -442,12 +443,11 @@ def finetune_loop(model: Model, vocab, train_examples, valid_examples,
             idx = data_rng.choice(len(train_examples), size=b, replace=False)
         batch = [train_examples[int(i)] for i in idx]
         if model.kind == "bi":
-            loss = bi_batch_loss(scorer, batch, train_mode=True, rng=drop_rng)
+            loss = bi_batch_loss(scorer, batch, drop_rng)
         elif model.kind == "poly":
-            loss = poly_batch_loss(scorer, batch, train_mode=True, rng=drop_rng)
+            loss = poly_batch_loss(scorer, batch, drop_rng)
         else:
-            loss = cross_batch_loss(scorer, batch, pool, settings, data_rng,
-                                    train_mode=True, drop_rng=drop_rng)
+            loss = cross_batch_loss(scorer, batch, pool, settings, data_rng, drop_rng)
         grads = _grads_by_name(loss, params)
         lr = opt.step(grads, step)
         running.append(loss.item())

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -12,6 +13,18 @@ from polyscore.text import Vocabulary
 
 def make_rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header of the checkpoint at path, in place."""
+    raw = path.read_bytes()
+    start = len(b"PLYSCKPT") + 8
+    hlen = int.from_bytes(raw[start - 4:start], "little")
+    header = json.loads(raw[start:start + hlen])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:start - 4] + len(new).to_bytes(4, "little") + new
+                     + raw[start + hlen:])
 
 
 @pytest.fixture

@@ -51,7 +51,7 @@ def gelu_scalar(x):
 
 
 def transformer_trace(params, cfg, token_ids, position_ids, segment_ids, pad_mask):
-    """Independent re-computation of the encoder forward (eval mode).
+    """Independent re-computation of the encoder forward (without dropout).
 
     `params` maps parameter name -> plain numpy array. Heads are handled with
     explicit per-position loops rather than matrix slicing.
@@ -312,7 +312,7 @@ def grad_check(loss_fn, named_arrays, analytic, rng, probes=100, h=1e-5,
 #
 # The losses as they were before training ran padded batches: one encoder
 # forward per sequence through the package's own forward and heads. They are
-# references for the batched losses in polyscore.training, in eval mode.
+# references for the batched losses in polyscore.training, without dropout.
 
 
 def _cross_entropy_mean(logit_rows, targets):
@@ -397,7 +397,7 @@ def next_loss_per_sequence(model, vocab, triples):
     losses = []
     for input_text, cand, label in triples:
         pair = encode_pair(input_text, cand, vocab, model.cfg.max_positions)
-        score = cross_score(pair, model.towers["enc"], model.cross_head)
+        score = cross_score(pair, model.towers["enc"], model.extras["next.w"])
         losses.append(binary_choice_loss(score, label))
     return T.tmean(T.stack(losses))
 

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from polyscore import tensor as T
-from polyscore.bench import BenchSpec, make_bench_models, run_bench, \
-    synthetic_candidates, synthetic_queries
+from polyscore.bench import BenchSpec, make_bench_models, run_bench, synthetic_texts
 from polyscore.encoder import ModelConfig
-from polyscore.heads import PolyHeadState, poly_context_vectors, reduce_output
+from polyscore.heads import poly_context_vectors, reduce_output
 from polyscore.losses import external_neg_loss
 from polyscore.model import Model, Scorer, load_checkpoint, save_checkpoint
 from polyscore.optim import OptimizerConfig, pretraining_config
@@ -88,11 +87,11 @@ def test_criterion_2_full_model_gradients():
 
     bi = base.derive("bi", rng)
     scorer = Scorer(bi, vocab)
-    w_bi = check(bi, lambda: bi_batch_loss(scorer, batch, train_mode=False))
+    w_bi = check(bi, lambda: bi_batch_loss(scorer, batch))
 
     poly = base.derive("poly", rng, poly_variant="learnt", poly_m=4)
     scorer_p = Scorer(poly, vocab)
-    w_poly = check(poly, lambda: poly_batch_loss(scorer_p, batch, train_mode=False))
+    w_poly = check(poly, lambda: poly_batch_loss(scorer_p, batch))
 
     cross = base.derive("cross", rng)
     scorer_c = Scorer(cross, vocab)
@@ -101,8 +100,7 @@ def test_criterion_2_full_model_gradients():
     def cross_loss():
         # fixed negatives for a deterministic loss surface
         neg_rng = make_rng(7)
-        return cross_batch_loss(scorer_c, batch[:2], pool, settings, neg_rng,
-                                train_mode=False)
+        return cross_batch_loss(scorer_c, batch[:2], pool, settings, neg_rng)
 
     w_cross = check(cross, cross_loss)
     elapsed = time.perf_counter() - t0
@@ -116,7 +114,6 @@ def test_criterion_3_degeneracy_identities():
     t0 = time.perf_counter()
     vocab = Vocabulary([f"w{i}" for i in range(24)])
     cfg = ModelConfig(vocab_size=len(vocab))
-    st = PolyHeadState("first_m", 1)
     rng = make_rng(43)
     for trial in range(100):
         base = Model.init_pretrain(cfg, make_rng(1000 + trial))
@@ -127,7 +124,7 @@ def test_criterion_3_degeneracy_identities():
         out = scorer.context_output(ctx)
         y_cand = scorer.candidate_vector(cand)
         b = bi_score(reduce_output(out, "first"), y_cand).item()
-        p = poly_score(poly_context_vectors(out, st), y_cand).item()
+        p = poly_score(poly_context_vectors(out, "first_m", 1), y_cand).item()
         assert abs(b - p) < 1e-9
 
     # singleton final attention is exactly a dot product
@@ -228,8 +225,8 @@ def test_criterion_5_latency_ordering():
     spec = BenchSpec(architectures=cached_archs, candidate_counts=[1000],
                      n_queries=100, warmup_queries=10)
     models = make_bench_models(cfg, cached_archs + ["cross"], seed=1)
-    pool = synthetic_candidates(spec, vocab, 1000, rng)
-    queries = synthetic_queries(spec, vocab, 32, rng)
+    pool = synthetic_texts(vocab, 1000, spec.candidate_tokens, rng)
+    queries = [[q] for q in synthetic_texts(vocab, 32, spec.context_tokens, rng)]
     rep = run_bench(spec, models, vocab, pool, queries)
     means = {c.arch: c.mean_ms for c in rep.cells}
 

@@ -78,7 +78,7 @@ class TestFinetuneLossesMatchPerSequence:
             model = base.derive("bi", make_rng(1), reduction=reduction)
             scorer = Scorer(model, vocab)
             batch = mixed_examples(5, seed=2)
-            assert_same_loss_and_grads(model, lambda: bi_batch_loss(scorer, batch, train_mode=False),
+            assert_same_loss_and_grads(model, lambda: bi_batch_loss(scorer, batch),
                                        lambda: bi_loss_per_sequence(scorer, batch))
 
     @pytest.mark.parametrize("variant", ["learnt", "first_m", "last_m", "last_m_h1"])
@@ -88,7 +88,7 @@ class TestFinetuneLossesMatchPerSequence:
         scorer = Scorer(model, vocab)
         batch = mixed_examples(5, seed=3)
         batch[0] = Example(("w1",), batch[0].candidates, 0)
-        assert_same_loss_and_grads(model, lambda: poly_batch_loss(scorer, batch, train_mode=False),
+        assert_same_loss_and_grads(model, lambda: poly_batch_loss(scorer, batch),
                                    lambda: poly_loss_per_sequence(scorer, batch))
 
     @pytest.mark.parametrize("neg_mode", ["sampled", "provided"])
@@ -104,7 +104,7 @@ class TestFinetuneLossesMatchPerSequence:
         settings = FinetuneSettings(batch_size=5, neg_mode=neg_mode, n_candidates=4)
         assert_same_loss_and_grads(
             model,
-            lambda: cross_batch_loss(scorer, batch, pool, settings, make_rng(8), train_mode=False),
+            lambda: cross_batch_loss(scorer, batch, pool, settings, make_rng(8)),
             lambda: cross_loss_per_sequence(scorer, batch, pool, settings, make_rng(8)))
 
     def test_cross_draws_negatives_in_order(self, base, vocab):
@@ -112,8 +112,7 @@ class TestFinetuneLossesMatchPerSequence:
         pool = [ex.gold for ex in mixed_examples(12, seed=7)]
         settings = FinetuneSettings(n_candidates=4)
         a, b = make_rng(9), make_rng(9)
-        cross_batch_loss(Scorer(model, vocab), mixed_examples(3, seed=4), pool, settings, a,
-                         train_mode=False)
+        cross_batch_loss(Scorer(model, vocab), mixed_examples(3, seed=4), pool, settings, a)
         cross_loss_per_sequence(Scorer(model, vocab), mixed_examples(3, seed=4), pool, settings, b)
         assert a.integers(1 << 30) == b.integers(1 << 30)
 
@@ -129,7 +128,7 @@ class TestPretrainLossesMatchPerSequence:
                                   rng, len(vocab))[1]) for ex in batch]
         assert counts[2] == 0 and sum(counts) > 0
         assert_same_loss_and_grads(
-            base, lambda: mlm_batch_loss(base, vocab, batch, make_rng(11), train_mode=False),
+            base, lambda: mlm_batch_loss(base, vocab, batch, make_rng(11)),
             lambda: mlm_loss_per_sequence(base, vocab, batch, make_rng(11)))
 
     def test_next(self, base, vocab):
@@ -137,7 +136,7 @@ class TestPretrainLossesMatchPerSequence:
         triples = [(words(rng, int(rng.integers(1, 9))), words(rng, int(rng.integers(1, 6))),
                     label) for label in (1, 0, 0, 1, 1)]
         assert_same_loss_and_grads(base,
-                                   lambda: next_batch_loss(base, vocab, triples, train_mode=False),
+                                   lambda: next_batch_loss(base, vocab, triples),
                                    lambda: next_loss_per_sequence(base, vocab, triples))
 
 
@@ -147,7 +146,8 @@ class TestPolyContextBatch:
         model = base.derive("poly", make_rng(1), poly_variant=variant, poly_m=4)
         scorer = Scorer(model, vocab)
         contexts = [("w1",), ("w2 w3 w4 w5 w6", "w7"), ("w8 w9",)]
-        vecs, valid = poly_context_vectors(scorer.context_outputs(contexts), model.poly_state())
+        vecs, valid = poly_context_vectors(scorer.context_outputs(contexts), variant, 4,
+                                           model.extras.get("poly.codes"))
         for i, turns in enumerate(contexts):
             single = scorer.poly_vectors(turns).data
             assert valid[i].sum() == single.shape[0]
@@ -210,16 +210,16 @@ class TestDropoutMask:
 
 
     def test_batch_draws_each_row_as_a_lone_forward(self, base, vocab):
-        # train-mode masks are drawn row by row over each row's own span, so
+        # dropout masks are drawn row by row over each row's own span, so
         # a batch consumes the rng exactly as its rows run one at a time
         w = base.towers["enc"]
         pairs = [encode_pair(ex.context_text, ex.gold, vocab, 64)
                  for ex in mixed_examples(5, seed=18)]
         assert len({len(tp) for tp in pairs}) > 1
         batched_rng, lone_rng = make_rng(19), make_rng(19)
-        out = forward(TokenBatch.of(pairs), w, train_mode=True, rng=batched_rng)
+        out = forward(TokenBatch.of(pairs), w, rng=batched_rng)
         for i, tp in enumerate(pairs):
-            lone = forward(tp, w, train_mode=True, rng=lone_rng).hidden_states.data
+            lone = forward(tp, w, rng=lone_rng).hidden_states.data
             assert np.abs(out.hidden_states.data[i, :len(tp)] - lone).max() < TOL
         assert batched_rng.integers(1 << 30) == lone_rng.integers(1 << 30)
 

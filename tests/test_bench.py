@@ -12,12 +12,10 @@ from polyscore.bench import (
     BenchReport,
     BenchSpec,
     make_bench_models,
-    report_from_jsonl,
     report_table,
     report_to_jsonl,
     run_bench,
-    synthetic_candidates,
-    synthetic_queries,
+    synthetic_texts,
 )
 from polyscore.encoder import ModelConfig
 from polyscore.errors import ConfigError
@@ -55,6 +53,12 @@ def tiny_spec(**kw):
     return BenchSpec(**defaults)
 
 
+def pool_and_queries(spec, vocab, n_pool, n_queries, rng):
+    """A candidate pool then one-turn queries, drawn as `polyscore bench` draws them."""
+    pool = synthetic_texts(vocab, n_pool, spec.candidate_tokens, rng)
+    return pool, [[q] for q in synthetic_texts(vocab, n_queries, spec.context_tokens, rng)]
+
+
 class TestSpec:
     def test_parse_arch(self):
         assert parse_arch("bi") == ("bi", None, None)
@@ -73,6 +77,17 @@ class TestSpec:
         assert spec.candidate_counts == [1000, 10000]
         assert spec.n_queries == 100 and spec.warmup_queries == 10
 
+    def test_synthetic_texts_draw_one_choice_per_text(self, vocab):
+        # one rng.choice per text, pool before queries: a seed's pool and
+        # queries are fixed by that draw order
+        spec = tiny_spec()
+        pool, queries = pool_and_queries(spec, vocab, 5, 3, make_rng(4))
+        rng, words = make_rng(4), [vocab.token_of(i) for i in range(4, len(vocab))]
+        draws = [rng.choice(len(words), size=size)
+                 for size in [spec.candidate_tokens] * 5 + [spec.context_tokens] * 3]
+        texts = [" ".join(words[int(t)] for t in d) for d in draws]
+        assert pool == texts[:5] and queries == [[t] for t in texts[5:]]
+
 
 class TestRunBench:
     def test_smoke_all_architectures(self, vocab):
@@ -80,8 +95,7 @@ class TestRunBench:
         cfg = ModelConfig(vocab_size=len(vocab))
         models = make_bench_models(cfg, spec.architectures, seed=0)
         rng = make_rng(1)
-        pool = synthetic_candidates(spec, vocab, 8, rng)
-        queries = synthetic_queries(spec, vocab, 6, rng)
+        pool, queries = pool_and_queries(spec, vocab, 8, 6, rng)
         report = run_bench(spec, models, vocab, pool, queries)
         assert len(report.cells) == 3
         for cell in report.cells:
@@ -104,8 +118,7 @@ class TestRunBench:
             spec = tiny_spec(architectures=["bi"])
             models = make_bench_models(ModelConfig(vocab_size=len(vocab)), ["bi"], seed=0)
             rng = make_rng(1)
-            report = run_bench(spec, models, vocab, synthetic_candidates(spec, vocab, 8, rng),
-                               synthetic_queries(spec, vocab, 6, rng))
+            report = run_bench(spec, models, vocab, *pool_and_queries(spec, vocab, 8, 6, rng))
             assert report.threads == 1
             assert get() == 2
         finally:
@@ -139,8 +152,7 @@ class TestRunBench:
         spec = tiny_spec(architectures=["cross"], candidate_counts=[16],
                          extrapolate_cross_from=4, n_queries=3, warmup_queries=1)
         models = make_bench_models(cfg, spec.architectures, seed=0)
-        pool = synthetic_candidates(spec, vocab, 16, rng)
-        queries = synthetic_queries(spec, vocab, 4, rng)
+        pool, queries = pool_and_queries(spec, vocab, 16, 4, rng)
         report = run_bench(spec, models, vocab, pool, queries)
         (cell,) = report.cells
         assert cell.extrapolated
@@ -175,8 +187,7 @@ class TestRunBench:
                          n_queries=2, warmup_queries=1)
         models = make_bench_models(ModelConfig(vocab_size=len(vocab)), spec.architectures, seed=0)
         rng = make_rng(3)
-        report = run_bench(spec, models, vocab, synthetic_candidates(spec, vocab, 8, rng),
-                           synthetic_queries(spec, vocab, 4, rng))
+        report = run_bench(spec, models, vocab, *pool_and_queries(spec, vocab, 8, 4, rng))
         cells = [("rank_bi", 4), ("rank_bi", 8), ("rank_cross", 4), ("rank_cross", 8)]
         rounds = [calls[i:i + len(cells)] for i in range(0, len(calls), len(cells))]
         assert len(rounds) == 3 and all(sorted(r) == cells for r in rounds)
@@ -220,12 +231,6 @@ class TestRender:
         assert set(row) == {"arch", "candidates", "n_queries", "mean_ms", "median_ms",
                             "p95_ms", "min_ms", "max_ms", "extrapolated",
                             "cache_build_s", "threads", "precision"}
-
-    def test_round_trip_stable(self):
-        report = self.make_report()
-        jsonl = report_to_jsonl(report)
-        again = report_to_jsonl(report_from_jsonl(jsonl))
-        assert jsonl == again
 
     def test_extrapolated_marked_in_table(self):
         table = report_table(self.make_report())

@@ -10,7 +10,10 @@ import pytest
 import polyscore
 from polyscore.bench import _openblas_thread_calls
 from polyscore.cli import COMMANDS, build_parser, main
+from polyscore.model import load_checkpoint, save_checkpoint
 from polyscore.synth import make_chain_corpus, make_overlap_dataset, write_jsonl
+
+from conftest import make_rng, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +294,25 @@ class TestIndexAndRank:
         assert rc == 2
         assert str(cache) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("poly_variant", "bogus"), ("poly_m", 0)])
+    def test_bad_poly_head_exit_2_writes_nothing(self, ranked_world, tmp_path, capsys,
+                                                 field, value):
+        root, wd = ranked_world
+        ckpt, vocab = tmp_path / "poly.bin", wd / "ft_base" / "vocab.txt"
+        base = load_checkpoint(wd / "ft_base" / "checkpoint.bin")
+        save_checkpoint(base.derive("poly", make_rng(0), poly_variant="first_m", poly_m=2), ckpt)
+        rewrite_header(ckpt, lambda h: h.update({field: value}))
+        model_args = ["--checkpoint", str(ckpt), "--vocab", str(vocab)]
+        for i, argv in enumerate([
+                ["index", "--candidates", str(root / "cands.txt")],
+                ["rank", "--queries", str(root / "queries.jsonl"), "--no-cache",
+                 "--candidates", str(root / "cands.txt")],
+                ["eval", "--data", str(wd / "test.jsonl")]]):
+            out = tmp_path / f"out{i}"
+            assert main([*argv, *model_args, "--out", str(out)]) == 2, argv[0]
+            assert "poly head" in capsys.readouterr().err
+            assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
     @pytest.mark.parametrize("bad", ["candidates", "queries", "vocab", "config", "dataset",
                                      "candidates_directory"])
     def test_undecodable_or_non_file_input_exit_2(self, ranked_world, tmp_path, capsys, bad):
@@ -539,6 +561,8 @@ class TestSettingsTable:
         ("pretrain", ["--lr", "-1"], "lr"),
         ("train", ["--lr", "-1"], "lr"),
         ("rank_without_candidates", [], "--cache"),
+        ("index_from_pretrain", [], "not pretrain"),
+        ("eval_from_pretrain", [], "not pretrain"),
     ])
     def test_bad_setting_exit_2_writes_nothing(self, ranked_world, tmp_path, capsys,
                                                command, extra, key):
@@ -564,6 +588,12 @@ class TestSettingsTable:
             "rank_without_candidates": ["rank", "--queries", str(root / "queries.jsonl"), *vocab,
                                         "--checkpoint", str(root / "bi" / "checkpoint.bin"),
                                         "--out", str(out)],
+            "index_from_pretrain": ["index", "--candidates", str(root / "cands.txt"), *vocab,
+                                    "--checkpoint", str(workdir / "ft_base" / "checkpoint.bin"),
+                                    "--out", str(out)],
+            "eval_from_pretrain": ["eval", "--data", str(workdir / "test.jsonl"), *vocab,
+                                   "--checkpoint", str(workdir / "ft_base" / "checkpoint.bin"),
+                                   "--out", str(out)],
         }[command]
         assert main(base + extra) == 2
         assert key in capsys.readouterr().err

@@ -6,11 +6,15 @@ import pytest
 from polyscore import tensor as T
 from polyscore.encoder import ModelConfig, TransformerWeights, embed, forward
 from polyscore.errors import ConfigError
+from polyscore.model import Model, Scorer
 from polyscore.tensor import Tensor
-from polyscore.text import TokenBatch, Vocabulary, encode_pair, encode_single
+from polyscore.text import Example, TokenBatch, Vocabulary, encode_pair, encode_single
+from polyscore.training import FinetuneSettings, bi_batch_loss, cross_batch_loss, \
+    mlm_batch_loss, next_batch_loss, poly_batch_loss
 
 from conftest import make_rng
-from oracles import pad_to, transformer_trace, tsum
+from oracles import bi_loss_per_sequence, cross_loss_per_sequence, mlm_loss_per_sequence, \
+    next_loss_per_sequence, pad_to, poly_loss_per_sequence, transformer_trace, tsum
 
 
 @pytest.fixture
@@ -72,11 +76,50 @@ class TestForward:
         b = forward(tp, desk_weights).hidden_states.data
         assert np.array_equal(a, b)
 
-    def test_train_mode_dropout_changes_output(self, desk_weights, vocab):
+    def test_rng_dropout_changes_output(self, desk_weights, vocab):
         tp = encode_pair("w1 w2", "w3", vocab, 16)
-        a = forward(tp, desk_weights, train_mode=True, rng=make_rng(1)).hidden_states.data
+        a = forward(tp, desk_weights, rng=make_rng(1)).hidden_states.data
         b = forward(tp, desk_weights).hidden_states.data
         assert not np.array_equal(a, b)
+
+    def test_rng_without_dropout_p_is_the_plain_forward(self, vocab):
+        w = TransformerWeights.init(ModelConfig(vocab_size=len(vocab), dropout_p=0.0),
+                                    make_rng(3))
+        batch = TokenBatch.of([encode_pair("w1 w2", "w3", vocab, 16),
+                               encode_single("w4", vocab, 16)])
+        rng = make_rng(1)
+        got = forward(batch, w, rng=rng).hidden_states.data
+        assert got.tobytes() == forward(batch, w).hidden_states.data.tobytes()
+        assert rng.bit_generator.state == make_rng(1).bit_generator.state  # no draw
+
+    @pytest.mark.parametrize("kind", ["bi", "poly", "cross", "mlm", "next"])
+    def test_batch_losses_default_to_no_dropout(self, vocab, kind):
+        # dropout_p is 0.1: a loss given no rng equals its per-sequence,
+        # dropout-free reference, and an rng changes it
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(5))
+        long = " ".join(f"w{i}" for i in range(4, 28))
+        batch = [Example(("w1 w2", long), ("w3 w4",), 0), Example((long,), ("w5 " + long,), 0),
+                 Example(("w6",), ("w7 w8 w9",), 0)]
+        if kind in ("bi", "poly", "cross"):
+            scorer = Scorer(base.derive(kind, make_rng(1), poly_variant="learnt", poly_m=3),
+                            vocab)
+        pool, settings = [ex.gold for ex in batch], FinetuneSettings(n_candidates=2)
+        triples = [(ex.context_text, ex.gold, label) for ex, label in zip(batch, (1, 0, 1))]
+        loss, reference = {
+            "bi": (lambda *r: bi_batch_loss(scorer, batch, *r),
+                   lambda: bi_loss_per_sequence(scorer, batch)),
+            "poly": (lambda *r: poly_batch_loss(scorer, batch, *r),
+                     lambda: poly_loss_per_sequence(scorer, batch)),
+            "cross": (lambda *r: cross_batch_loss(scorer, batch, pool, settings, make_rng(2), *r),
+                      lambda: cross_loss_per_sequence(scorer, batch, pool, settings, make_rng(2))),
+            "mlm": (lambda *r: mlm_batch_loss(base, vocab, batch, make_rng(2), *r),
+                    lambda: mlm_loss_per_sequence(base, vocab, batch, make_rng(2))),
+            "next": (lambda *r: next_batch_loss(base, vocab, triples, *r),
+                     lambda: next_loss_per_sequence(base, vocab, triples)),
+        }[kind]
+        plain = loss().item()
+        assert abs(plain - reference().item()) < 1e-9
+        assert abs(loss(make_rng(3)).item() - plain) > 1e-6
 
     def test_matches_straight_line_trace(self, vocab):
         # 1 layer, 1 head, hidden 4: small enough for the loop-based oracle

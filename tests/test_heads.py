@@ -8,13 +8,12 @@ from polyscore.encoder import ModelConfig, TransformerOutput, TransformerWeights
     init_parameters
 from polyscore.errors import ConfigError, ShapeError
 from polyscore.heads import (
-    CrossHead,
-    PolyHeadState,
     cross_score,
     parse_reduction,
     poly_context_vectors,
     reduce_output,
 )
+from polyscore.model import Model
 from polyscore.tensor import Tensor
 from polyscore.text import Vocabulary, encode_pair, encode_single
 
@@ -96,7 +95,7 @@ class TestBiScore:
 
 class TestCrossScore:
     def test_zero_weight_zero_score(self, desk_weights, vocab):
-        head = CrossHead(Tensor(np.zeros((32, 1))))
+        head = Tensor(np.zeros((32, 1)))
         pair = encode_pair("w1 w2", "w3", vocab, 16)
         assert cross_score(pair, desk_weights, head).item() == 0.0
 
@@ -106,14 +105,14 @@ class TestCrossScore:
         w = TransformerWeights.init(cfg, make_rng(5))
         head_w = make_rng(6).normal(size=(4, 1))
         pair = encode_pair("w1", "w2", vocab, 8)
-        got = cross_score(pair, w, CrossHead(Tensor(head_w))).item()
+        got = cross_score(pair, w, Tensor(head_w)).item()
         traced = transformer_trace({n: t.data for n, t in w.params.items()}, cfg,
                                    pair.token_ids, pair.position_ids,
                                    pair.segment_ids, pair.pad_mask)
         assert abs(got - float(traced[0] @ head_w[:, 0])) < 1e-9
 
     def test_candidate_order_matters(self, desk_weights, vocab):
-        head = CrossHead(Tensor(make_rng(7).normal(size=(32, 1))))
+        head = Tensor(make_rng(7).normal(size=(32, 1)))
         diffs = []
         for a, b in [("w1 w2", "w2 w1"), ("w3 w4", "w4 w3")]:
             pa = encode_pair("w5 w6", a, vocab, 16)
@@ -122,9 +121,11 @@ class TestCrossScore:
                              - cross_score(pb, desk_weights, head).item()))
         assert max(diffs) > 1e-6  # not a bag-of-words scorer
 
-    def test_head_shape_validated(self):
-        with pytest.raises(ShapeError):
-            CrossHead(Tensor(np.zeros((4, 2))))
+    def test_head_shape_validated(self, desk_weights, vocab):
+        pair = encode_pair("w1 w2", "w3", vocab, 16)
+        for bad in ((4, 2), (32, 2), (32,)):
+            with pytest.raises(ShapeError, match=r"\[hidden, 1\]"):
+                cross_score(pair, desk_weights, Tensor(np.zeros(bad)))
 
 
 class TestPolyContextVectors:
@@ -132,12 +133,12 @@ class TestPolyContextVectors:
         v = rng.normal(size=6)
         out = output_of(np.tile(v, (5, 1)))
         codes = init_codes(3, 6, rng)
-        got = poly_context_vectors(out, PolyHeadState("learnt", 3, codes)).data
+        got = poly_context_vectors(out, "learnt", 3, codes).data
         assert np.abs(got - v).max() < 1e-12
 
     def test_first_m_with_large_m_returns_all_rows(self, rng):
         rows = rng.normal(size=(4, 6))
-        got = poly_context_vectors(output_of(rows), PolyHeadState("first_m", 9)).data
+        got = poly_context_vectors(output_of(rows), "first_m", 9).data
         assert np.array_equal(got, rows)
 
     def test_learnt_closed_form_weights(self, rng):
@@ -149,30 +150,29 @@ class TestPolyContextVectors:
         logits = [float(code[0] @ r) for r in rows]
         weights = softmax_closed_form(logits)
         expected = sum(w * r for w, r in zip(weights, rows))
-        st = PolyHeadState("learnt", 1, Tensor(code))
-        got = poly_context_vectors(output_of(rows), st).data
+        got = poly_context_vectors(output_of(rows), "learnt", 1, Tensor(code)).data
         assert np.abs(got[0] - expected).max() < 1e-12
 
     def test_first_m_slices(self, rng):
         rows = rng.normal(size=(5, 4))
-        got = poly_context_vectors(output_of(rows), PolyHeadState("first_m", 3)).data
+        got = poly_context_vectors(output_of(rows), "first_m", 3).data
         assert np.array_equal(got, rows[:3])
 
     def test_last_m_takes_non_pad_tail(self, rng):
         rows = rng.normal(size=(6, 4))
-        got = poly_context_vectors(output_of(rows, n_pads=2), PolyHeadState("last_m", 3)).data
+        got = poly_context_vectors(output_of(rows, n_pads=2), "last_m", 3).data
         assert np.array_equal(got, rows[1:4])  # last 3 of the 4 real rows
 
     def test_last_m_h1_prepends_first(self, rng):
         rows = rng.normal(size=(5, 4))
-        got = poly_context_vectors(output_of(rows), PolyHeadState("last_m_h1", 2)).data
+        got = poly_context_vectors(output_of(rows), "last_m_h1", 2).data
         assert got.shape == (3, 4)
         assert np.array_equal(got[0], rows[0])
         assert np.array_equal(got[1:], rows[3:])
 
     def test_last_m_h1_duplicates_h1_when_short(self, rng):
         rows = rng.normal(size=(2, 4))
-        got = poly_context_vectors(output_of(rows), PolyHeadState("last_m_h1", 5)).data
+        got = poly_context_vectors(output_of(rows), "last_m_h1", 5).data
         assert got.shape == (3, 4)
         assert np.array_equal(got[0], rows[0])  # duplicate kept, no dedup
         assert np.array_equal(got[1], rows[0])
@@ -180,14 +180,17 @@ class TestPolyContextVectors:
     def test_learnt_excludes_pads(self, rng):
         rows = rng.normal(size=(6, 4))
         codes = init_codes(2, 4, rng)
-        st = PolyHeadState("learnt", 2, codes)
-        got_padded = poly_context_vectors(output_of(rows, n_pads=2), st).data
-        got_clean = poly_context_vectors(output_of(rows[:4]), st).data
+        got_padded = poly_context_vectors(output_of(rows, n_pads=2), "learnt", 2, codes).data
+        got_clean = poly_context_vectors(output_of(rows[:4]), "learnt", 2, codes).data
         assert np.abs(got_padded - got_clean).max() < 1e-12
 
-    def test_m_validation(self):
-        with pytest.raises(ConfigError):
-            PolyHeadState("learnt", 0, None)
+    def test_m_validation(self, desk_config):
+        # the poly head is checked once, when its model is built
+        base = Model.init_pretrain(desk_config, make_rng(0))
+        for variant, m in [("learnt", 0), ("first_m", 0), ("first_m", -1), ("mean", 4),
+                           (None, 4), ("first_m", 2.0)]:
+            with pytest.raises(ConfigError, match="poly head"):
+                base.derive("poly", make_rng(1), poly_variant=variant, poly_m=m)
 
 
 class TestPolyScore:
@@ -226,7 +229,6 @@ class TestDegeneracy:
 
     def test_poly_first1_equals_bi_first(self, desk_weights, vocab):
         rng = make_rng(12)
-        st = PolyHeadState("first_m", 1)
         for trial in range(20):
             words = " ".join(f"w{int(i)}" for i in rng.integers(0, 28, size=5))
             cand_words = " ".join(f"w{int(i)}" for i in rng.integers(0, 28, size=3))
@@ -234,7 +236,7 @@ class TestDegeneracy:
             cand_out = forward(encode_single(cand_words, vocab, 16), desk_weights)
             y_cand = reduce_output(cand_out, "first")
             b = bi_score(reduce_output(ctx_out, "first"), y_cand).item()
-            p = poly_score(poly_context_vectors(ctx_out, st), y_cand).item()
+            p = poly_score(poly_context_vectors(ctx_out, "first_m", 1), y_cand).item()
             assert abs(b - p) < 1e-9
 
     def test_candidate_side_equivalence(self, desk_weights, vocab):
@@ -248,7 +250,7 @@ class TestDegeneracy:
     def test_poly_attention_never_touches_pads(self, desk_weights, vocab):
         tp = encode_single("w1 w2 w3", vocab, 16)
         padded = pad_to(tp, 10)
-        st = PolyHeadState("learnt", 4, init_codes(4, 32, make_rng(3)))
-        clean = poly_context_vectors(forward(tp, desk_weights), st).data
-        dirty = poly_context_vectors(forward(padded, desk_weights), st).data
+        codes = init_codes(4, 32, make_rng(3))
+        clean = poly_context_vectors(forward(tp, desk_weights), "learnt", 4, codes).data
+        dirty = poly_context_vectors(forward(padded, desk_weights), "learnt", 4, codes).data
         assert np.abs(clean - dirty).max() < 1e-9

@@ -52,7 +52,8 @@ def scorer_outputs(scorer):
         out["reduced_batch"] = reduce_output(scorer.context_outputs(CONTEXTS), model.reduction)
     else:
         out["poly_vectors"] = scorer.poly_vectors(CONTEXTS[0])
-        vecs, _ = poly_context_vectors(scorer.context_outputs(CONTEXTS), model.poly_state())
+        vecs, _ = poly_context_vectors(scorer.context_outputs(CONTEXTS), model.poly_variant,
+                                       model.poly_m, model.extras.get("poly.codes"))
         out["poly_batch"] = vecs
     return out
 

@@ -1,7 +1,5 @@
 """Model containers, checkpoint round-trips and the text-level scorer."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +10,7 @@ from polyscore.errors import ConfigError, ParseError
 from polyscore.model import Model, Scorer, load_checkpoint, save_checkpoint
 from polyscore.text import Vocabulary
 
-from conftest import make_rng
+from conftest import make_rng, rewrite_header
 from oracles import checkpoint_bytes_reference, score_bi, score_poly
 
 
@@ -151,15 +149,20 @@ class TestCheckpoint:
     def test_bad_header_fields_rejected(self, tmp_path, pretrain_model, edit):
         path = tmp_path / "m.bin"
         save_checkpoint(pretrain_model, path)
-        raw = path.read_bytes()
-        start = len(b"PLYSCKPT") + 8
-        hlen = int.from_bytes(raw[start - 4:start], "little")
-        header = json.loads(raw[start:start + hlen])
-        edit(header)
-        new = json.dumps(header).encode()
-        path.write_bytes(raw[:start - 4] + len(new).to_bytes(4, "little") + new
-                         + raw[start + hlen:])
+        rewrite_header(path, edit)
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("poly_variant", "bogus"), ("poly_m", 0),
+                                             ("poly_m", None), ("poly_m", 2.5)])
+    def test_bad_poly_head_rejected(self, tmp_path, pretrain_model, field, value):
+        # a first_m head has no parameters whose shapes could catch a bad header
+        path = tmp_path / "m.bin"
+        save_checkpoint(pretrain_model.derive("poly", make_rng(2), poly_variant="first_m",
+                                              poly_m=4), path)
+        load_checkpoint(path)
+        rewrite_header(path, lambda h: h.update({field: value}))
+        with pytest.raises(ParseError, match="poly head"):
             load_checkpoint(path)
 
     def test_loaded_weights_build_no_tape(self, tmp_path, pretrain_model):

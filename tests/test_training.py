@@ -298,17 +298,17 @@ class TestFinetuneLoop:
         model = base.derive("bi", make_rng(0))
         scorer = Scorer(model, vocab)
 
-        def train_mode_loss():
+        def dropout_loss():
             # the training objective on one batch, averaged over 32 fixed
             # dropout draws: one step's loss has a std of ~0.7 from dropout
             # alone, so logged 6-step means do not order reliably in 30 steps
             return np.mean([bi_batch_loss(scorer, train[:6], rng=make_rng(s)).item()
                             for s in range(32)])
 
-        before = train_mode_loss()
+        before = dropout_loss()
         finetune_loop(model, vocab, train, train[:12], self.opt(), self.settings(steps=30),
                       scorer=scorer)
-        assert train_mode_loss() < before
+        assert dropout_loss() < before
 
     def test_poly_and_cross_run(self, overlap_world):
         train, _, vocab, base = overlap_world
