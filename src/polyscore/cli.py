@@ -224,15 +224,33 @@ def _augment_history(examples):
     return out
 
 
+def _train_and_save(s: Settings, command: str, model, train, outputs: dict) -> int:
+    """The training commands' tail: the manifest, `outputs` by their writers, the
+    metrics log that `train(metrics_path)` fills, the checkpoint, the hashes."""
+    from .model import save_checkpoint
+
+    out_dir = Path(s.out_dir)
+    ckpt_out, metrics_out = out_dir / "checkpoint.bin", out_dir / "metrics.jsonl"
+    manifest = Manifest(out_dir / "manifest.json", command, s)
+    for path, write in outputs.items():
+        write(path)
+    metrics_out.unlink(missing_ok=True)
+    train(metrics_out)
+    save_checkpoint(model, ckpt_out)
+    manifest.finish([ckpt_out, metrics_out, *outputs])
+    print(f"{command} done: {s.steps} steps, checkpoint {ckpt_out}")
+    return EXIT_OK
+
+
 # ---- commands ----
 
 
 def cmd_pretrain(s: Settings) -> int:
     from .encoder import ModelConfig
-    from .model import Model, save_checkpoint
+    from .model import Model
     from .optim import pretraining_config
     from .text import Vocabulary, build_vocab, example_token_stream, load_jsonl
-    from .training import pretrain_loop
+    from .training import pretrain_loop, training_data
 
     examples = list(load_jsonl(s.corpus))
     if s.vocab:
@@ -256,32 +274,21 @@ def cmd_pretrain(s: Settings) -> int:
     if cfg.vocab_size != len(vocab):
         raise ConfigError(f"vocab size {len(vocab)} does not match model config {cfg.vocab_size}")
     valid_examples = list(load_jsonl(s.valid)) if s.valid else None
+    training_data("pretrain", examples, valid_examples, "sampled")
     opt_cfg = replace(pretraining_config(lr=s.lr, warmup_steps=s.warmup,
                                          eval_interval=s.eval_interval),
                       beta1=s.beta1, beta2=s.beta2, weight_decay=s.weight_decay)
-
-    out_dir = Path(s.out_dir)
-    ckpt_out = out_dir / "checkpoint.bin"
-    vocab_out = out_dir / "vocab.txt"
-    metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "pretrain", s)
-    vocab.save(vocab_out)
-    metrics_out.unlink(missing_ok=True)
-    if s.steps > 0:
-        pretrain_loop(model, vocab, examples, opt_cfg, s.steps, s.batch_size, s.seed,
-                      metrics_path=metrics_out, valid_examples=valid_examples,
-                      batch_tokens=s.batch_tokens)
-    save_checkpoint(model, ckpt_out)
-    manifest.finish([ckpt_out, vocab_out, metrics_out])
-    print(f"pretrain done: {s.steps} steps, checkpoint {ckpt_out}")
-    return EXIT_OK
+    return _train_and_save(s, "pretrain", model, lambda metrics_out: pretrain_loop(
+        model, vocab, examples, opt_cfg, s.steps, s.batch_size, s.seed, metrics_path=metrics_out,
+        valid_examples=valid_examples, batch_tokens=s.batch_tokens),
+        {Path(s.out_dir) / "vocab.txt": vocab.save})
 
 
 def cmd_train(s: Settings) -> int:
-    from .model import KINDS, save_checkpoint
+    from .model import KINDS
     from .optim import OptimizerConfig
     from .text import load_jsonl
-    from .training import FinetuneSettings, finetune_loop, rescale_final_layer
+    from .training import FinetuneSettings, finetune_loop, rescale_final_layer, training_data
 
     kind, variant, m = parse_arch(s.arch)
     scorer = _load_scorer("train", s.checkpoint, s.vocab, s.precision, KINDS)
@@ -307,6 +314,7 @@ def cmd_train(s: Settings) -> int:
             train_examples = train_examples[:-n_valid]
         else:
             valid_examples = train_examples
+    training_data(kind, train_examples, valid_examples, s.neg_mode)
 
     rng = np.random.Generator(np.random.PCG64(s.seed))
     model = base
@@ -321,26 +329,16 @@ def cmd_train(s: Settings) -> int:
     epoch_steps = max(1, math.ceil(len(train_examples) / max(1, s.batch_size)))
     opt_cfg = OptimizerConfig(
         kind=s.optimizer, lr=s.lr,
-        beta2=0.999,
         weight_decay=0.01 if s.optimizer == "adam_decay" else 0.0,
         warmup_steps=s.warmup if s.warmup is not None else (1000 if kind == "cross" else 100),
-        schedule="plateau",
         eval_interval=(s.eval_interval if s.eval_interval is not None
                        else max(1, epoch_steps // 2)),
     )
     settings = FinetuneSettings(steps=s.steps, batch_size=s.batch_size, freeze=s.freeze,
                                 neg_mode=s.neg_mode, n_candidates=s.n_candidates, seed=s.seed)
-    out_dir = Path(s.out_dir)
-    ckpt_out = out_dir / "checkpoint.bin"
-    metrics_out = out_dir / "metrics.jsonl"
-    manifest = Manifest(out_dir / "manifest.json", "train", s)
-    metrics_out.unlink(missing_ok=True)
-    finetune_loop(model, vocab, train_examples, valid_examples, opt_cfg, settings,
-                  metrics_path=metrics_out)
-    save_checkpoint(model, ckpt_out)
-    manifest.finish([ckpt_out, metrics_out])
-    print(f"train done: arch {s.arch}, {s.steps} steps, checkpoint {ckpt_out}")
-    return EXIT_OK
+    return _train_and_save(s, "train", model, lambda metrics_out: finetune_loop(
+        model, vocab, train_examples, valid_examples, opt_cfg, settings,
+        metrics_path=metrics_out), {})
 
 
 def _rank_examples(scorer, examples, ks):

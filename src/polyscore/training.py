@@ -1,5 +1,5 @@
 """Pre-training and fine-tuning: task batch construction, parameter freezing,
-final-layer rescaling and the step loops.
+final-layer rescaling and the one step loop both run on.
 
 Pre-training strictly alternates masked-token batches with next-utterance
 batches (M, N, M, N, ...). Fine-tuning trains one of the three scoring
@@ -29,6 +29,7 @@ from .text import MASK_ID, RESERVED, TokenBatch, TokenizedPair, encode_pair
 MLM_RATE = 0.15
 MLM_MASK_FRACTION = 0.8
 MLM_RANDOM_FRACTION = 0.1  # remaining 0.1 keeps the original token
+VALID_SAMPLE = 64  # the validation losses read the first this many examples
 
 FREEZE_SPECS = ("top_layer", "top4_layers", "all_but_embeddings", "every_layer")
 EMBEDDING_TABLES = ("embeddings.token", "embeddings.position", "embeddings.segment")
@@ -81,17 +82,14 @@ def next_selection_batch(examples, rng: np.random.Generator,
     examples = list(examples)
     if len(examples) < 2:
         raise ContractError(f"next-selection batches need >= 2 examples, got {len(examples)}")
+    golds = [ex.gold for ex in examples]
     batch = []
     for _ in range(batch_size):
         ex = examples[int(rng.integers(len(examples)))]
         if rng.random() < 0.5:
             batch.append((ex.context_text, ex.gold, 1))
         else:
-            while True:
-                neg = examples[int(rng.integers(len(examples)))].gold
-                if neg != ex.gold:
-                    break
-            batch.append((ex.context_text, neg, 0))
+            batch.append((ex.context_text, _sample_negatives(ex.gold, golds, rng, 1)[0], 0))
     return batch
 
 
@@ -164,7 +162,7 @@ class MetricsLog:
         self.rows: list[dict] = []
         self._start = time.perf_counter()
 
-    def log(self, step: int, train_loss: float, valid_loss, lr: float) -> dict:
+    def log(self, step: int, train_loss: float, valid_loss, lr: float) -> None:
         row = {
             "step": step,
             "train_loss": float(train_loss),
@@ -176,17 +174,53 @@ class MetricsLog:
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as f:
                 f.write(json.dumps(row) + "\n")
-        return row
 
 
-def _grads_by_name(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    marked = {n: t for n, t in params.items() if t.requires_grad}
-    grads = backward(loss, list(marked.values()))
-    return {n: grads[t] for n, t in marked.items()}
+def training_data(kind: str, examples, valid_examples, neg_mode: str) -> tuple[list, list]:
+    """The training examples and the validation sample the step loop reads,
+    checked before step 1: pre-training and in-batch sets need two examples
+    (a run may have no validation set), and an example that draws negatives
+    from golds needs a gold other than its own (next-utterance batches draw
+    from their own set, cross_batch_loss from the training golds)."""
+    train, sample = list(examples), list(valid_examples or [])[:VALID_SAMPLE]
+    for what, data in (("training", train), ("validation", sample)):
+        if len(data) < (1 if kind == "cross" else 2) and (data or what == "training"):
+            raise ContractError(f"{kind} {what} data has too few examples: {len(data)}")
+        golds = {ex.gold for ex in (train if kind == "cross" else data)}
+        if len(golds) < 2 and any(len(golds) <= (ex.gold in golds)  # no gold but its own
+                                  for ex in data if kind == "pretrain" or kind == "cross"
+                                  and (neg_mode == "sampled" or len(ex.candidates) < 2)):
+            raise ContractError(f"{kind} {what} data: negatives drawn from golds need "
+                                "two distinct golds")
+    return train, sample
 
 
-def _rngs(seed: int, n: int = 3):
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
+def _train(model: Model, opt_cfg: OptimizerConfig, steps: int, seed: int, freeze: str,
+           step_loss, metrics_path, sample, valid_loss) -> MetricsLog:
+    """The step loop both trainers share, over the parameters `freeze` marks:
+    `step_loss(step, data_rng, drop_rng)` each step, and at each eval a log row
+    with `valid_loss(sample, rng)`, which the plateau schedule observes, on the
+    validation sample and one rng seed per run."""
+    data_rng, drop_rng, valid_seed_rng = [np.random.Generator(np.random.PCG64(s))
+                                          for s in np.random.SeedSequence(seed).spawn(3)]
+    valid_seed = int(valid_seed_rng.integers(2**31))
+    params = model.named_parameters()
+    opt = Optimizer(opt_cfg, {n: params[n] for n in sorted(apply_freeze(model, freeze))})
+    log = MetricsLog(metrics_path)
+    running = []
+    for step in range(1, steps + 1):
+        loss = step_loss(step, data_rng, drop_rng)
+        grads = backward(loss, opt.trainable.values())
+        lr = opt.step({n: grads[t] for n, t in opt.trainable.items()}, step)
+        running.append(loss.item())
+        if step % opt_cfg.eval_interval == 0 or step == steps:
+            valid = None
+            if sample:
+                valid = valid_loss(sample, np.random.Generator(np.random.PCG64(valid_seed)))
+                opt.plateau.observe(valid)
+            log.log(step, np.mean(running), valid, lr)
+            running = []
+    return log
 
 
 # ---- pre-training ----
@@ -256,54 +290,30 @@ def pretrain_loop(model: Model, vocab, examples, opt_cfg: OptimizerConfig, steps
                   batch_size: int, seed: int, metrics_path=None, valid_examples=None,
                   batch_tokens: int | None = None) -> MetricsLog:
     """Alternating MLM / next-utterance pre-training over (input, next) pairs."""
-    examples = list(examples)
-    if len(examples) < 2:
-        raise ContractError("pre-training needs at least two examples")
-    data_rng, drop_rng, valid_seed_rng = _rngs(seed)
-    valid_seed = int(valid_seed_rng.integers(2**31))
-    params = model.named_parameters()
-    for t in params.values():
-        t.requires_grad = True
-    opt = Optimizer(opt_cfg, params)
-    log = MetricsLog(metrics_path)
+    examples, sample = training_data("pretrain", examples, valid_examples, "sampled")
     buckets = None
     if batch_tokens is not None:
         buckets = _token_buckets(examples, vocab, model.cfg.max_positions, batch_tokens)
 
-    last_lr = 0.0
-    running = []
-    for step in range(1, steps + 1):
+    def step_loss(step, data_rng, drop_rng):
         if buckets is not None:
             batch_idx = buckets[int(data_rng.integers(len(buckets)))]
         else:
             batch_idx = data_rng.integers(len(examples), size=batch_size)
         batch = [examples[int(i)] for i in batch_idx]
         if batch_kind(step) == "mlm":
-            loss = mlm_batch_loss(model, vocab, batch, data_rng, drop_rng)
-        else:
-            triples = next_selection_batch(examples, data_rng, len(batch))
-            loss = next_batch_loss(model, vocab, triples, drop_rng)
-        grads = _grads_by_name(loss, params)
-        last_lr = opt.step(grads, step)
-        running.append(loss.item())
-        if step % opt_cfg.eval_interval == 0 or step == steps:
-            valid_loss = None
-            if valid_examples:
-                valid_loss = pretrain_valid_loss(model, vocab, valid_examples, valid_seed)
-            log.log(step, np.mean(running), valid_loss, last_lr)
-            running = []
-    return log
+            return mlm_batch_loss(model, vocab, batch, data_rng, drop_rng)
+        triples = next_selection_batch(examples, data_rng, len(batch))
+        return next_batch_loss(model, vocab, triples, drop_rng)
+
+    return _train(model, opt_cfg, steps, seed, "every_layer", step_loss, metrics_path, sample,
+                  lambda sample, rng: pretrain_valid_loss(model, vocab, sample, rng))
 
 
-def pretrain_valid_loss(model: Model, vocab, valid_examples, valid_seed: int,
-                        max_examples: int = 64) -> float:
-    """MLM + next losses, without dropout, on a fixed validation sample."""
-    rng = np.random.Generator(np.random.PCG64(valid_seed))
-    sample = list(valid_examples)[:max_examples]
+def pretrain_valid_loss(model: Model, vocab, sample, rng) -> float:
+    """MLM + next losses, without dropout, on the validation sample."""
     mlm = mlm_batch_loss(model, vocab, sample, rng)
-    triples = next_selection_batch(sample if len(sample) > 1 else list(valid_examples),
-                                   rng, min(len(sample), 16))
-    nxt = next_batch_loss(model, vocab, triples)
+    nxt = next_batch_loss(model, vocab, next_selection_batch(sample, rng, min(len(sample), 16)))
     return 0.5 * (mlm.item() + nxt.item())
 
 
@@ -391,11 +401,9 @@ def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
     return cross_entropy_rows(logits, np.zeros(len(batch)))
 
 
-def finetune_valid_loss(model: Model, scorer: Scorer, valid_examples, pool,
-                        settings: FinetuneSettings, valid_seed: int,
-                        max_examples: int = 64) -> float:
-    rng = np.random.Generator(np.random.PCG64(valid_seed))
-    sample = list(valid_examples)[:max_examples]
+def finetune_valid_loss(model: Model, scorer: Scorer, sample, pool,
+                        settings: FinetuneSettings, rng) -> float:
+    """The fine-tuning loss, without dropout, on the validation sample."""
     if model.kind == "cross":
         # batch_size examples per forward, as in training; weighted by size
         chunks = [sample[i:i + settings.batch_size]
@@ -403,15 +411,10 @@ def finetune_valid_loss(model: Model, scorer: Scorer, valid_examples, pool,
         losses = [cross_batch_loss(scorer, chunk, pool, settings, rng).item()
                   for chunk in chunks]
         return float(np.average(losses, weights=[len(c) for c in chunks]))
-    losses = []
     b = max(2, min(settings.batch_size, len(sample)))
-    for start in range(0, len(sample) - b + 1, b):
-        chunk = sample[start:start + b]
-        fn = bi_batch_loss if model.kind == "bi" else poly_batch_loss
-        losses.append(fn(scorer, chunk).item())
-    if not losses:
-        raise ContractError("validation set too small for one in-batch step")
-    return float(np.mean(losses))
+    fn = bi_batch_loss if model.kind == "bi" else poly_batch_loss
+    return float(np.mean([fn(scorer, sample[i:i + b]).item()
+                          for i in range(0, len(sample) - b + 1, b)]))
 
 
 def finetune_loop(model: Model, vocab, train_examples, valid_examples,
@@ -420,43 +423,26 @@ def finetune_loop(model: Model, vocab, train_examples, valid_examples,
     """Fine-tune a bi/poly/cross model; freezing per settings.freeze."""
     if model.kind not in ("bi", "poly", "cross"):
         raise ConfigError(f"cannot fine-tune a {model.kind} model")
-    train_examples = list(train_examples)
-    if model.kind != "cross" and len(train_examples) < 2:
-        raise ContractError("in-batch training needs at least two examples")
+    train_examples, sample = training_data(model.kind, train_examples, valid_examples,
+                                           settings.neg_mode)
     scorer = scorer or Scorer(model, vocab)
     pool = [ex.gold for ex in train_examples]
-    data_rng, drop_rng, valid_seed_rng = _rngs(settings.seed)
-    valid_seed = int(valid_seed_rng.integers(2**31))
-    trainable_names = apply_freeze(model, settings.freeze)
-    params = model.named_parameters()
-    opt = Optimizer(opt_cfg, {n: params[n] for n in sorted(trainable_names)})
-    log = MetricsLog(metrics_path)
-
     b = settings.batch_size
     if model.kind != "cross":
         b = max(2, min(b, len(train_examples)))
-    running = []
-    for step in range(1, settings.steps + 1):
+
+    def step_loss(step, data_rng, drop_rng):
         if model.kind == "cross":
             idx = data_rng.integers(len(train_examples), size=b)
         else:
             idx = data_rng.choice(len(train_examples), size=b, replace=False)
         batch = [train_examples[int(i)] for i in idx]
         if model.kind == "bi":
-            loss = bi_batch_loss(scorer, batch, drop_rng)
-        elif model.kind == "poly":
-            loss = poly_batch_loss(scorer, batch, drop_rng)
-        else:
-            loss = cross_batch_loss(scorer, batch, pool, settings, data_rng, drop_rng)
-        grads = _grads_by_name(loss, params)
-        lr = opt.step(grads, step)
-        running.append(loss.item())
-        if step % opt_cfg.eval_interval == 0 or step == settings.steps:
-            valid_loss = None
-            if valid_examples:
-                valid_loss = finetune_valid_loss(model, scorer, valid_examples, pool,
-                                                 settings, valid_seed)
-                opt.plateau.observe(valid_loss)
-            log.log(step, np.mean(running), valid_loss, lr)
-            running = []
-    return log
+            return bi_batch_loss(scorer, batch, drop_rng)
+        if model.kind == "poly":
+            return poly_batch_loss(scorer, batch, drop_rng)
+        return cross_batch_loss(scorer, batch, pool, settings, data_rng, drop_rng)
+
+    return _train(model, opt_cfg, settings.steps, settings.seed, settings.freeze, step_loss,
+                  metrics_path, sample, lambda sample, rng: finetune_valid_loss(
+                      model, scorer, sample, pool, settings, rng))

@@ -2,6 +2,7 @@
 
 import json
 import platform
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -599,6 +600,53 @@ class TestSettingsTable:
         assert key in capsys.readouterr().err
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["pretrain", "--corpus", "{same}"], "distinct golds"),
+        (["pretrain", "--corpus", "{data}/corpus.jsonl", "--valid", "{same}"], "distinct golds"),
+        (["train", "--arch", "cross", "--data", "{one}"], "distinct golds"),
+        (["train", "--arch", "cross", "--neg-mode", "provided", "--data", "{same}"],
+         "distinct golds"),
+        (["pretrain", "--corpus", "{one}"], "too few"),
+        (["pretrain", "--corpus", "{data}/corpus.jsonl", "--valid", "{one}"], "too few"),
+        (["train", "--arch", "bi", "--data", "{one}"], "too few"),
+        (["train", "--arch", "bi", "--data", "{data}/train.jsonl", "--valid", "{one}"],
+         "too few"),
+        (["train", "--arch", "cross", "--data", "{empty}"], "too few"),
+    ], ids=["pretrain_same_gold", "pretrain_valid_same_gold", "cross_one_example",
+            "cross_provided_same_gold", "pretrain_one_example", "pretrain_valid_one_example",
+            "bi_one_example", "bi_valid_one_example", "cross_empty"])
+    def test_bad_training_data_exit_2_writes_nothing(self, workdir, tmp_path, capsys, argv,
+                                                     key):
+        """Data a training loop could not draw a batch from exits 2 before
+        writing anything; each of these hung, or wrote a manifest and then
+        failed, and an empty cross set raised a bare ValueError (exit 1)."""
+        golds = ["w1 w2", "w1 w2", "w1 w2"]
+        for name, rows in (("empty", []), ("one", golds[:1]), ("same", golds)):
+            (tmp_path / f"{name}.jsonl").write_text("".join(
+                json.dumps({"context": [f"c{i}"], "candidates": [gold], "label": 0}) + "\n"
+                for i, gold in enumerate(rows)))
+        places = {"data": workdir, **{name: tmp_path / f"{name}.jsonl"
+                                      for name in ("empty", "one", "same")}}
+        argv = [a.format(**places) for a in argv]
+        if argv[0] == "train":
+            argv += ["--checkpoint", str(workdir / "ft_base" / "checkpoint.bin"),
+                     "--vocab", str(workdir / "ft_base" / "vocab.txt")]
+        out = tmp_path / "out"
+        argv += ["--out-dir", str(out), "--seed", "1", "--steps", "4", "--eval-interval", "1"]
+
+        def hung(signum, frame):
+            raise TimeoutError("training data hung the loop")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            assert main(argv) == 2
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_choice_in_config_file_writes_nothing(self, ranked_world, tmp_path, capsys):
         root, workdir = ranked_world

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from polyscore import training
 from polyscore.encoder import ModelConfig, TransformerWeights, forward
 from polyscore.errors import ConfigError, ContractError
 from polyscore.model import Model, Scorer
 from polyscore.optim import OptimizerConfig, pretraining_config
 from polyscore.synth import make_chain_corpus, make_overlap_dataset
-from polyscore.text import MASK_ID, Vocabulary, build_vocab, encode_pair, \
+from polyscore.text import MASK_ID, Example, Vocabulary, build_vocab, encode_pair, \
     encode_single, example_token_stream
 from polyscore.training import (
     FinetuneSettings,
+    _token_buckets,
     apply_freeze,
     batch_kind,
     bi_batch_loss,
@@ -22,6 +24,7 @@ from polyscore.training import (
     poly_batch_loss,
     pretrain_loop,
     rescale_final_layer,
+    training_data,
 )
 
 from conftest import make_rng
@@ -346,13 +349,128 @@ class TestFinetuneLoop:
                                           n_candidates=4))
         assert len(log.rows) >= 1
 
-    def test_plateau_decay_reflected_in_lr(self, overlap_world):
+    def test_plateau_decay_reflected_in_lr(self, overlap_world, monkeypatch):
+        """A validation loss that never improves decays the lr by 0.4 after
+        every second eval: warmup ends at step 1, and eval 1 sets the best."""
         train, _, vocab, base = overlap_world
         model = base.derive("bi", make_rng(0))
+        monkeypatch.setattr(training, "finetune_valid_loss", lambda *args: 1.0)
         opt_cfg = OptimizerConfig(lr=5e-4, warmup_steps=1, eval_interval=1)
-        # over many evals the loss cannot improve monotonically forever,
-        # so with patience 2 the plateau scale eventually shows in the lr
         log = finetune_loop(model, vocab, train[:10], train[:6], opt_cfg,
-                            self.settings(steps=16, batch_size=4))
-        lrs = {row["lr"] for row in log.rows}
-        assert len(lrs) >= 1  # structural smoke; decay behavior unit-tested in optim
+                            self.settings(steps=6, batch_size=4))
+        assert [row["valid_loss"] for row in log.rows] == [1.0] * 6
+        assert [row["lr"] for row in log.rows] == pytest.approx(
+            [5e-4, 5e-4, 5e-4, 2e-4, 2e-4, 8e-5], rel=1e-12)
+
+
+STEP_LOSSES = ("bi_batch_loss", "poly_batch_loss", "cross_batch_loss", "mlm_batch_loss",
+               "next_batch_loss")
+
+
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """Counts calls of each batch loss, looked up through the module as the
+    benchmark's tracer rebinds them."""
+    calls = []
+    for name in STEP_LOSSES:
+        original = getattr(training, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+    return calls
+
+
+class TestOneLossPerStep:
+    @pytest.mark.parametrize("kind,loss", [("bi", "bi_batch_loss"),
+                                           ("poly", "poly_batch_loss"),
+                                           ("cross", "cross_batch_loss")])
+    def test_finetune(self, overlap_world, loss_calls, kind, loss):
+        train, _, vocab, base = overlap_world
+        head = {"poly_variant": "learnt", "poly_m": 4} if kind == "poly" else {}
+        model = base.derive(kind, make_rng(0), **head)
+        opt_cfg = OptimizerConfig(lr=5e-4, warmup_steps=5, eval_interval=2)
+        settings = FinetuneSettings(steps=4, batch_size=3, n_candidates=3, seed=1)
+        log = finetune_loop(model, vocab, train[:12], None, opt_cfg, settings)
+        assert loss_calls == [loss] * 4
+        assert [row["step"] for row in log.rows] == [2, 4]
+
+    def test_pretrain(self, corpus, corpus_vocab, pretrain_model, loss_calls):
+        opt = pretraining_config(lr=1e-3, warmup_steps=10, eval_interval=4)
+        pretrain_loop(pretrain_model, corpus_vocab, corpus, opt, steps=4, batch_size=4, seed=2)
+        assert loss_calls == ["mlm_batch_loss", "next_batch_loss"] * 2
+
+
+class TestTokenBuckets:
+    @pytest.mark.parametrize("batch_tokens", [1, 40, 64, 200, 10_000])
+    def test_partition_within_budget(self, corpus, corpus_vocab, batch_tokens):
+        buckets = _token_buckets(corpus, corpus_vocab, 64, batch_tokens)
+        assert sorted(i for b in buckets for i in b) == list(range(len(corpus)))
+        for bucket in buckets:
+            tokens = sum(len(encode_pair(corpus[i].context_text, corpus[i].gold,
+                                         corpus_vocab, 64)) for i in bucket)
+            assert tokens <= batch_tokens or len(bucket) == 1
+
+
+def example(context: str, *candidates: str) -> Example:
+    return Example(context=(context,), candidates=candidates, label_index=0)
+
+
+ONE = [example("a b", "c d")]
+SAME_GOLD = [example("a b", "c d"), example("e f", "c d"), example("g h", "c d")]
+TWO_GOLDS = [example("a b", "c d"), example("e f", "g h")]
+
+
+class TestTrainingData:
+    @pytest.mark.parametrize("kind,train,valid,neg_mode,message", [
+        ("pretrain", ONE, None, "sampled", "too few"),
+        ("pretrain", SAME_GOLD, None, "sampled", "distinct golds"),
+        ("pretrain", TWO_GOLDS, ONE, "sampled", "too few"),
+        ("pretrain", TWO_GOLDS, SAME_GOLD, "sampled", "distinct golds"),
+        ("bi", ONE, None, "sampled", "too few"),
+        ("poly", TWO_GOLDS, ONE, "sampled", "too few"),
+        ("cross", [], None, "sampled", "too few"),
+        ("cross", ONE, None, "sampled", "distinct golds"),
+        ("cross", SAME_GOLD, None, "provided", "distinct golds"),
+        ("cross", [example("a b", "c d", "e f")], SAME_GOLD, "provided", "distinct golds"),
+    ], ids=["pretrain_one", "pretrain_same_gold", "pretrain_valid_one",
+            "pretrain_valid_same_gold", "bi_one", "poly_valid_one", "cross_empty", "cross_one",
+            "cross_provided_same_gold", "cross_valid_same_gold"])
+    def test_rejected(self, kind, train, valid, neg_mode, message):
+        with pytest.raises(ContractError, match=message):
+            training_data(kind, train, valid, neg_mode)
+
+    @pytest.mark.parametrize("kind,train,valid,neg_mode", [
+        ("bi", SAME_GOLD, SAME_GOLD[:2], "sampled"),  # in-batch negatives draw no gold
+        ("cross", [example("a b", "c d", "e f")], None, "provided"),
+        ("cross", [example("a b", "c d", "e f")], [example("g", "x")], "provided"),
+        ("cross", TWO_GOLDS, ONE, "sampled"),
+    ], ids=["bi_same_gold", "cross_one_provided", "cross_valid_gold_outside_pool",
+            "cross_valid_one"])
+    def test_accepted(self, kind, train, valid, neg_mode):
+        assert training_data(kind, train, valid, neg_mode)[0] == train
+
+    def test_sample_is_the_first_64(self, corpus):
+        valid = corpus * 2
+        assert training_data("pretrain", corpus, valid, "sampled")[1] == valid[:64]
+
+    @pytest.mark.parametrize("loop", ["pretrain", "cross"])
+    def test_loops_reject_before_step_1(self, overlap_world, loss_calls, loop):
+        _, _, vocab, base = overlap_world
+        with pytest.raises(ContractError, match="distinct golds"):
+            if loop == "pretrain":
+                pretrain_loop(base, vocab, SAME_GOLD, pretraining_config(), steps=2,
+                              batch_size=2, seed=0)
+            else:
+                finetune_loop(base.derive("cross", make_rng(0)), vocab, ONE, None,
+                              OptimizerConfig(), FinetuneSettings(steps=2, batch_size=2))
+        assert loss_calls == []
+
+    def test_one_cross_example_with_provided_negatives_trains(self, overlap_world):
+        _, _, vocab, base = overlap_world
+        log = finetune_loop(base.derive("cross", make_rng(0)), vocab,
+                            [example("a b", "c d", "e f")], None, OptimizerConfig(),
+                            FinetuneSettings(steps=2, batch_size=2, neg_mode="provided"))
+        assert [row["step"] for row in log.rows] == [2]
