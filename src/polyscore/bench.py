@@ -18,7 +18,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,21 +31,17 @@ from .model import Model, Scorer
 from .retrieval import build_cache, rank_bi, rank_cross, rank_poly
 from .text import Vocabulary
 
-DEFAULT_COUNTS = [1000, 10000]
-DEFAULT_QUERIES = 100
-DEFAULT_WARMUP = 10
-DEFAULT_CONTEXT_TOKENS = 64
-DEFAULT_CANDIDATE_TOKENS = 16
-
 
 @dataclass
 class BenchSpec:
-    architectures: list[str] = field(default_factory=lambda: ["bi", "poly:16", "cross"])
-    candidate_counts: list[int] = field(default_factory=lambda: list(DEFAULT_COUNTS))
-    n_queries: int = DEFAULT_QUERIES
-    warmup_queries: int = DEFAULT_WARMUP
-    context_tokens: int = DEFAULT_CONTEXT_TOKENS
-    candidate_tokens: int = DEFAULT_CANDIDATE_TOKENS
+    """What `polyscore bench` times; its settings table holds the defaults."""
+
+    architectures: list[str]
+    candidate_counts: list[int]
+    n_queries: int
+    warmup_queries: int
+    context_tokens: int
+    candidate_tokens: int
     extrapolate_cross_from: int | None = None
     top_k: int = 5
     seed: int = 0

@@ -3,9 +3,10 @@
 Architecture follows original BERT-base block ordering (attention, residual,
 layer norm, GELU feed-forward, residual, layer norm) with an embedding layer
 norm up front; dimensions come from ModelConfig so both the desk default and
-BERT-base sizes are expressible. The forward runs padded [B, L] batches;
-attention logits at pad key positions are forced to -inf before the softmax,
-so pad rows never leak into real ones.
+BERT-base sizes are expressible. The forward takes only a padded [B, L]
+TokenBatch (one sequence is a batch of one) and returns [B, L, hidden]
+states; attention logits at pad key positions are forced to -inf before the
+softmax, so pad rows never leak into real ones.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-from .text import TokenBatch, TokenizedPair
+from .text import TokenBatch
 
 INIT_STD = 0.02
 LN_EPS = 1e-12
@@ -145,32 +146,29 @@ class TransformerWeights:
 
 @dataclass
 class TransformerOutput:
-    """Per-token hidden states h_1..h_N plus the pad mask they were built under.
-
-    One sequence gives [L, hidden] states and an [L] mask; a TokenBatch gives
-    [B, L, hidden] states and its [B, L] mask.
-    """
+    """Per-token hidden states h_1..h_N, [B, L, hidden], plus the [B, L] pad
+    mask they were built under."""
 
     hidden_states: Tensor
-    pad_mask: tuple[bool, ...] | np.ndarray
+    pad_mask: np.ndarray
 
 
-def embed(tokens: TokenizedPair | TokenBatch, w: TransformerWeights, prm=None):
-    """Sum of token, position and segment embeddings, one row per input
-    position; a batch's [B, L] positions are flattened row-major to B*L rows.
-    The tables are `prm`'s (forward's operands) if given, else w's Tensors."""
+def embed(batch: TokenBatch, w: TransformerWeights, prm=None):
+    """Sum of token, position (0..L-1 in every row) and segment embeddings,
+    the [B, L] positions flattened row-major to B*L rows. The tables are
+    `prm`'s (forward's operands) if given, else w's Tensors."""
     cfg, prm = w.cfg, prm or w.params
-    ids = np.asarray(tokens.token_ids).ravel()
+    b, length = batch.token_ids.shape
+    ids = batch.token_ids.ravel()
     if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
         raise ConfigError(f"token id out of range for vocab_size {cfg.vocab_size}")
-    length = np.shape(tokens.position_ids)[-1]
     if length > cfg.max_positions:
         raise ConfigError(
             f"sequence length {length} exceeds max_positions {cfg.max_positions}"
         )
     tok = T.gather_rows(prm["embeddings.token"], ids)
-    pos = T.gather_rows(prm["embeddings.position"], np.asarray(tokens.position_ids).ravel())
-    seg = T.gather_rows(prm["embeddings.segment"], np.asarray(tokens.segment_ids).ravel())
+    pos = T.gather_rows(prm["embeddings.position"], np.tile(np.arange(length), b))
+    seg = T.gather_rows(prm["embeddings.segment"], batch.segment_ids.ravel())
     return T.add(T.add(tok, pos), seg)
 
 
@@ -201,13 +199,12 @@ def _maybe_dropout(x, p, keeps):
 
 
 def forward(
-    tokens: TokenizedPair | TokenBatch,
+    batch: TokenBatch,
     w: TransformerWeights,
     rng: np.random.Generator | None = None,
     taps: dict | None = None,
 ) -> TransformerOutput:
-    """Full encoder pass over a padded [B, L] batch; one TokenizedPair runs as
-    a batch of one and returns [L, hidden] states.
+    """Full encoder pass over a padded [B, L] batch, to [B, L, hidden] states.
 
     Projections are single GEMMs over all B*L rows; heads are split and merged
     by reshape/transpose; pad keys get an additive -inf bias before the
@@ -220,7 +217,6 @@ def forward(
     `taps`, when given, receives intermediate tensors keyed by name
     (currently the last block's FFN output projection, pre-residual, [B*L, hidden]).
     """
-    batch = tokens if isinstance(tokens, TokenBatch) else TokenBatch.of([tokens])
     cfg = w.cfg
     b, n = batch.token_ids.shape
     heads, hidden = cfg.heads, cfg.hidden
@@ -262,6 +258,5 @@ def forward(
             T.add(x, ffn_out), prm[f"{p}.ffn_norm.gain"], prm[f"{p}.ffn_norm.bias"], LN_EPS
         )
 
-    if batch is tokens:
-        x = T.reshape(x, (b, n, hidden))
-    return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=tokens.pad_mask)
+    x = T.reshape(x, (b, n, hidden))
+    return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=batch.pad_mask)

@@ -1,8 +1,10 @@
 """Bi-, Cross- and Poly-encoder scoring heads over transformer outputs.
 
-All heads are pure given weights. Reduction kinds are carried as strings so
-they serialize directly into checkpoint headers: "first", "avg_all" or
-"avg_first:<m>". Poly variants: "learnt", "first_m", "last_m", "last_m_h1".
+All heads are pure given weights and batch-first: they read a forward's
+[B, L, hidden] states and [B, L] pad mask and return one result per row.
+Reduction kinds are carried as strings so they serialize directly into
+checkpoint headers: "first", "avg_all" or "avg_first:<m>". Poly variants:
+"learnt", "first_m", "last_m", "last_m_h1".
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from . import tensor as T
 from .encoder import TransformerOutput, TransformerWeights, forward
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
-from .text import TokenBatch, TokenizedPair
+from .text import TokenBatch
 
 REDUCTION_FIRST = "first"
 REDUCTION_AVG_ALL = "avg_all"
@@ -52,17 +54,14 @@ def parse_arch(arch: str) -> tuple[str, str | None, int | None]:
 
 
 def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
-    """Collapse h_1..h_N to one vector, [hidden] for one sequence or
-    [B, hidden] for a batch; averages ignore pad positions."""
+    """Collapse each row's h_1..h_N to one vector: [B, hidden]; averages
+    ignore pad positions."""
     base, m = parse_reduction(kind)
-    mask = np.asarray(out.pad_mask, dtype=bool)
-    mask = mask.reshape(-1, mask.shape[-1])  # [B, L]
-    n_real = mask.sum(axis=1)
+    n_real = out.pad_mask.sum(axis=1)
     if n_real.min() < 1:
         raise ContractError("reduce needs at least one non-pad position")
     h = T.operand(out.hidden_states)
-    b, length = mask.shape
-    hid = h.shape[-1]
+    b, length, hid = h.shape
     if base == REDUCTION_FIRST:
         pooled = T.gather_rows(T.reshape(h, (b * length, hid)), np.arange(b) * length)
     else:
@@ -70,19 +69,17 @@ def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
         stop = n_real if base == REDUCTION_AVG_ALL else np.minimum(m, n_real)
         weights = (np.arange(length) < stop[:, None]) / stop[:, None]
         weights = weights[:, None, :].astype(h.dtype)  # [B, 1, L]
-        pooled = T.reshape(T.matmul(weights, T.reshape(h, (b, length, hid))), (b, hid))
-    return T.as_tensor(T.reshape(pooled, (hid,)) if len(h.shape) == 2 else pooled)
+        pooled = T.reshape(T.matmul(weights, h), (b, hid))
+    return T.as_tensor(pooled)
 
 
-def cross_score(pairs: TokenizedPair | TokenBatch, w: TransformerWeights, head_w: Tensor,
-                rng=None) -> Tensor:
-    """Jointly encode (context, candidate) and score the first output through
-    the [hidden, 1] weight: a scalar for one pair, a [B] vector for a batch."""
+def cross_score(pairs: TokenBatch, w: TransformerWeights, head_w: Tensor, rng=None) -> Tensor:
+    """Jointly encode (context, candidate) pairs and score each first output
+    through the [hidden, 1] weight: [B] scores."""
     if head_w.shape != (w.cfg.hidden, 1):
         raise ShapeError(f"cross head weight must be [hidden, 1], got {head_w.shape}")
     first = reduce_output(forward(pairs, w, rng=rng), REDUCTION_FIRST)
-    scores = T.matmul(T.reshape(first, (-1, w.cfg.hidden)), head_w)
-    return T.reshape(scores, first.shape[:-1])
+    return T.reshape(T.matmul(first, head_w), first.shape[:1])
 
 
 def poly_context_vectors(out: TransformerOutput, variant: str, m: int,
@@ -95,25 +92,23 @@ def poly_context_vectors(out: TransformerOutput, variant: str, m: int,
     bias). first_m / last_m: min(m, N) raw output rows. last_m_h1: those rows
     prepended with h_1 (h_1 may duplicate when N <= m).
 
-    A batch output gives ([B, m', H] vectors, [B, m'] validity mask): rows of
-    a context with fewer than m real tokens are padded and marked invalid, the
-    valid ones coming first. One sequence gives its [m', H] valid rows.
+    Returns ([B, m', H] vectors, [B, m'] validity mask): rows of a context
+    with fewer than m real tokens are padded and marked invalid, the valid
+    ones coming first.
     """
-    mask = np.asarray(out.pad_mask, dtype=bool)
-    mask = mask.reshape(-1, mask.shape[-1])  # [B, L]
+    mask = out.pad_mask
     n_real = mask.sum(axis=1)
     if n_real.min() < 1:
         raise ContractError("poly head needs at least one non-pad position")
     h = T.operand(out.hidden_states)
-    b, length = mask.shape
-    hid = h.shape[-1]
+    b, length, hid = h.shape
     flat = T.reshape(h, (b * length, hid))
     if variant == "learnt":
         # unscaled dot products of every code with every position: [B, m, L]
         logits = T.transpose(T.reshape(T.matmul(flat, T.transpose(T.operand(codes))),
                                        (b, length, m)), (0, 2, 1))
         key_bias = np.where(mask, 0.0, -np.inf).astype(h.dtype)[:, None, :]
-        vecs = T.matmul(T.softmax(logits, bias=key_bias), T.reshape(h, (b, length, hid)))
+        vecs = T.matmul(T.softmax(logits, bias=key_bias), h)
         valid = np.ones((b, m), dtype=bool)
     else:
         keep = np.minimum(m, n_real)  # raw rows taken per context
@@ -126,6 +121,4 @@ def poly_context_vectors(out: TransformerOutput, variant: str, m: int,
             valid = np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
         rows = pos + (np.arange(b) * length)[:, None]
         vecs = T.reshape(T.gather_rows(flat, rows.ravel()), (b, rows.shape[1], hid))
-    if len(h.shape) == 2:  # one sequence's slots are all valid
-        return T.as_tensor(T.reshape(vecs, vecs.shape[1:]))
     return T.as_tensor(vecs), valid

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from . import tensor as T
 from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward, \
     init_parameters
 from .errors import ConfigError, ShapeError
@@ -232,7 +233,8 @@ class Scorer:
     Context turns are flattened, encoded on the context tower and reduced or
     expanded per the model's head; candidates always go through the candidate
     tower. Contexts truncate to 360 tokens and candidates to 72, each cap
-    clamped to the model's position table.
+    clamped to the model's position table. Every forward is batched; the
+    single-sequence methods return row 0 of a batch of one.
     """
 
     def __init__(self, model: Model, vocab: Vocabulary):
@@ -250,10 +252,10 @@ class Scorer:
     # encoding
 
     def encode_context(self, turns) -> TokenizedPair:
-        return encode_single(flatten_context(list(turns)), self.vocab, self.max_context, segment=0)
+        return encode_single(flatten_context(list(turns)), self.vocab, self.max_context)
 
     def encode_candidate(self, text: str) -> TokenizedPair:
-        return encode_single(text, self.vocab, self.max_candidate, segment=0)
+        return encode_single(text, self.vocab, self.max_candidate)
 
     def encode_cross(self, turns, cand: str) -> TokenizedPair:
         return encode_pair(flatten_context(list(turns)), cand, self.vocab, self.max_pair)
@@ -262,10 +264,7 @@ class Scorer:
         """encode_cross(turns, c) for each candidate, tokenizing the context once."""
         return encode_pairs(flatten_context(list(turns)), cands, self.vocab, self.max_pair)
 
-    # vectors
-
-    def context_output(self, turns) -> TransformerOutput:
-        return forward(self.encode_context(turns), self.model.context_tower())
+    # batches
 
     def context_outputs(self, contexts, rng=None) -> TransformerOutput:
         """[B, L, hidden] outputs of several contexts from one batched forward;
@@ -273,31 +272,36 @@ class Scorer:
         batch = TokenBatch.of([self.encode_context(turns) for turns in contexts])
         return forward(batch, self.model.context_tower(), rng=rng)
 
-    def context_vector(self, turns) -> Tensor:
-        return reduce_output(self.context_output(turns), self.model.reduction)
-
-    def candidate_vector(self, text: str) -> Tensor:
-        out = forward(self.encode_candidate(text), self.model.candidate_tower())
-        return reduce_output(out, self.model.reduction)
-
     def candidate_vectors(self, texts: list[str], rng=None) -> Tensor:
         """[B, hidden] candidate vectors from one batched forward."""
         batch = TokenBatch.of([self.encode_candidate(t) for t in texts])
         out = forward(batch, self.model.candidate_tower(), rng=rng)
         return reduce_output(out, self.model.reduction)
 
-    def poly_vectors(self, turns) -> Tensor:
-        return poly_context_vectors(self.context_output(turns), self.model.poly_variant,
-                                    self.model.poly_m, self.model.extras.get("poly.codes"))
-
-    # scores
-
-    def score_cross(self, turns, cand: str) -> Tensor:
-        return cross_score(self.encode_cross(turns, cand), self.model.context_tower(),
-                           self.model.extras["cross.w"])
-
     def cross_scores(self, pairs: list[TokenizedPair], rng=None) -> Tensor:
         """[P] cross scores of encoded (context, candidate) pairs, from one
         batched forward."""
         return cross_score(TokenBatch.of(pairs), self.model.context_tower(),
                            self.model.extras["cross.w"], rng=rng)
+
+    # one sequence: row 0 of a batch of one, its batch axis reshaped away
+
+    def context_vector(self, turns) -> Tensor:
+        return _row0(reduce_output(self.context_outputs([turns]), self.model.reduction))
+
+    def candidate_vector(self, text: str) -> Tensor:
+        return _row0(self.candidate_vectors([text]))
+
+    def poly_vectors(self, turns) -> Tensor:
+        """The context's [m', H] vectors; all of a batch of one's slots are valid."""
+        vecs, _ = poly_context_vectors(self.context_outputs([turns]), self.model.poly_variant,
+                                       self.model.poly_m, self.model.extras.get("poly.codes"))
+        return _row0(vecs)
+
+    def score_cross(self, turns, cand: str) -> Tensor:
+        return _row0(self.cross_scores([self.encode_cross(turns, cand)]))
+
+
+def _row0(t: Tensor) -> Tensor:
+    """A batch of one without its batch axis, differentiably."""
+    return T.reshape(t, t.shape[1:])

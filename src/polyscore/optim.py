@@ -22,6 +22,7 @@ SCHEDULE_PLATEAU = "plateau"
 
 PLATEAU_FACTOR = 0.4
 PLATEAU_PATIENCE = 2  # consecutive non-improving evals per decay event
+EPS = 1e-8  # added to the second-moment denominator
 
 
 @dataclass
@@ -33,9 +34,7 @@ class OptimizerConfig:
     weight_decay: float = 0.01
     warmup_steps: int = 100
     schedule: str = SCHEDULE_PLATEAU
-    plateau_decay_factor: float = PLATEAU_FACTOR
     eval_interval: int = 100
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in (ADAM_DECAY, ADAMAX_NODECAY):
@@ -44,8 +43,6 @@ class OptimizerConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0,1), got {self.beta1}/{self.beta2}")
-        if not 0.0 < self.plateau_decay_factor < 1.0:
-            raise ConfigError(f"plateau_decay_factor must be in (0,1), got {self.plateau_decay_factor}")
         if self.schedule not in (SCHEDULE_INV_SQRT, SCHEDULE_PLATEAU):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.warmup_steps < 1 or self.eval_interval < 1:
@@ -105,7 +102,7 @@ class Optimizer:
         self._sizes = [t.data.size for t in self.trainable.values()]
         dtype = np.result_type(*(t.dtype for t in self.trainable.values()), np.float32)
         self._m, self._v = np.zeros((2, sum(self._sizes)), dtype=dtype)
-        self.plateau = PlateauTracker(factor=cfg.plateau_decay_factor)
+        self.plateau = PlateauTracker()
 
     def step(self, grads: dict[str, np.ndarray], step: int) -> float:
         """One update over every trainable param with a gradient; returns the lr used."""
@@ -132,12 +129,12 @@ class Optimizer:
         if cfg.kind == ADAM_DECAY:
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + cfg.eps)
+            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + EPS)
             if cfg.weight_decay:
                 update += cfg.weight_decay * theta
         else:
             np.maximum(b2 * v, np.abs(g), out=v)
-            update = (m / (1.0 - b1**step)) / (v + cfg.eps)
+            update = (m / (1.0 - b1**step)) / (v + EPS)
         theta -= lr * update
         if not isinstance(sel, slice):
             self._m[sel], self._v[sel] = m, v

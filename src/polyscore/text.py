@@ -3,6 +3,9 @@
 Tokenization is lowercase whitespace word-level. Dialogue context turns are
 flattened into one token stream joined by the ordinary vocab word
 ``__turn__``; truncation always keeps the most recent context tokens.
+Encoding gives one unpadded TokenizedPair per sequence; TokenBatch.of pads a
+list of them into the [B, L] arrays the encoder takes, so one sequence is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -97,34 +100,14 @@ def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:
 
 @dataclass(frozen=True)
 class TokenizedPair:
-    """Aligned id sequences for one encoder input.
-
-    All four sequences share one length; pads sit at the tail with
-    pad_mask False.
-    """
+    """Aligned token and segment ids of one encoder input, unpadded; the
+    encoder takes a list of them padded by TokenBatch.of."""
 
     token_ids: tuple[int, ...]
-    position_ids: tuple[int, ...]
     segment_ids: tuple[int, ...]
-    pad_mask: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-    @property
-    def n_real(self) -> int:
-        """Number of non-pad positions (pads are always trailing)."""
-        return int(sum(self.pad_mask))
-
-
-def _assemble(ids: list[int], segments: list[int]) -> TokenizedPair:
-    n = len(ids)
-    return TokenizedPair(
-        token_ids=tuple(ids),
-        position_ids=tuple(range(n)),
-        segment_ids=tuple(segments),
-        pad_mask=tuple(True for _ in range(n)),
-    )
 
 
 def encode_pair(input_text: str, label_text: str, vocab: Vocabulary, max_len: int) -> TokenizedPair:
@@ -152,31 +135,27 @@ def encode_pairs(input_text: str, label_texts: list[str], vocab: Vocabulary,
         kept = inp[len(inp) - keep_inp:]
         ids = [S_ID] + kept + [S_ID] + lab[:keep_lab]
         segments = [0] * (1 + len(kept)) + [1] * (1 + keep_lab)
-        pairs.append(_assemble(ids, segments))
+        pairs.append(TokenizedPair(tuple(ids), tuple(segments)))
     return pairs
 
 
-def encode_single(text: str, vocab: Vocabulary, max_len: int, segment: int = 0) -> TokenizedPair:
-    """One-side encoding [S, tokens...]; all segment ids equal `segment`."""
+def encode_single(text: str, vocab: Vocabulary, max_len: int) -> TokenizedPair:
+    """One-side encoding [S, tokens...], all in segment 0."""
     if max_len < 2:
         raise ContractError(f"max_len must be >= 2, got {max_len}")
-    if segment not in (0, 1):
-        raise ContractError(f"segment must be 0 or 1, got {segment}")
     toks = vocab.encode_tokens(tokenize(text))
-    toks = toks[max(0, len(toks) - (max_len - 1)):]
-    ids = [S_ID] + toks
-    return _assemble(ids, [segment] * len(ids))
+    ids = (S_ID, *toks[max(0, len(toks) - (max_len - 1)):])
+    return TokenizedPair(ids, (0,) * len(ids))
 
 
 @dataclass(frozen=True, eq=False)
 class TokenBatch:
     """B encoder inputs as [B, L] arrays, each row right-padded to the longest
-    one: PAD tokens, pad_mask False, the row's last segment id, and positions
-    0..L-1 in every row. Like TokenizedPair, len() counts every token slot,
-    pads included, and n_real the non-pad ones."""
+    one with PAD tokens, pad_mask False and the row's last segment id; every
+    row's positions are 0..L-1. len() counts every token slot, pads included,
+    and n_real the non-pad ones."""
 
     token_ids: np.ndarray
-    position_ids: np.ndarray
     segment_ids: np.ndarray
     pad_mask: np.ndarray
 
@@ -194,9 +173,8 @@ class TokenBatch:
             n = len(tp)
             token_ids[row, :n] = tp.token_ids
             segment_ids[row, :n] = tp.segment_ids
-            pad_mask[row, :n] = tp.pad_mask
-        positions = np.tile(np.arange(length, dtype=np.int64), (len(pairs), 1))
-        return cls(token_ids, positions, segment_ids, pad_mask)
+            pad_mask[row, :n] = True
+        return cls(token_ids, segment_ids, pad_mask)
 
     def __len__(self) -> int:
         return self.token_ids.size

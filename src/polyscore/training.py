@@ -58,9 +58,7 @@ def mlm_corrupt(tp: TokenizedPair, rate: float, rng: np.random.Generator,
     targets = []
     picks = rng.random(len(ids))
     for pos, tok in enumerate(ids):
-        if tok < n_reserved or not tp.pad_mask[pos]:
-            continue
-        if picks[pos] >= rate:
+        if tok < n_reserved or picks[pos] >= rate:
             continue
         targets.append((pos, tok))
         action = rng.random()
@@ -68,8 +66,7 @@ def mlm_corrupt(tp: TokenizedPair, rate: float, rng: np.random.Generator,
             ids[pos] = MASK_ID
         elif action < MLM_MASK_FRACTION + MLM_RANDOM_FRACTION:
             ids[pos] = int(rng.integers(n_reserved, vocab_size))
-    corrupted = TokenizedPair(tuple(ids), tp.position_ids, tp.segment_ids, tp.pad_mask)
-    return corrupted, targets
+    return TokenizedPair(tuple(ids), tp.segment_ids), targets
 
 
 def next_selection_batch(examples, rng: np.random.Generator,

@@ -50,12 +50,15 @@ def gelu_scalar(x):
     return 0.5 * x * (1.0 + math.tanh(u))
 
 
-def transformer_trace(params, cfg, token_ids, position_ids, segment_ids, pad_mask):
-    """Independent re-computation of the encoder forward (without dropout).
+def transformer_trace(params, cfg, batch, row=0):
+    """Independent re-computation of the encoder forward (without dropout)
+    of one TokenBatch row, at positions 0..L-1 under the row's pad mask.
 
     `params` maps parameter name -> plain numpy array. Heads are handled with
     explicit per-position loops rather than matrix slicing.
     """
+    token_ids, segment_ids = batch.token_ids[row], batch.segment_ids[row]
+    pad_mask = batch.pad_mask[row]
     n = len(token_ids)
     hidden = cfg.hidden
     head_dim = hidden // cfg.heads
@@ -63,7 +66,7 @@ def transformer_trace(params, cfg, token_ids, position_ids, segment_ids, pad_mas
     x = np.zeros((n, hidden))
     for i in range(n):
         x[i] = (params["embeddings.token"][token_ids[i]]
-                + params["embeddings.position"][position_ids[i]]
+                + params["embeddings.position"][i]
                 + params["embeddings.segment"][segment_ids[i]])
     x = np.array([layer_norm_closed_form(row, params["embeddings.norm.gain"],
                                          params["embeddings.norm.bias"]) for row in x])
@@ -208,7 +211,7 @@ def optimizer_steps_per_parameter(cfg, params, grad_steps):
     the flat optimizer replaced. `params` maps name -> array, `grad_steps` is
     one name -> gradient dict per step (a missing name skips that parameter);
     returns the final arrays."""
-    from polyscore.optim import ADAM_DECAY, learning_rate
+    from polyscore.optim import ADAM_DECAY, EPS, learning_rate
 
     theta = {n: a.copy() for n, a in params.items()}
     m = {n: np.zeros_like(a) for n, a in params.items()}
@@ -224,12 +227,12 @@ def optimizer_steps_per_parameter(cfg, params, grad_steps):
             if cfg.kind == ADAM_DECAY:
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
                 update = (m[name] / (1.0 - b1**step)) / (
-                    np.sqrt(v[name] / (1.0 - b2**step)) + cfg.eps)
+                    np.sqrt(v[name] / (1.0 - b2**step)) + EPS)
                 if cfg.weight_decay:
                     update = update + cfg.weight_decay * theta[name]
             else:
                 v[name] = np.maximum(b2 * v[name], np.abs(g))
-                update = (m[name] / (1.0 - b1**step)) / (v[name] + cfg.eps)
+                update = (m[name] / (1.0 - b1**step)) / (v[name] + EPS)
             theta[name] = theta[name] - lr * update
     return theta
 
@@ -367,7 +370,7 @@ def mlm_loss_per_sequence(model, vocab, examples, data_rng):
     from polyscore import tensor as T
     from polyscore.encoder import forward
     from polyscore.losses import cross_entropy_rows
-    from polyscore.text import encode_pair
+    from polyscore.text import TokenBatch, encode_pair
     from polyscore.training import MLM_RATE, mlm_corrupt, mlm_logits
 
     blocks = []
@@ -376,8 +379,9 @@ def mlm_loss_per_sequence(model, vocab, examples, data_rng):
         corrupted, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
         if not targets:
             continue
-        out = forward(corrupted, model.towers["enc"])
-        rows = T.gather_rows(out.hidden_states, [p for p, _ in targets])
+        out = forward(TokenBatch.of([corrupted]), model.towers["enc"])
+        states = T.reshape(out.hidden_states, (len(corrupted), model.cfg.hidden))
+        rows = T.gather_rows(states, [p for p, _ in targets])
         blocks.append((mlm_logits(model, rows), [t for _, t in targets]))
     total = sum(len(t) for _, t in blocks)
     # mean over all targets = target-weighted mean of the per-example means
@@ -392,13 +396,13 @@ def next_loss_per_sequence(model, vocab, triples):
     from polyscore import tensor as T
     from polyscore.heads import cross_score
     from polyscore.losses import binary_choice_loss
-    from polyscore.text import encode_pair
+    from polyscore.text import TokenBatch, encode_pair
 
     losses = []
     for input_text, cand, label in triples:
-        pair = encode_pair(input_text, cand, vocab, model.cfg.max_positions)
+        pair = TokenBatch.of([encode_pair(input_text, cand, vocab, model.cfg.max_positions)])
         score = cross_score(pair, model.towers["enc"], model.extras["next.w"])
-        losses.append(binary_choice_loss(score, label))
+        losses.append(binary_choice_loss(T.reshape(score, ()), label))
     return T.tmean(T.stack(losses))
 
 
@@ -444,25 +448,23 @@ def encode_pair_reference(input_text, label_text, vocab, max_len):
     keep_lab = min(len(lab), budget - keep_inp)
     inp, lab = inp[len(inp) - keep_inp:], lab[:keep_lab]
     ids = [1] + inp + [1] + lab
-    n = len(ids)
-    return TokenizedPair(tuple(ids), tuple(range(n)),
-                         tuple([0] * (1 + len(inp)) + [1] * (1 + len(lab))), (True,) * n)
+    return TokenizedPair(tuple(ids), tuple([0] * (1 + len(inp)) + [1] * (1 + len(lab))))
 
 
 def pad_to(tp, length):
-    """Right-pad a TokenizedPair with PAD tokens up to `length`: pad_mask
-    False, the last segment id repeated, positions 0..length-1."""
+    """A TokenBatch of one row: the TokenizedPair right-padded with PAD
+    tokens up to `length`, pad_mask False and the last segment id repeated
+    over the pads."""
     from polyscore.errors import ContractError
-    from polyscore.text import PAD_ID, TokenizedPair
+    from polyscore.text import PAD_ID, TokenBatch
 
     extra = length - len(tp)
     if extra < 0:
         raise ContractError(f"cannot pad length {len(tp)} down to {length}")
-    return TokenizedPair(
-        token_ids=tp.token_ids + (PAD_ID,) * extra,
-        position_ids=tuple(range(length)),
-        segment_ids=tp.segment_ids + (tp.segment_ids[-1],) * extra,
-        pad_mask=tp.pad_mask + (False,) * extra,
+    return TokenBatch(
+        token_ids=np.array([tp.token_ids + (PAD_ID,) * extra], dtype=np.int64),
+        segment_ids=np.array([tp.segment_ids + (tp.segment_ids[-1],) * extra], dtype=np.int64),
+        pad_mask=np.array([(True,) * len(tp) + (False,) * extra]),
     )
 
 

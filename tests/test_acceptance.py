@@ -121,10 +121,11 @@ def test_criterion_3_degeneracy_identities():
         scorer = Scorer(model, vocab)
         ctx = [" ".join(f"w{int(i)}" for i in rng.integers(0, 24, size=6))]
         cand = " ".join(f"w{int(i)}" for i in rng.integers(0, 24, size=3))
-        out = scorer.context_output(ctx)
+        out = scorer.context_outputs([ctx])
         y_cand = scorer.candidate_vector(cand)
-        b = bi_score(reduce_output(out, "first"), y_cand).item()
-        p = poly_score(poly_context_vectors(out, "first_m", 1), y_cand).item()
+        vecs, _ = poly_context_vectors(out, "first_m", 1)
+        b = bi_score(T.reshape(reduce_output(out, "first"), (cfg.hidden,)), y_cand).item()
+        p = poly_score(T.reshape(vecs, (1, cfg.hidden)), y_cand).item()
         assert abs(b - p) < 1e-9
 
     # singleton final attention is exactly a dot product
@@ -223,7 +224,7 @@ def test_criterion_5_latency_ordering():
 
     cached_archs = ["bi", "poly:16", "poly:64", "poly:360"]
     spec = BenchSpec(architectures=cached_archs, candidate_counts=[1000],
-                     n_queries=100, warmup_queries=10)
+                     n_queries=100, warmup_queries=10, context_tokens=64, candidate_tokens=16)
     models = make_bench_models(cfg, cached_archs + ["cross"], seed=1)
     pool = synthetic_texts(vocab, 1000, spec.candidate_tokens, rng)
     queries = [[q] for q in synthetic_texts(vocab, 32, spec.context_tokens, rng)]
@@ -231,7 +232,8 @@ def test_criterion_5_latency_ordering():
     means = {c.arch: c.mean_ms for c in rep.cells}
 
     cross_spec = BenchSpec(architectures=["cross"], candidate_counts=[1000],
-                           n_queries=10, warmup_queries=2)
+                           n_queries=10, warmup_queries=2, context_tokens=64,
+                           candidate_tokens=16)
     cross_rep = run_bench(cross_spec, models, vocab, pool, queries)
     means["cross"] = cross_rep.cells[0].mean_ms
 
@@ -241,7 +243,8 @@ def test_criterion_5_latency_ordering():
     assert means["cross"] >= 10 * means["poly:360"], means
 
     lin_spec = BenchSpec(architectures=["cross"], candidate_counts=[200, 400],
-                         n_queries=10, warmup_queries=2)
+                         n_queries=10, warmup_queries=2, context_tokens=64,
+                         candidate_tokens=16)
     lin = run_bench(lin_spec, models, vocab, pool, queries)
     by_count = {c.candidates: c.mean_ms for c in lin.cells}
     ratio = by_count[400] / by_count[200]

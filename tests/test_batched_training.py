@@ -186,7 +186,7 @@ class TestRescaleBatched:
         rows = []
         for tp in probes:
             taps = {}
-            forward(tp, w, taps=taps)
+            forward(TokenBatch.of([tp]), w, taps=taps)
             rows.append(taps["last_ffn_out"].data.ravel())
         want = 0.5 / float(np.concatenate(rows).std())
         _, factor = rescale_final_layer(w, 0.5, probes)
@@ -219,7 +219,7 @@ class TestDropoutMask:
         batched_rng, lone_rng = make_rng(19), make_rng(19)
         out = forward(TokenBatch.of(pairs), w, rng=batched_rng)
         for i, tp in enumerate(pairs):
-            lone = forward(tp, w, rng=lone_rng).hidden_states.data
+            lone = forward(TokenBatch.of([tp]), w, rng=lone_rng).hidden_states.data[0]
             assert np.abs(out.hidden_states.data[i, :len(tp)] - lone).max() < TOL
         assert batched_rng.integers(1 << 30) == lone_rng.integers(1 << 30)
 

@@ -17,6 +17,7 @@ from polyscore.bench import (
     run_bench,
     synthetic_texts,
 )
+from polyscore.cli import build_parser, resolve
 from polyscore.encoder import ModelConfig
 from polyscore.errors import ConfigError
 from polyscore.heads import parse_arch
@@ -70,12 +71,15 @@ class TestSpec:
             with pytest.raises(ConfigError):
                 parse_arch(bad)
             with pytest.raises(ConfigError):
-                BenchSpec(architectures=[bad])
+                tiny_spec(architectures=[bad])
 
     def test_defaults(self):
-        spec = BenchSpec()
-        assert spec.candidate_counts == [1000, 10000]
-        assert spec.n_queries == 100 and spec.warmup_queries == 10
+        # the settings table is the one home of bench's defaults
+        s = resolve(build_parser().parse_args(["bench"]))
+        assert s.arch == ["bi", "poly:16", "cross"]
+        assert s.candidates == [1000, 10000]
+        assert (s.queries, s.warmup, s.context_tokens, s.candidate_tokens) == (100, 10, 64, 16)
+        assert (s.extrapolate_cross_from, s.seed, s.vocab_size) == (None, 0, 256)
 
     def test_synthetic_texts_draw_one_choice_per_text(self, vocab):
         # one rng.choice per text, pool before queries: a seed's pool and

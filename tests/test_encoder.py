@@ -27,14 +27,14 @@ class TestEmbed:
         w = desk_weights.copy()
         for name in ("embeddings.token", "embeddings.position", "embeddings.segment"):
             w.params[name].data[:] = 0.0
-        tp = encode_single("w1 w2", vocab, 8)
-        assert np.abs(embed(tp, w).data).max() == 0.0
+        batch = TokenBatch.of([encode_single("w1 w2", vocab, 8)])
+        assert np.abs(embed(batch, w).data).max() == 0.0
 
     def test_one_hot_tables_recoverable(self, desk_config, vocab):
         rng = make_rng(2)
         w = TransformerWeights.init(desk_config, rng)
         tp = encode_pair("w1", "w2", vocab, 8)
-        got = embed(tp, w).data
+        got = embed(TokenBatch.of([tp]), w).data
         for i in range(len(tp)):
             expected = (w.params["embeddings.token"].data[tp.token_ids[i]]
                         + w.params["embeddings.position"].data[i]
@@ -42,8 +42,8 @@ class TestEmbed:
             assert np.abs(got[i] - expected).max() == 0.0
 
     def test_position_difference_is_linear(self, desk_weights, vocab):
-        tp = encode_single("w3 w3", vocab, 8)
-        got = embed(tp, desk_weights).data
+        batch = TokenBatch.of([encode_single("w3 w3", vocab, 8)])
+        got = embed(batch, desk_weights).data
         pos = desk_weights.params["embeddings.position"].data
         # same token at positions 1 and 2: rows differ by the position rows
         assert np.abs((got[2] - got[1]) - (pos[2] - pos[1])).max() < 1e-15
@@ -51,35 +51,36 @@ class TestEmbed:
     def test_position_overflow_is_config_error(self, vocab):
         cfg = ModelConfig(vocab_size=len(vocab), max_positions=4)
         w = TransformerWeights.init(cfg, make_rng(0))
-        tp = encode_single("w1 w2 w3 w4 w5", vocab, 10)
+        batch = TokenBatch.of([encode_single("w1 w2 w3 w4 w5", vocab, 10)])
         with pytest.raises(ConfigError):
-            embed(tp, w)
+            embed(batch, w)
 
 
 class TestForward:
     def test_single_token_shape(self, desk_config, desk_weights, vocab):
-        tp = encode_single("", vocab, 4)  # just [S]
-        out = forward(tp, desk_weights)
-        assert out.hidden_states.shape == (1, desk_config.hidden)
+        batch = TokenBatch.of([encode_single("", vocab, 4)])  # just [S]
+        out = forward(batch, desk_weights)
+        assert out.hidden_states.shape == (1, 1, desk_config.hidden)
+        assert out.pad_mask.tolist() == [[True]]
 
     def test_pad_invariance(self, desk_weights, vocab):
         tp = encode_pair("w1 w2 w3", "w4", vocab, 16)
-        out = forward(tp, desk_weights)
+        out = forward(TokenBatch.of([tp]), desk_weights)
         padded = forward(pad_to(tp, len(tp) + 6), desk_weights)
-        diff = np.abs(out.hidden_states.data
-                      - padded.hidden_states.data[: len(tp)]).max()
+        diff = np.abs(out.hidden_states.data[0]
+                      - padded.hidden_states.data[0, : len(tp)]).max()
         assert diff < 1e-9
 
     def test_eval_mode_deterministic(self, desk_weights, vocab):
-        tp = encode_pair("w1 w2", "w3", vocab, 16)
-        a = forward(tp, desk_weights).hidden_states.data
-        b = forward(tp, desk_weights).hidden_states.data
+        batch = TokenBatch.of([encode_pair("w1 w2", "w3", vocab, 16)])
+        a = forward(batch, desk_weights).hidden_states.data
+        b = forward(batch, desk_weights).hidden_states.data
         assert np.array_equal(a, b)
 
     def test_rng_dropout_changes_output(self, desk_weights, vocab):
-        tp = encode_pair("w1 w2", "w3", vocab, 16)
-        a = forward(tp, desk_weights, rng=make_rng(1)).hidden_states.data
-        b = forward(tp, desk_weights).hidden_states.data
+        batch = TokenBatch.of([encode_pair("w1 w2", "w3", vocab, 16)])
+        a = forward(batch, desk_weights, rng=make_rng(1)).hidden_states.data
+        b = forward(batch, desk_weights).hidden_states.data
         assert not np.array_equal(a, b)
 
     def test_rng_without_dropout_p_is_the_plain_forward(self, vocab):
@@ -126,25 +127,22 @@ class TestForward:
         cfg = ModelConfig(layers=1, heads=1, hidden=4, ffn_hidden=6,
                           vocab_size=len(vocab), max_positions=16)
         w = TransformerWeights.init(cfg, make_rng(3))
-        tp = encode_pair("w1 w2", "w3", vocab, 8)
-        got = forward(tp, w).hidden_states.data
-        expected = transformer_trace({n: t.data for n, t in w.params.items()}, cfg,
-                                     tp.token_ids, tp.position_ids, tp.segment_ids,
-                                     tp.pad_mask)
+        batch = TokenBatch.of([encode_pair("w1 w2", "w3", vocab, 8)])
+        got = forward(batch, w).hidden_states.data[0]
+        expected = transformer_trace({n: t.data for n, t in w.params.items()}, cfg, batch)
         assert np.abs(got - expected).max() < 1e-9
 
     def test_trace_matches_desk_config_with_pads(self, desk_config, desk_weights, vocab):
-        tp = pad_to(encode_pair("w5 w6 w7", "w8 w9", vocab, 16), 12)
-        got = forward(tp, desk_weights).hidden_states.data
+        batch = pad_to(encode_pair("w5 w6 w7", "w8 w9", vocab, 16), 12)
+        got = forward(batch, desk_weights).hidden_states.data[0]
         expected = transformer_trace({n: t.data for n, t in desk_weights.params.items()},
-                                     desk_config, tp.token_ids, tp.position_ids,
-                                     tp.segment_ids, tp.pad_mask)
-        real = tp.n_real
+                                     desk_config, batch)
+        real = batch.n_real
         assert np.abs(got[:real] - expected[:real]).max() < 1e-9
 
     def test_gradient_reaches_every_parameter(self, desk_config, desk_weights, vocab):
-        tp = encode_pair("w1 w2 w3 w4", "w5 w6", vocab, 16)
-        out = forward(tp, desk_weights)
+        batch = TokenBatch.of([encode_pair("w1 w2 w3 w4", "w5 w6", vocab, 16)])
+        out = forward(batch, desk_weights)
         proj = Tensor(make_rng(4).normal(size=out.hidden_states.shape))
         loss = tsum(T.mul(out.hidden_states, proj))
         grads = T.backward(loss, list(desk_weights.params.values()))
@@ -153,8 +151,8 @@ class TestForward:
         assert dead == []
 
     def test_segment_row_one_dead_for_single_side_input(self, desk_weights, vocab):
-        tp = encode_single("w1 w2", vocab, 8, segment=0)
-        out = forward(tp, desk_weights)
+        batch = TokenBatch.of([encode_single("w1 w2", vocab, 8)])
+        out = forward(batch, desk_weights)
         loss = tsum(out.hidden_states)
         grads = T.backward(loss, [desk_weights.params["embeddings.segment"]])
         seg_grad = grads[desk_weights.params["embeddings.segment"]]
@@ -169,7 +167,7 @@ class TestBatchedForward:
     def seqs(self, vocab):
         return [
             encode_pair("w1 w2 w3", "w4", vocab, 16),
-            encode_single("w5", vocab, 16, segment=1),
+            encode_single("w5", vocab, 16),
             encode_pair("w6", "w7 w8 w9 w10 w11", vocab, 16),
             encode_single("w12 w13 w14", vocab, 16),
         ]
@@ -181,10 +179,7 @@ class TestBatchedForward:
         assert got.shape == (len(seqs), length, desk_config.hidden)
         params = {n: t.data for n, t in desk_weights.params.items()}
         for row, tp in zip(got, seqs):
-            padded = pad_to(tp, length)
-            expected = transformer_trace(params, desk_config, padded.token_ids,
-                                         padded.position_ids, padded.segment_ids,
-                                         padded.pad_mask)
+            expected = transformer_trace(params, desk_config, pad_to(tp, length))
             assert np.abs(row - expected).max() < 1e-9
 
     def test_float32_rows_match_single_forward(self, desk_weights, seqs):
@@ -194,15 +189,15 @@ class TestBatchedForward:
         assert got.dtype == np.float32
         length = got.shape[1]
         for row, tp in zip(got, seqs):
-            single = forward(pad_to(tp, length), w).hidden_states.data
+            single = forward(pad_to(tp, length), w).hidden_states.data[0]
             assert np.abs(row - single).max() < 1e-5
-            unpadded = forward(tp, w).hidden_states.data
+            unpadded = forward(TokenBatch.of([tp]), w).hidden_states.data[0]
             assert np.abs(row[:len(tp)] - unpadded).max() < 1e-5
 
     def test_batch_reports_token_slots(self, seqs):
         batch = TokenBatch.of(seqs)
         assert len(batch) == len(seqs) * max(len(tp) for tp in seqs)
-        assert batch.n_real == sum(tp.n_real for tp in seqs)
+        assert batch.n_real == sum(len(tp) for tp in seqs)
 
     def test_gradient_flows_through_batch(self, desk_weights, seqs):
         out = forward(TokenBatch.of(seqs), desk_weights)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polyscore.encoder import ModelConfig
 from polyscore.errors import ConfigError, ParseError
+from polyscore.heads import parse_arch
 from polyscore.model import Model, Scorer, load_checkpoint, save_checkpoint
 from polyscore.text import Vocabulary
 
@@ -266,3 +267,25 @@ class TestScorer:
         model = pretrain_model.derive("cross", make_rng(0))
         s = Scorer(model, vocab).score_cross(["w1 w2"], "w4").item()
         assert np.isfinite(s)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["bi", "poly:learnt:6", "poly:first_m:6", "cross"])
+    def test_single_sequence_shapes(self, pretrain_model, vocab, arch, dtype):
+        # the shapes perfbench's gates read: row 0 of a batch of one, batch axis gone
+        kind, variant, m = parse_arch(arch)
+        model = pretrain_model.derive(kind, make_rng(0), poly_variant=variant, poly_m=m)
+        scorer = Scorer(model.astype(dtype), vocab)
+        hidden, turns = model.cfg.hidden, ["w1 w2", "w3"]
+        if kind == "cross":
+            score = scorer.score_cross(turns, "w4 w5")
+            assert score.shape == () and score.dtype == dtype
+            assert isinstance(score.item(), float)
+            return
+        for vec in (scorer.context_vector(turns), scorer.candidate_vector("w4 w5")):
+            assert vec.shape == (hidden,) and vec.dtype == dtype
+        if kind == "poly":
+            n = len(scorer.encode_context(turns))
+            assert n < m  # a context shorter than m
+            vecs = scorer.poly_vectors(turns)
+            assert vecs.shape == (m if variant == "learnt" else min(m, n), hidden)
+            assert vecs.dtype == dtype

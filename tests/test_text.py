@@ -90,8 +90,7 @@ class TestEncodePair:
         tp = encode_pair("hi", "yo", vocab, 16)
         assert tp.token_ids == (S_ID, vocab.id_of("hi"), S_ID, vocab.id_of("yo"))
         assert tp.segment_ids == (0, 0, 1, 1)
-        assert tp.position_ids == (0, 1, 2, 3)
-        assert all(tp.pad_mask)
+        assert TokenBatch.of([tp]).pad_mask.tolist() == [[True] * 4]
 
     def test_empty_label(self, vocab):
         tp = encode_pair("hi yo", "", vocab, 16)
@@ -125,15 +124,15 @@ class TestEncodePair:
         v = Vocabulary(["a", "b", "x", "y"])
         tp = encode_pair(a, b, v, max_len)
         assert 2 <= len(tp) <= max_len
-        assert len(tp.token_ids) == len(tp.segment_ids) == len(tp.pad_mask) == len(tp.position_ids)
+        assert len(tp.token_ids) == len(tp.segment_ids)
 
     def test_concatenation_consistency(self, vocab):
         a, b = "hi how are", "fine thanks"
         pair = encode_pair(a, b, vocab, 32)
-        left = encode_single(a, vocab, 32, segment=0)
-        right = encode_single(b, vocab, 32, segment=1)
+        left = encode_single(a, vocab, 32)
+        right = encode_single(b, vocab, 32)
         assert pair.token_ids == left.token_ids + right.token_ids
-        assert pair.segment_ids == left.segment_ids + right.segment_ids
+        assert pair.segment_ids == left.segment_ids + (1,) * len(right)
 
     def test_determinism(self, vocab):
         assert encode_pair("hi yo", "fine", vocab, 10) == encode_pair("hi yo", "fine", vocab, 10)
@@ -141,7 +140,7 @@ class TestEncodePair:
 
 class TestEncodeSingle:
     def test_basic(self, vocab):
-        tp = encode_single("hi", vocab, 8, segment=0)
+        tp = encode_single("hi", vocab, 8)
         assert tp.token_ids == (S_ID, vocab.id_of("hi"))
         assert tp.segment_ids == (0, 0)
 
@@ -154,8 +153,10 @@ class TestEncodeSingle:
             assert encode_single(text, vocab, 6).token_ids[0] == S_ID
 
     def test_segment_one(self, vocab):
-        tp = encode_single("yo", vocab, 8, segment=1)
-        assert set(tp.segment_ids) == {1}
+        # segment 1 is a pair's label side only; a single side is all segment 0
+        assert set(encode_single("yo", vocab, 8).segment_ids) == {0}
+        pair = encode_pair("hi", "yo", vocab, 8)
+        assert pair.segment_ids[pair.segment_ids.index(1):] == (1, 1)
 
     def test_truncation_keeps_most_recent(self, vocab):
         tp = encode_single("hi yo how are you", vocab, 4)
@@ -164,22 +165,18 @@ class TestEncodeSingle:
 
 class TestPadTo:
     def test_pads_tail(self, vocab):
-        tp = pad_to(encode_single("hi", vocab, 8), 5)
-        assert tp.token_ids == (S_ID, vocab.id_of("hi"), PAD_ID, PAD_ID, PAD_ID)
-        assert tp.pad_mask == (True, True, False, False, False)
-        assert tp.n_real == 2
+        batch = pad_to(encode_single("hi", vocab, 8), 5)
+        assert batch.token_ids.tolist() == [[S_ID, vocab.id_of("hi"), PAD_ID, PAD_ID, PAD_ID]]
+        assert batch.pad_mask.tolist() == [[True, True, False, False, False]]
+        assert batch.n_real == 2 and len(batch) == 5
 
 
 @st.composite
 def tokenized_pairs(draw):
-    """A TokenizedPair of 1-12 slots: any ids and segments, trailing pads
-    (as from pad_to) allowed."""
+    """A TokenizedPair of 1-12 tokens: any ids and segments."""
     n = draw(st.integers(1, 12))
-    n_real = draw(st.integers(1, n))
     return TokenizedPair(tuple(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))),
-                         tuple(range(n)),
-                         tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
-                         (True,) * n_real + (False,) * (n - n_real))
+                         tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
 
 
 class TestTokenBatch:
@@ -189,13 +186,13 @@ class TestTokenBatch:
         batch = TokenBatch.of(pairs)
         length = max(len(tp) for tp in pairs)
         padded = [pad_to(tp, length) for tp in pairs]
-        for field, dtype in (("token_ids", np.int64), ("position_ids", np.int64),
-                             ("segment_ids", np.int64), ("pad_mask", bool)):
-            want = np.array([getattr(tp, field) for tp in padded], dtype=dtype)
+        for field, dtype in (("token_ids", np.int64), ("segment_ids", np.int64),
+                             ("pad_mask", bool)):
+            want = np.concatenate([getattr(row, field) for row in padded])
             got = getattr(batch, field)
             assert got.dtype == dtype and np.array_equal(got, want), field
         assert len(batch) == len(pairs) * length
-        assert batch.n_real == sum(tp.n_real for tp in pairs)
+        assert batch.n_real == sum(len(tp) for tp in pairs)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):

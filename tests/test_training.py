@@ -9,8 +9,8 @@ from polyscore.errors import ConfigError, ContractError
 from polyscore.model import Model, Scorer
 from polyscore.optim import OptimizerConfig, pretraining_config
 from polyscore.synth import make_chain_corpus, make_overlap_dataset
-from polyscore.text import MASK_ID, Example, Vocabulary, build_vocab, encode_pair, \
-    encode_single, example_token_stream
+from polyscore.text import MASK_ID, Example, TokenBatch, Vocabulary, build_vocab, \
+    encode_pair, encode_single, example_token_stream
 from polyscore.training import (
     FinetuneSettings,
     _token_buckets,
@@ -190,13 +190,13 @@ class TestRescale:
         w = pretrain_model.towers["enc"]
         probes = self.probes(corpus_vocab)
         taps = {}
-        forward(probes[0], w, taps=taps)
-        forward(probes[1], w, taps={})
+        forward(TokenBatch.of(probes[:1]), w, taps=taps)
+        forward(TokenBatch.of(probes[1:]), w, taps={})
         # measure current std, rescale to it: factor must be ~1
         vals = []
         for tp in probes:
             t = {}
-            forward(tp, w, taps=t)
+            forward(TokenBatch.of([tp]), w, taps=t)
             vals.append(t["last_ffn_out"].data.ravel())
         current = float(np.concatenate(vals).std())
         _, factor = rescale_final_layer(w, current, probes)
@@ -208,7 +208,7 @@ class TestRescale:
         vals = []
         for tp in probes:
             t = {}
-            forward(tp, w, taps=t)
+            forward(TokenBatch.of([tp]), w, taps=t)
             vals.append(t["last_ffn_out"].data.ravel())
         target = float(np.concatenate(vals).std())
 
