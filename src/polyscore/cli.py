@@ -249,7 +249,8 @@ def cmd_pretrain(s: Settings) -> int:
     from .encoder import ModelConfig
     from .model import Model
     from .optim import pretraining_config
-    from .text import Vocabulary, build_vocab, example_token_stream, load_jsonl
+    from .text import RESERVED, Vocabulary, build_vocab, encode_pair, example_token_stream, \
+        load_jsonl
     from .training import pretrain_loop, training_data
 
     examples = list(load_jsonl(s.corpus))
@@ -274,7 +275,11 @@ def cmd_pretrain(s: Settings) -> int:
     if cfg.vocab_size != len(vocab):
         raise ConfigError(f"vocab size {len(vocab)} does not match model config {cfg.vocab_size}")
     valid_examples = list(load_jsonl(s.valid)) if s.valid else None
-    training_data("pretrain", examples, valid_examples, "sampled")
+    train, sample = training_data("pretrain", examples, valid_examples, "sampled")
+    for what, data in (("corpus", train), ("validation sample", sample)):
+        if data and not any(max(encode_pair(ex.context_text, ex.gold, vocab, cfg.max_positions)
+                                .token_ids) >= len(RESERVED) for ex in data):
+            raise ContractError(f"pretrain {what} has no word in the vocabulary to mask")
     opt_cfg = replace(pretraining_config(lr=s.lr, warmup_steps=s.warmup,
                                          eval_interval=s.eval_interval),
                       beta1=s.beta1, beta2=s.beta2, weight_decay=s.weight_decay)

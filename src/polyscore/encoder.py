@@ -5,8 +5,8 @@ layer norm, GELU feed-forward, residual, layer norm) with an embedding layer
 norm up front; dimensions come from ModelConfig so both the desk default and
 BERT-base sizes are expressible. The forward takes only a padded [B, L]
 TokenBatch (one sequence is a batch of one) and returns [B, L, hidden]
-states; attention logits at pad key positions are forced to -inf before the
-softmax, so pad rows never leak into real ones.
+states, or h_1 alone when asked; attention logits at pad key positions are
+forced to -inf before the softmax, so pad rows never leak into real ones.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class TransformerWeights:
 
 @dataclass
 class TransformerOutput:
-    """Per-token hidden states h_1..h_N, [B, L, hidden], plus the [B, L] pad
-    mask they were built under."""
+    """Per-token hidden states h_1..h_N, [B, L, hidden] (h_1 alone, [B, 1, hidden],
+    from a first_only forward), plus the pad mask of those positions."""
 
     hidden_states: Tensor
     pad_mask: np.ndarray
@@ -203,6 +203,7 @@ def forward(
     w: TransformerWeights,
     rng: np.random.Generator | None = None,
     taps: dict | None = None,
+    first_only: bool = False,
 ) -> TransformerOutput:
     """Full encoder pass over a padded [B, L] batch, to [B, L, hidden] states.
 
@@ -216,6 +217,9 @@ def forward(
     only its result in a Tensor; training runs the same kernels under the tape.
     `taps`, when given, receives intermediate tensors keyed by name
     (currently the last block's FFN output projection, pre-residual, [B*L, hidden]).
+    `first_only` asks for h_1 alone: a forward without tape or dropout then runs
+    the last block past its keys and values on position 0 only, to [B, 1, hidden]
+    states. A taped forward keeps every row: training arithmetic stays as it is.
     """
     cfg = w.cfg
     b, n = batch.token_ids.shape
@@ -225,10 +229,12 @@ def forward(
     key_bias = np.where(batch.pad_mask, 0.0, -np.inf).astype(w.dtype)[:, None, None, :]
     keeps = _dropout_keeps(batch, cfg, rng) if rng is not None and cfg.dropout_p > 0.0 else None
 
-    def split_heads(t, axes):  # [B*L, H] -> [B, heads, L, d], or [B, heads, d, L] for keys
-        return T.transpose(T.reshape(t, (b, n, heads, head_dim)), axes)
+    def split_heads(t, rows, axes):  # [B*rows, H] -> [B, heads, rows, d], [B, heads, d, rows]
+        return T.transpose(T.reshape(t, (b, rows, heads, head_dim)), axes)
 
     prm = {name: T.operand(t) for name, t in w.params.items()}
+    prune = first_only and keeps is None and not any(t.requires_grad for t in w.params.values())
+    rows = n  # query positions per row
 
     def project(t, name):
         return T.add(T.matmul(t, prm[f"{name}.weight"]), prm[f"{name}.bias"])
@@ -239,12 +245,14 @@ def forward(
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
-        q = split_heads(T.scale(project(x, f"{p}.attn.q"), inv_sqrt), (0, 2, 1, 3))
-        k = split_heads(project(x, f"{p}.attn.k"), (0, 2, 3, 1))
-        v = split_heads(project(x, f"{p}.attn.v"), (0, 2, 1, 3))
-        probs = T.softmax(T.matmul(q, k), bias=key_bias)  # [B, heads, L, L]
+        k = split_heads(project(x, f"{p}.attn.k"), n, (0, 2, 3, 1))
+        v = split_heads(project(x, f"{p}.attn.v"), n, (0, 2, 1, 3))
+        if prune and i == cfg.layers - 1:  # from here on only h_1 of each row
+            x, rows = np.ascontiguousarray(x[::n]), 1
+        q = split_heads(T.scale(project(x, f"{p}.attn.q"), inv_sqrt), rows, (0, 2, 1, 3))
+        probs = T.softmax(T.matmul(q, k), bias=key_bias)  # [B, heads, rows, L]
         probs = _maybe_dropout(probs, cfg.dropout_p, keeps)
-        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * n, hidden))
+        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * rows, hidden))
         attn_out = _maybe_dropout(project(ctx, f"{p}.attn.out"), cfg.dropout_p, keeps)
         x = T.layer_norm(
             T.add(x, attn_out), prm[f"{p}.attn_norm.gain"], prm[f"{p}.attn_norm.bias"], LN_EPS
@@ -258,5 +266,5 @@ def forward(
             T.add(x, ffn_out), prm[f"{p}.ffn_norm.gain"], prm[f"{p}.ffn_norm.bias"], LN_EPS
         )
 
-    x = T.reshape(x, (b, n, hidden))
-    return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=batch.pad_mask)
+    x = T.reshape(x, (b, rows, hidden))
+    return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=batch.pad_mask[:, :rows])

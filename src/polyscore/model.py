@@ -25,8 +25,8 @@ from . import tensor as T
 from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward, \
     init_parameters
 from .errors import ConfigError, ShapeError
-from .heads import POLY_VARIANTS, cross_score, parse_reduction, poly_context_vectors, \
-    reduce_output
+from .heads import POLY_VARIANTS, REDUCTION_FIRST, cross_score, parse_reduction, \
+    poly_context_vectors, reduce_output
 from .records import RecordReader, RecordWriter
 from .tensor import Tensor
 from .text import TokenBatch, TokenizedPair, Vocabulary, encode_pair, encode_pairs, \
@@ -266,17 +266,22 @@ class Scorer:
 
     # batches
 
-    def context_outputs(self, contexts, rng=None) -> TransformerOutput:
+    def context_outputs(self, contexts, rng=None, first_only=False) -> TransformerOutput:
         """[B, L, hidden] outputs of several contexts from one batched forward;
-        dropout runs when an rng is given."""
+        dropout runs when an rng is given. See forward for `first_only`."""
         batch = TokenBatch.of([self.encode_context(turns) for turns in contexts])
-        return forward(batch, self.model.context_tower(), rng=rng)
+        return forward(batch, self.model.context_tower(), rng=rng, first_only=first_only)
 
     def candidate_vectors(self, texts: list[str], rng=None) -> Tensor:
         """[B, hidden] candidate vectors from one batched forward."""
         batch = TokenBatch.of([self.encode_candidate(t) for t in texts])
-        out = forward(batch, self.model.candidate_tower(), rng=rng)
+        out = forward(batch, self.model.candidate_tower(), rng=rng, first_only=self._first)
         return reduce_output(out, self.model.reduction)
+
+    @property
+    def _first(self) -> bool:
+        """Whether the reduction reads h_1 alone, so a forward may stop there."""
+        return self.model.reduction == REDUCTION_FIRST
 
     def cross_scores(self, pairs: list[TokenizedPair], rng=None) -> Tensor:
         """[P] cross scores of encoded (context, candidate) pairs, from one
@@ -287,7 +292,8 @@ class Scorer:
     # one sequence: row 0 of a batch of one, its batch axis reshaped away
 
     def context_vector(self, turns) -> Tensor:
-        return _row0(reduce_output(self.context_outputs([turns]), self.model.reduction))
+        out = self.context_outputs([turns], first_only=self._first)
+        return _row0(reduce_output(out, self.model.reduction))
 
     def candidate_vector(self, text: str) -> Tensor:
         return _row0(self.candidate_vectors([text]))

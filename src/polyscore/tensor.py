@@ -350,28 +350,28 @@ def backward(loss: Tensor, params) -> dict:
         if not p.requires_grad:
             raise ContractError("backward called with an unmarked parameter")
 
-    # iterative DFS: deep tapes (long training graphs) must not hit the
-    # recursion limit
+    # iterative post-order DFS, each node's parents last to first: deep tapes
+    # (long training graphs) must not hit the recursion limit
     topo: list[Tensor] = []
-    visited: set[int] = set()
-    work = [loss]
+    visited = {id(loss)}
+    work = [(loss, reversed(loss._parents))]
     while work:
-        node = work[-1]
-        if id(node) in visited:
-            work.pop()
-            continue
-        pending = [p for p in node._parents if id(p) not in visited and p.requires_grad]
-        if pending:
-            work.extend(pending)
+        node, parents = work[-1]
+        for p in parents:
+            if p.requires_grad and id(p) not in visited:
+                visited.add(id(p))
+                work.append((p, reversed(p._parents)))
+                break
         else:
-            visited.add(id(node))
             topo.append(node)
             work.pop()
 
     # an intermediate node's gradient is dropped once its vjp has consumed
-    # it, so backward holds the gradients of a frontier, not of the whole tape
+    # it, so backward holds the gradients of a frontier, not of the whole tape;
+    # vjps hand out views of g, so only buffers made by a sum here are summed into
     keep = {id(p) for p in params}
     grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=loss.dtype)}
+    owned: set[int] = set()
     for node in reversed(topo):
         g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
         if g is None or node._vjp is None:
@@ -379,8 +379,15 @@ def backward(loss: Tensor, params) -> dict:
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:
                 continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            key, acc = id(parent), grads.get(id(parent))
+            if acc is None:
+                grads[key] = pg
+            elif key in owned and acc.dtype == pg.dtype:  # as acc + pg would round
+                acc += pg
+            else:
+                grads[key] = acc = acc + pg
+                if isinstance(acc, np.ndarray):
+                    owned.add(key)
 
     out = {}
     for p in params:

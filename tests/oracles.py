@@ -422,6 +422,27 @@ def backward_keep_all(loss, params):
             visited.add(id(node))
             topo.append(node)
             work.pop()
+    return _accumulate(topo, loss, params)
+
+
+def backward_recursive(loss, params):
+    """polyscore.tensor.backward as a recursive post-order walk, each node's
+    parents last to first, whose every gradient sum is a fresh acc + pg."""
+    topo, visited = [], set()
+
+    def visit(node):
+        visited.add(id(node))
+        for parent in reversed(node._parents):
+            if parent.requires_grad and id(parent) not in visited:
+                visit(parent)
+        topo.append(node)
+
+    visit(loss)
+    return _accumulate(topo, loss, params)
+
+
+def _accumulate(topo, loss, params):
+    """Reverse-mode sums over a topological order, every gradient kept."""
     grads = {id(loss): np.asarray(1.0, dtype=loss.dtype)}
     for node in reversed(topo):
         g = grads.get(id(node))

@@ -26,6 +26,7 @@ from polyscore.training import (
 from conftest import make_rng
 from oracles import (
     backward_keep_all,
+    backward_recursive,
     bi_loss_per_sequence,
     cross_loss_per_sequence,
     encode_pair_reference,
@@ -233,4 +234,29 @@ class TestBackwardRelease:
         got = T.backward(loss, params)
         want = backward_keep_all(loss, params)
         for p in params:
+            assert got[p].tobytes() == want[p].tobytes()
+
+    @pytest.mark.parametrize("kind", ["bi", "poly", "cross", "mlm", "next"])
+    def test_gradients_match_recursive_reference(self, base, vocab, kind):
+        examples, drop_rng = mixed_examples(4, seed=20), make_rng(22)
+        model = base if kind in ("mlm", "next") else base.derive(
+            kind, make_rng(1), poly_variant="learnt" if kind == "poly" else None,
+            poly_m=3 if kind == "poly" else None)
+        scorer = Scorer(model, vocab) if model is not base else None
+        if kind == "mlm":
+            loss = mlm_batch_loss(model, vocab, examples, make_rng(21), drop_rng)
+        elif kind == "next":
+            triples = [(ex.context_text, ex.gold, i % 2) for i, ex in enumerate(examples)]
+            loss = next_batch_loss(model, vocab, triples, drop_rng)
+        elif kind == "cross":
+            loss = cross_batch_loss(scorer, examples, [ex.gold for ex in examples],
+                                    FinetuneSettings(n_candidates=3), make_rng(21), drop_rng)
+        else:
+            loss = (bi_batch_loss if kind == "bi" else poly_batch_loss)(scorer, examples,
+                                                                       drop_rng)
+        params = list(model.named_parameters().values())
+        got = T.backward(loss, params)
+        want = backward_recursive(loss, params)
+        for p in params:
+            assert got[p].dtype == want[p].dtype
             assert got[p].tobytes() == want[p].tobytes()

@@ -13,6 +13,7 @@ from polyscore.bench import _openblas_thread_calls
 from polyscore.cli import COMMANDS, build_parser, main
 from polyscore.model import load_checkpoint, save_checkpoint
 from polyscore.synth import make_chain_corpus, make_overlap_dataset, write_jsonl
+from polyscore.text import Example
 
 from conftest import make_rng, rewrite_header
 
@@ -64,6 +65,26 @@ class TestPretrain:
                    "--out-dir", str(workdir / "x"), "--seed", "1"])
         assert rc == 2
         assert "nope.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["corpus", "valid"])
+    def test_no_maskable_word_exits_2_before_writing(self, workdir, tmp_path, capsys, side):
+        # a vocabulary that lacks the side's words: every token encodes to
+        # <unk>, so no batch could ever pick a token to mask
+        unknown = tmp_path / "unknown.jsonl"
+        write_jsonl([Example((f"zq{i} zq{i + 1}",), (f"zq{i + 2}",), 0) for i in range(3)],
+                    unknown)
+        corpus, valid = workdir / "corpus.jsonl", workdir / "corpus.jsonl"
+        if side == "corpus":
+            corpus = unknown
+        else:
+            valid = unknown
+        out = tmp_path / "run"
+        rc = main(["pretrain", "--corpus", str(corpus), "--valid", str(valid),
+                   "--vocab", str(workdir / "base" / "vocab.txt"), "--out-dir", str(out),
+                   "--seed", "1", "--steps", "2", "--batch-size", "2"])
+        assert rc == 2
+        assert "no word in the vocabulary to mask" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists() and not (out / "vocab.txt").exists()
 
     def test_seed_required(self, workdir, capsys):
         rc = main(["pretrain", "--corpus", str(workdir / "corpus.jsonl"),

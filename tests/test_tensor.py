@@ -12,7 +12,8 @@ from polyscore.errors import ContractError, NumericError, ShapeError
 from polyscore.tensor import Tensor
 
 from conftest import make_rng
-from oracles import dot, grad_check, matmul_triple_loop, softmax_closed_form, tsum
+from oracles import backward_recursive, dot, grad_check, matmul_triple_loop, \
+    softmax_closed_form, tsum
 
 
 class TestMatmul:
@@ -117,6 +118,17 @@ class TestBackward:
         q = Tensor([3.0, 4.0], requires_grad=True)
         grads = T.backward(tsum(p), [p, q])
         assert np.array_equal(grads[q], np.zeros(2))
+
+    def test_shared_vjp_gradients_are_not_summed_into(self):
+        # add hands one g to both parents, and each parent then receives a
+        # second gradient: a sum into that shared g would corrupt the other
+        p = Tensor(make_rng(3).normal(size=(3, 4)), requires_grad=True)
+        a, b = T.scale(p, 2.0), T.scale(p, 3.0)
+        u = T.add(T.add(T.add(a, b), a), b)
+        grads = T.backward(tsum(T.mul(u, u)), [p])
+        want = backward_recursive(tsum(T.mul(u, u)), [p])
+        assert grads[p].tobytes() == want[p].tobytes()
+        assert np.abs(grads[p] - 2 * 10 * 10 * p.data).max() < 1e-12
 
     def test_non_scalar_loss_rejected(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
