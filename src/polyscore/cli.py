@@ -24,6 +24,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ContractError, ParseError, PolyscoreError, StaleCacheError
 from .heads import parse_arch, parse_reduction
+from .optim import ADAM_DECAY, OPTIMIZER_KINDS
+from .training import FREEZE_SPECS, NEG_MODES
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -334,7 +336,7 @@ def cmd_train(s: Settings) -> int:
     epoch_steps = max(1, math.ceil(len(train_examples) / max(1, s.batch_size)))
     opt_cfg = OptimizerConfig(
         kind=s.optimizer, lr=s.lr,
-        weight_decay=0.01 if s.optimizer == "adam_decay" else 0.0,
+        weight_decay=0.01 if s.optimizer == ADAM_DECAY else 0.0,
         warmup_steps=s.warmup if s.warmup is not None else (1000 if kind == "cross" else 100),
         eval_interval=(s.eval_interval if s.eval_interval is not None
                        else max(1, epoch_steps // 2)),
@@ -540,15 +542,14 @@ COMMANDS = {  # name: (function, help, settings)
         Setting("seed", "int", required=True),
         Setting("arch", "str", "bi", "bi | cross | poly:<m> | poly:<variant>:<m>",
                 check=parse_arch),
-        Setting("freeze", "str", "every_layer", choices=("top_layer", "top4_layers",
-                                                         "all_but_embeddings", "every_layer")),
+        Setting("freeze", "str", "every_layer", choices=FREEZE_SPECS),
         Setting("steps", "int", 200, minimum=0),
         Setting("batch_size", "int", 32, minimum=1),
-        Setting("optimizer", "str", "adam_decay", choices=("adam_decay", "adamax_nodecay")),
+        Setting("optimizer", "str", ADAM_DECAY, choices=OPTIMIZER_KINDS),
         Setting("lr", "float", 5e-5),
         Setting("warmup", "int", help="default 1000 for cross, 100 otherwise", minimum=1),
         Setting("eval_interval", "int", help="default half an epoch", minimum=1),
-        Setting("neg_mode", "str", "sampled", choices=("sampled", "provided")),
+        Setting("neg_mode", "str", "sampled", choices=NEG_MODES),
         Setting("n_candidates", "int", 16, "cross: gold plus negatives", minimum=2),
         Setting("reduction", "str", "first", "first | avg_all | avg_first:<m>",
                 check=parse_reduction),

@@ -54,17 +54,6 @@ class ModelConfig:
         if self.vocab_size < 5 or self.max_positions < 1 or self.ffn_hidden < 1:
             raise ConfigError("vocab_size/max_positions/ffn_hidden out of range")
 
-    def to_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "heads": self.heads,
-            "hidden": self.hidden,
-            "ffn_hidden": self.ffn_hidden,
-            "vocab_size": self.vocab_size,
-            "max_positions": self.max_positions,
-            "dropout_p": self.dropout_p,
-        }
-
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Hierarchical name -> shape map for one encoder tower."""
@@ -195,7 +184,7 @@ def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator
 
 
 def _maybe_dropout(x, p, keeps):
-    return x if keeps is None else T.dropout(x, p, keep=next(keeps))
+    return x if keeps is None else T.dropout(x, p, next(keeps))
 
 
 def forward(

@@ -34,22 +34,15 @@ def in_batch_loss(y_ctxt: Tensor, y_cand: Tensor) -> tuple[Tensor, Tensor]:
     return cross_entropy_rows(logits, np.arange(b)), logits
 
 
-def nll_from_logits(logits: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of one target under a softmax over a vector."""
-    n = logits.shape[0]
-    if not 0 <= target < n:
-        raise ContractError(f"target {target} out of range for {n} logits")
-    row = T.reshape(logits, (1, n))
-    return T.neg(T.reshape(T.take_pairs(T.log_softmax(row), [0], [target]), ()))
-
-
 def external_neg_loss(scores: Tensor, correct_index: int = 0) -> Tensor:
     """Softmax cross-entropy over gold-plus-sampled-negative scores."""
     if scores.data.ndim != 1:
         raise ShapeError(f"scores must be a vector, got shape {scores.shape}")
     if scores.shape[0] < 2:
         raise ContractError(f"external negatives need >= 2 candidates, got {scores.shape[0]}")
-    return nll_from_logits(scores, correct_index)
+    if not 0 <= correct_index < scores.shape[0]:
+        raise ContractError(f"target {correct_index} out of range for {scores.shape[0]} logits")
+    return cross_entropy_rows(T.reshape(scores, (1, scores.shape[0])), [correct_index])
 
 
 def binary_choice_loss(score: Tensor, label: int) -> Tensor:
@@ -57,7 +50,7 @@ def binary_choice_loss(score: Tensor, label: int) -> Tensor:
     if label not in (0, 1):
         raise ContractError(f"label must be 0 or 1, got {label}")
     zero = Tensor(np.zeros((), dtype=score.dtype))
-    return nll_from_logits(T.stack([zero, T.reshape(score, ())]), label)
+    return cross_entropy_rows(T.reshape(T.stack([zero, T.reshape(score, ())]), (1, 2)), [label])
 
 
 def masked_token_loss(logits: Tensor, target_ids) -> Tensor:

@@ -15,6 +15,7 @@ checkpoint reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -127,24 +128,6 @@ class Model:
         out.update(self.extras)
         return out
 
-    @property
-    def dtype(self):
-        return next(iter(self.towers.values())).dtype
-
-    def astype(self, dtype) -> "Model":
-        towers = {
-            p: TransformerWeights(
-                tw.cfg,
-                {n: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
-                 for n, t in tw.params.items()},
-            )
-            for p, tw in self.towers.items()
-        }
-        extras = {n: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
-                  for n, t in self.extras.items()}
-        return Model(self.cfg, self.kind, towers, extras, self.reduction,
-                     self.poly_variant, self.poly_m, self.fingerprint)
-
     # ---- towers ----
 
     def context_tower(self) -> TransformerWeights:
@@ -159,7 +142,7 @@ class Model:
 
 def _header_dict(model: Model) -> dict:
     return {
-        "config": model.cfg.to_dict(),
+        "config": dataclasses.asdict(model.cfg),
         "kind": model.kind,
         "poly_m": model.poly_m,
         "poly_variant": model.poly_variant,

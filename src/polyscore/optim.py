@@ -17,6 +17,7 @@ from .tensor import Tensor
 
 ADAM_DECAY = "adam_decay"
 ADAMAX_NODECAY = "adamax_nodecay"
+OPTIMIZER_KINDS = (ADAM_DECAY, ADAMAX_NODECAY)
 SCHEDULE_INV_SQRT = "inverse_sqrt"
 SCHEDULE_PLATEAU = "plateau"
 
@@ -37,7 +38,7 @@ class OptimizerConfig:
     eval_interval: int = 100
 
     def __post_init__(self):
-        if self.kind not in (ADAM_DECAY, ADAMAX_NODECAY):
+        if self.kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
@@ -92,37 +93,35 @@ def learning_rate(cfg: OptimizerConfig, step: int, plateau_scale: float = 1.0) -
 
 
 class Optimizer:
-    """Stateful Adam / Adamax over named parameters: every parameter's moments
-    live in one flat buffer, and a step is one vectorised update over the
-    concatenated gradients that rounds as a per-parameter loop would."""
+    """Stateful Adam / Adamax that owns the named parameters: construction
+    copies them into one flat buffer and makes each parameter's `.data` a view
+    of it, so a step is one vectorised update in place that rounds as a
+    per-parameter loop would."""
 
     def __init__(self, cfg: OptimizerConfig, trainable: dict[str, Tensor]):
         self.cfg = cfg
         self.trainable = dict(trainable)
-        self._sizes = [t.data.size for t in self.trainable.values()]
-        dtype = np.result_type(*(t.dtype for t in self.trainable.values()), np.float32)
-        self._m, self._v = np.zeros((2, sum(self._sizes)), dtype=dtype)
+        self._theta = np.concatenate([t.data.ravel() for t in self.trainable.values()])
+        offset = 0
+        for t in self.trainable.values():
+            t.data = self._theta[offset:offset + t.data.size].reshape(t.shape)
+            offset += t.data.size
+        self._m, self._v = np.zeros((2, offset), dtype=self._theta.dtype)
         self.plateau = PlateauTracker()
 
     def step(self, grads: dict[str, np.ndarray], step: int) -> float:
-        """One update over every trainable param with a gradient; returns the lr used."""
+        """One update of every trainable param from its gradient; returns the lr used."""
         cfg = self.cfg
         lr = learning_rate(cfg, step, self.plateau.scale)
-        live = [(n, p) for n, p in self.trainable.items() if grads.get(n) is not None]
-        if not live:
-            return lr
-        g = np.concatenate([np.ravel(grads[n]) for n, _ in live])
+        g = np.concatenate([np.ravel(grads[n]) for n in self.trainable])
         if not np.isfinite(g).all():
-            name, bad = next((n, grads[n]) for n, _ in live if not np.isfinite(grads[n]).all())
+            name, bad = next((n, grads[n]) for n in self.trainable
+                             if not np.isfinite(grads[n]).all())
             raise NumericError(
                 f"non-finite gradient for {name!r} at step {step}: "
                 f"|g|_max={np.abs(bad[np.isfinite(bad)]).max(initial=0.0):.3e}"
             )
-        # a parameter without a gradient keeps its moments: update the others' slices
-        sel = slice(None) if len(live) == len(self.trainable) else np.repeat(
-            [grads.get(n) is not None for n in self.trainable], self._sizes)
-        m, v = self._m[sel], self._v[sel]
-        theta = np.concatenate([p.data.ravel() for _, p in live])
+        m, v, theta = self._m, self._v, self._theta
         b1, b2 = cfg.beta1, cfg.beta2
         m *= b1
         m += (1.0 - b1) * g
@@ -136,9 +135,4 @@ class Optimizer:
             np.maximum(b2 * v, np.abs(g), out=v)
             update = (m / (1.0 - b1**step)) / (v + EPS)
         theta -= lr * update
-        if not isinstance(sel, slice):
-            self._m[sel], self._v[sel] = m, v
-        ends = np.cumsum([p.data.size for _, p in live])
-        for (_, param), part in zip(live, np.split(theta, ends[:-1])):
-            param.data = part.reshape(param.data.shape)
         return lr

@@ -10,7 +10,7 @@ ops bare arrays (see `operand`) runs kernels end to end and builds no Tensor
 per op. `backward` replays the implicit tape in reverse topological order.
 
 Tensors are immutable after creation for graph purposes: training code may
-swap `.data` in place only between forward passes, never while a tape that
+update `.data` in place only between forward passes, never while a tape that
 references the tensor is still live.
 """
 
@@ -117,15 +117,6 @@ def add(a, b):
         return g, g.sum(axis=tuple(range(g.ndim - 1))) if bias else g
 
     return _result(a + b, inputs, vjp)
-
-
-def mul(a, b):
-    """Elementwise product, identical shapes only."""
-    inputs = a, b
-    a, b = _data(a), _data(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return _result(a * b, inputs, lambda g: (g * b, g * a))
 
 
 def scale(a, c: float):
@@ -265,26 +256,22 @@ def tmean(x):
     return _result(x.mean(), inputs, lambda g: (np.full(x.shape, g / x.size, dtype=x.dtype),))
 
 
-def dropout(x, p: float, rng: np.random.Generator | None = None,
-            keep: np.ndarray | None = None):
-    """Inverted dropout; call only on training paths. The boolean `keep` mask
-    is drawn as rng.random(x.shape) >= p unless the caller passes it."""
+def dropout(x, p: float, keep: np.ndarray):
+    """Inverted dropout under the caller's boolean `keep` mask, drawn as
+    rng.random(x.shape) >= p; call only on training paths."""
     inputs = (x,)
     x = _data(x)
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0,1), got {p}")
-    if p == 0.0:
-        return _result(x.copy(), inputs, lambda g: (g,))
+    if keep.shape != x.shape:
+        raise ShapeError(f"dropout mask {keep.shape} does not match input {x.shape}")
     # the tape keeps a boolean mask, not a float array of the input's size;
-    # mask * c rebuilds the 0 or 1/(1-p) multiplier exactly (signed zeros of
+    # keep * c rebuilds the 0 or 1/(1-p) multiplier exactly (signed zeros of
     # dropped entries included)
-    mask = rng.random(x.shape) >= p if keep is None else keep
-    if mask.shape != x.shape:
-        raise ShapeError(f"dropout mask {mask.shape} does not match input {x.shape}")
     c = x.dtype.type(1.0 / (1.0 - p))
 
-    def scaled(a):  # a * (mask * c)
-        out = np.multiply(mask, c)
+    def scaled(a):  # a * (keep * c)
+        out = np.multiply(keep, c)
         out *= a
         return out
 

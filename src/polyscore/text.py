@@ -48,9 +48,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def id_of(self, token: str) -> int:
-        return self._token_to_id.get(token, UNK_ID)
-
     def token_of(self, idx: int) -> str:
         return self._id_to_token[idx]
 

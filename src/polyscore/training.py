@@ -32,6 +32,7 @@ MLM_RANDOM_FRACTION = 0.1  # remaining 0.1 keeps the original token
 VALID_SAMPLE = 64  # the validation losses read the first this many examples
 
 FREEZE_SPECS = ("top_layer", "top4_layers", "all_but_embeddings", "every_layer")
+NEG_MODES = ("sampled", "provided")  # cross negatives: from the train golds, or the example's own
 EMBEDDING_TABLES = ("embeddings.token", "embeddings.position", "embeddings.segment")
 
 _LAYER_RE = re.compile(r"(?:^|\.)layers\.(\d+)\.")
@@ -234,16 +235,20 @@ def mlm_logits(model: Model, rows: Tensor) -> Tensor:
 
 def mlm_batch_loss(model: Model, vocab, examples, data_rng, drop_rng=None) -> Tensor:
     """Mean masked-token loss over a batch of (context, gold) pairs, from one
-    padded forward; examples left with no target are skipped."""
-    corrupted, picks = [], []  # picks: (batch row, position, original id)
-    for ex in examples:
-        pair = encode_pair(ex.context_text, ex.gold, vocab, model.cfg.max_positions)
-        tp, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
-        if targets:
-            picks += [(len(corrupted), pos, tok) for pos, tok in targets]
-            corrupted.append(tp)
-    if not corrupted:
+    padded forward; examples left with no target are skipped, and a draw that
+    leaves the whole batch none is drawn again."""
+    pairs = [encode_pair(ex.context_text, ex.gold, vocab, model.cfg.max_positions)
+             for ex in examples]
+    if all(tok < len(RESERVED) for tp in pairs for tok in tp.token_ids):
         raise ContractError("no maskable tokens in batch")
+    picks = []  # (batch row, position, original id)
+    while not picks:
+        corrupted = []
+        for pair in pairs:
+            tp, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
+            if targets:
+                picks += [(len(corrupted), pos, tok) for pos, tok in targets]
+                corrupted.append(tp)
     batch = TokenBatch.of(corrupted)
     b, length = batch.token_ids.shape
     out = forward(batch, model.towers["enc"], rng=drop_rng)
@@ -322,12 +327,12 @@ class FinetuneSettings:
     steps: int = 200
     batch_size: int = 32
     freeze: str = "every_layer"
-    neg_mode: str = "sampled"  # cross only: "sampled" from train golds or "provided"
+    neg_mode: str = "sampled"  # cross only, one of NEG_MODES
     n_candidates: int = 16  # cross only: gold + 15 negatives
     seed: int = 0
 
     def __post_init__(self):
-        if self.neg_mode not in ("sampled", "provided"):
+        if self.neg_mode not in NEG_MODES:
             raise ConfigError(f"unknown negatives mode {self.neg_mode!r}")
         if self.n_candidates < 2:
             raise ConfigError(f"n_candidates must be >= 2, got {self.n_candidates}")

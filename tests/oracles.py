@@ -209,8 +209,7 @@ def adamax_first_step(theta, grad, lr, beta1, eps):
 def optimizer_steps_per_parameter(cfg, params, grad_steps):
     """Adam with decoupled decay or Adamax, one parameter at a time: the loop
     the flat optimizer replaced. `params` maps name -> array, `grad_steps` is
-    one name -> gradient dict per step (a missing name skips that parameter);
-    returns the final arrays."""
+    one name -> gradient dict per step; returns the final arrays."""
     from polyscore.optim import ADAM_DECAY, EPS, learning_rate
 
     theta = {n: a.copy() for n, a in params.items()}
@@ -220,9 +219,7 @@ def optimizer_steps_per_parameter(cfg, params, grad_steps):
     for step, grads in enumerate(grad_steps, 1):
         lr = learning_rate(cfg, step)
         for name in params:
-            g = grads.get(name)
-            if g is None:
-                continue
+            g = grads[name]
             m[name] = b1 * m[name] + (1.0 - b1) * g
             if cfg.kind == ADAM_DECAY:
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -319,11 +316,21 @@ def grad_check(loss_fn, named_arrays, analytic, rng, probes=100, h=1e-5,
 
 
 def _cross_entropy_mean(logit_rows, targets):
-    """Mean of nll_from_logits over rows given as a list of logit vectors."""
+    """Mean softmax cross-entropy of logit vectors against their targets, in
+    plain numpy: one tape node whose parents are the rows."""
     from polyscore import tensor as T
-    from polyscore.losses import nll_from_logits
 
-    return T.tmean(T.stack([nll_from_logits(row, t) for row, t in zip(logit_rows, targets)]))
+    x = np.stack([row.data for row in logit_rows])
+    shifted = x - x.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = np.arange(len(x)), list(targets)
+    onehot = np.zeros_like(x)
+    onehot[picked] = 1.0
+
+    def vjp(g):  # (softmax - onehot) / B, one gradient per row
+        return tuple(g * (np.exp(log_probs) - onehot) / len(x))
+
+    return T._result(-log_probs[picked].mean(), tuple(logit_rows), vjp)
 
 
 def bi_loss_per_sequence(scorer, batch):
@@ -462,8 +469,8 @@ def encode_pair_reference(input_text, label_text, vocab, max_len):
     oldest input tokens dropped first, then the label's tail."""
     from polyscore.text import TokenizedPair
 
-    inp = [vocab.id_of(t) for t in input_text.lower().split()]
-    lab = [vocab.id_of(t) for t in label_text.lower().split()]
+    inp = vocab.encode_tokens(input_text.lower().split())
+    lab = vocab.encode_tokens(label_text.lower().split())
     budget = max_len - 2
     keep_inp = min(len(inp), max(budget - len(lab), 1 if inp else 0))
     keep_lab = min(len(lab), budget - keep_inp)
@@ -495,7 +502,9 @@ def checkpoint_bytes_reference(model) -> bytes:
     record count, then per parameter (sorted by name) a u32-prefixed name, u8
     ndim, u32 dims and float64 little-endian values."""
     header = json.dumps({
-        "config": model.cfg.to_dict(),
+        "config": {field: getattr(model.cfg, field) for field in (
+            "layers", "heads", "hidden", "ffn_hidden", "vocab_size", "max_positions",
+            "dropout_p")},
         "kind": model.kind,
         "poly_m": model.poly_m,
         "poly_variant": model.poly_variant,

@@ -7,6 +7,7 @@ import pytest
 
 from polyscore import tensor as T
 from polyscore.encoder import ModelConfig, forward
+from polyscore.errors import ContractError
 from polyscore.heads import poly_context_vectors
 from polyscore.model import Model, Scorer
 from polyscore.tensor import Tensor
@@ -132,6 +133,16 @@ class TestPretrainLossesMatchPerSequence:
             base, lambda: mlm_batch_loss(base, vocab, batch, make_rng(11)),
             lambda: mlm_loss_per_sequence(base, vocab, batch, make_rng(11)))
 
+    def test_mlm_draws_again_while_the_batch_has_no_target(self, base, vocab):
+        # the one maskable token is not selected by the first draw of this
+        # seed; a batch with no maskable token at all still raises
+        one_word = [Example(("",), ("w3",), 0)]
+        first = mlm_corrupt(encode_pair("", "w3", vocab, 64), MLM_RATE, make_rng(11), len(vocab))
+        assert first[1] == []
+        assert np.isfinite(mlm_batch_loss(base, vocab, one_word, make_rng(11)).item())
+        with pytest.raises(ContractError, match="no maskable tokens"):
+            mlm_batch_loss(base, vocab, [Example(("",), ("unknown",), 0)], make_rng(11))
+
     def test_next(self, base, vocab):
         rng = make_rng(12)
         triples = [(words(rng, int(rng.integers(1, 9))), words(rng, int(rng.integers(1, 6))),
@@ -202,7 +213,7 @@ class TestDropoutMask:
         x[0, :3] = [0.0, -0.0, -1.5]
         g = make_rng(14).normal(size=(6, 7)).astype(dtype)
         t = Tensor(x, requires_grad=True)
-        out = T.dropout(t, p, make_rng(15))
+        out = T.dropout(t, p, make_rng(15).random(x.shape) >= p)
         (grad,) = out._vjp(g)
         keep = ((make_rng(15).random(x.shape) >= p) / (1.0 - p)).astype(dtype)
         for got, want in ((out.data, x * keep), (grad, g * keep)):

@@ -131,7 +131,8 @@ class TestRunBench:
     def test_models_use_float32(self, vocab):
         cfg = ModelConfig(vocab_size=len(vocab))
         models = make_bench_models(cfg, ["bi"], seed=0)
-        assert models["bi"].dtype == np.float32
+        params = models["bi"].named_parameters().values()
+        assert all(t.dtype == np.float32 for t in params)
 
     def test_models_build_the_parsed_variant(self, vocab):
         models = make_bench_models(ModelConfig(vocab_size=len(vocab)),

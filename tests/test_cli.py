@@ -86,6 +86,17 @@ class TestPretrain:
         assert "no word in the vocabulary to mask" in capsys.readouterr().err
         assert not (out / "manifest.json").exists() and not (out / "vocab.txt").exists()
 
+    def test_batch_whose_draw_masks_nothing_draws_again(self, tmp_path):
+        # one maskable word per example: a batch of four picks no target in
+        # about half its corruption draws, and such a draw exited 2 mid-run
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl([Example(("",), (w,), 0) for w in ("alpha", "beta", "gamma", "delta")],
+                    corpus)
+        rc = main(["pretrain", "--corpus", str(corpus), "--valid", str(corpus),
+                   "--out-dir", str(tmp_path / "run"), "--seed", "1", "--steps", "4",
+                   "--batch-size", "4", "--eval-interval", "2"])
+        assert rc == 0
+
     def test_seed_required(self, workdir, capsys):
         rc = main(["pretrain", "--corpus", str(workdir / "corpus.jsonl"),
                    "--out-dir", str(workdir / "x")])

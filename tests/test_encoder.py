@@ -13,8 +13,9 @@ from polyscore.training import FinetuneSettings, bi_batch_loss, cross_batch_loss
     mlm_batch_loss, next_batch_loss, poly_batch_loss
 
 from conftest import make_rng
-from oracles import bi_loss_per_sequence, cross_loss_per_sequence, mlm_loss_per_sequence, \
-    next_loss_per_sequence, pad_to, poly_loss_per_sequence, transformer_trace, tsum
+from oracles import bi_loss_per_sequence, cross_loss_per_sequence, dot, \
+    mlm_loss_per_sequence, next_loss_per_sequence, pad_to, poly_loss_per_sequence, \
+    transformer_trace, tsum
 
 
 @pytest.fixture
@@ -143,8 +144,8 @@ class TestForward:
     def test_gradient_reaches_every_parameter(self, desk_config, desk_weights, vocab):
         batch = TokenBatch.of([encode_pair("w1 w2 w3 w4", "w5 w6", vocab, 16)])
         out = forward(batch, desk_weights)
-        proj = Tensor(make_rng(4).normal(size=out.hidden_states.shape))
-        loss = tsum(T.mul(out.hidden_states, proj))
+        size = out.hidden_states.data.size
+        loss = dot(T.reshape(out.hidden_states, (size,)), make_rng(4).normal(size=size))
         grads = T.backward(loss, list(desk_weights.params.values()))
         dead = [n for n, t in desk_weights.params.items()
                 if np.abs(grads[t]).max() == 0.0]
@@ -201,9 +202,9 @@ class TestBatchedForward:
 
     def test_gradient_flows_through_batch(self, desk_weights, seqs):
         out = forward(TokenBatch.of(seqs), desk_weights)
-        proj = Tensor(make_rng(5).normal(size=out.hidden_states.shape))
-        grads = T.backward(tsum(T.reshape(T.mul(out.hidden_states, proj), (proj.data.size,))),
-                           list(desk_weights.params.values()))
+        size = out.hidden_states.data.size
+        loss = dot(T.reshape(out.hidden_states, (size,)), make_rng(5).normal(size=size))
+        grads = T.backward(loss, list(desk_weights.params.values()))
         dead = [n for n, t in desk_weights.params.items() if np.abs(grads[t]).max() == 0.0]
         assert dead == []
 

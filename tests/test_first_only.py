@@ -32,16 +32,21 @@ def vocab():
     return Vocabulary(WORDS)
 
 
+BASE_SEED = 1
+
+
 @pytest.fixture(scope="module")
 def base(vocab):
-    return Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(1))
+    return Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(BASE_SEED))
 
 
 def served(base, arch, dtype, reduction="first"):
-    """A derived model as a loaded checkpoint holds it: no parameter is marked."""
+    """A model derived from base's seed in dtype, as a loaded checkpoint holds
+    it: no parameter is marked."""
     kind, variant, m = parse_arch(arch)
+    base = Model.init_pretrain(base.cfg, make_rng(BASE_SEED), dtype)
     model = base.derive(kind, make_rng(2), reduction=reduction, poly_variant=variant,
-                        poly_m=m).astype(dtype)
+                        poly_m=m)
     for t in model.named_parameters().values():
         t.requires_grad = False
     return model

@@ -1,16 +1,21 @@
 """Hygiene of the package sources, checked with the standard library's ast
 module: every name an import binds is referenced in the scope that imports it
-(the module for a top-level import, the function for a local one), and every
-function the benchmark's tracer wraps still exists."""
+(the module for a top-level import, the function for a local one), every
+function, method and class has a caller in the package or the benchmark, and
+every function the benchmark's tracer wraps still exists."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polyscore"
 MODULES = sorted(SRC.glob("*.py"))
+# the benchmark's own code, not its tests: a path only tests reach has no caller
+BENCHMARK = sorted(p for p in (SRC.parent.parent / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -84,6 +89,58 @@ def test_checker_flags_unused_imports():
         "    return dumps\n"
     )
     assert unused_imports(tree) == ["1: os", "2: field", "7: dumps"]
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each name is used under tree: as a Name, as an Attribute, or
+    as a part of a dotted-name string such as "losses.in_batch_loss"."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def uncalled_definitions(defining: ast.Module, trees: list[ast.Module]) -> list[str]:
+    """'line: name' for each function, method and class defined in `defining`
+    that no tree in `trees` names outside the definition itself; dunder
+    methods are called by Python and exempt."""
+    used = sum((_names(t) for t in trees), Counter())
+    found = [d for d in ast.walk(defining)
+             if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and not (d.name.startswith("__") and d.name.endswith("__"))
+             and used[d.name] <= _names(d)[d.name]]
+    return [f"{d.lineno}: {d.name}" for d in sorted(found, key=lambda d: d.lineno)]
+
+
+def test_every_definition_has_a_caller():
+    """Code that only tests reach is not part of the program: delete it."""
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in MODULES + BENCHMARK]
+    found = [f"{path.name}:{entry}" for path, tree in zip(MODULES, trees)
+             for entry in uncalled_definitions(tree, trees)]
+    assert found == []
+
+
+def test_checker_flags_uncalled_definitions():
+    tree = ast.parse(
+        "def used(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class A:\n"
+        "    def __init__(self): self.method()\n"
+        "    def method(self): pass\n"
+        "    def dead(self): pass\n"
+        "def by_name(): pass\n"
+        "TARGETS = ['mod.by_name', 'see dead. below']\n"
+        "used(); A()\n"
+    )
+    assert uncalled_definitions(tree, [tree]) == ["2: recursive", "6: dead"]
 
 
 def benchmark_targets() -> list[tuple[str, str]]:

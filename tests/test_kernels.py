@@ -27,10 +27,14 @@ ARCHS = [("bi", None), ("poly", "learnt"), ("poly", "first_m"), ("poly", "last_m
 
 
 def scorer_pair(kind, variant, dtype):
-    """(inference scorer, taped scorer) over the same weights."""
-    base = Model.init_pretrain(ModelConfig(vocab_size=len(VOCAB)), make_rng(17), dtype=dtype)
-    model = base.derive(kind, make_rng(1), poly_variant=variant, poly_m=3 if variant else None)
-    frozen = model.astype(dtype)
+    """(inference scorer, taped scorer) over the same weights: two models
+    derived alike from one seed."""
+    def derived():
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(VOCAB)), make_rng(17), dtype=dtype)
+        return base.derive(kind, make_rng(1), poly_variant=variant,
+                           poly_m=3 if variant else None)
+
+    frozen, model = derived(), derived()
     for t in frozen.named_parameters().values():
         t.requires_grad = False
     assert all(t.requires_grad for t in model.named_parameters().values())
@@ -127,14 +131,13 @@ GUARDED = {
     "matmul_batch": lambda: T.matmul(np.ones((2, 2, 3)), np.ones((3, 3, 2))),
     "add": lambda: T.add(M, np.ones((3, 2))),
     "add_bias": lambda: T.add(M, np.ones(2)),
-    "mul": lambda: T.mul(M, np.ones(3)),
     "transpose": lambda: T.transpose(np.ones((2, 3, 4))),
     "transpose_axes": lambda: T.transpose(M, (0, 0)),
     "softmax_axis": lambda: T.softmax(M, axis=0),
     "softmax_bias": lambda: T.softmax(M, bias=np.zeros((4, 2, 3))),
     "layer_norm": lambda: T.layer_norm(M, np.ones(2), np.zeros(3)),
     "tsum": lambda: tsum(M, axis=0),
-    "dropout": lambda: T.dropout(M, 0.5, keep=np.ones((3, 2), dtype=bool)),
+    "dropout": lambda: T.dropout(M, 0.5, np.ones((3, 2), dtype=bool)),
     "gather_rows": lambda: T.gather_rows(np.ones(3), [0]),
     "stack": lambda: T.stack([M, np.ones(3)]),
 }
@@ -269,7 +272,7 @@ def test_dropout_bit_identical_to_formula():
     keep = rng.random(x.shape) >= 0.3
     keep[0, :7], keep[0, 7:], keep[1, :] = True, False, False  # each special kept and dropped
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN on both sides
-        out = T.dropout(taped(x), 0.3, keep=keep)
+        out = T.dropout(taped(x), 0.3, keep)
         got_gx = out._vjp(g)[0]
         want_out, want_gx = oracles.dropout_formula(x, 0.3, keep, g)
     assert same_bits(out.data, want_out)

@@ -11,7 +11,6 @@ from polyscore.losses import (
     binary_choice_loss,
     external_neg_loss,
     in_batch_loss,
-    nll_from_logits,
 )
 from polyscore.tensor import Tensor
 
@@ -87,6 +86,11 @@ class TestExternalNegLoss:
         loss = external_neg_loss(Tensor(scores), correct_index=3)
         assert abs(loss.item() - cross_entropy_closed_form(scores, 3)) < 1e-12
 
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_out_of_range_index_rejected(self, index):
+        with pytest.raises(ContractError, match="out of range"):
+            external_neg_loss(Tensor(np.zeros(6)), correct_index=index)
+
     def test_single_candidate_rejected(self):
         with pytest.raises(ContractError):
             external_neg_loss(Tensor([1.0]))
@@ -110,7 +114,9 @@ class TestBinaryChoiceLoss:
 
 class TestNll:
     def test_matches_closed_form(self, rng):
+        # The negative log-likelihood of one logit vector, now computed by
+        # external_neg_loss, at every target including the default 0.
         logits = rng.normal(size=5)
         for t in range(5):
-            got = nll_from_logits(Tensor(logits), t).item()
+            got = external_neg_loss(Tensor(logits), correct_index=t).item()
             assert abs(got - cross_entropy_closed_form(logits, t)) < 1e-12

@@ -20,10 +20,13 @@ def vocab():
     return Vocabulary([f"w{i}" for i in range(28)])
 
 
+PRETRAIN_SEED = 1
+
+
 @pytest.fixture
 def pretrain_model(vocab):
     cfg = ModelConfig(vocab_size=len(vocab))
-    return Model.init_pretrain(cfg, make_rng(1))
+    return Model.init_pretrain(cfg, make_rng(PRETRAIN_SEED))
 
 
 class TestModel:
@@ -72,11 +75,6 @@ class TestModel:
         bi = pretrain_model.derive("bi", make_rng(2))
         with pytest.raises(ConfigError):
             bi.derive("cross", make_rng(2))
-
-    def test_astype_round_trip(self, pretrain_model):
-        f32 = pretrain_model.astype(np.float32)
-        assert f32.dtype == np.float32
-        assert pretrain_model.dtype == np.float64
 
 
 class TestCheckpoint:
@@ -176,7 +174,7 @@ class TestCheckpoint:
         path = tmp_path / "m.bin"
         save_checkpoint(pretrain_model, path)
         f32 = load_checkpoint(path, dtype=np.float32)
-        assert f32.dtype == np.float32
+        assert all(t.dtype == np.float32 for t in f32.named_parameters().values())
 
 
 class TestCheckpointFormat:
@@ -273,8 +271,9 @@ class TestScorer:
     def test_single_sequence_shapes(self, pretrain_model, vocab, arch, dtype):
         # the shapes perfbench's gates read: row 0 of a batch of one, batch axis gone
         kind, variant, m = parse_arch(arch)
-        model = pretrain_model.derive(kind, make_rng(0), poly_variant=variant, poly_m=m)
-        scorer = Scorer(model.astype(dtype), vocab)
+        base = Model.init_pretrain(pretrain_model.cfg, make_rng(PRETRAIN_SEED), dtype)
+        model = base.derive(kind, make_rng(0), poly_variant=variant, poly_m=m)
+        scorer = Scorer(model, vocab)
         hidden, turns = model.cfg.hidden, ["w1 w2", "w3"]
         if kind == "cross":
             score = scorer.score_cross(turns, "w4 w5")

@@ -56,32 +56,29 @@ class TestAdam:
         with pytest.raises(NumericError, match="'p'"):
             opt.step({"p": np.asarray([float("nan")])}, 1)
 
-    def test_missing_grad_skips_param(self):
-        cfg = OptimizerConfig(lr=0.1, warmup_steps=1)
-        params = one_param(3.0)
-        Optimizer(cfg, params).step({}, 1)
-        assert params["p"].data[0] == 3.0
-
 
 SHAPES = {"w": (3, 4), "b": (4,), "e": (5, 2, 3), "s": (1,)}
 
 
 class TestFlatUpdate:
     """One vectorised update over every parameter rounds as the per-parameter
-    loop does: after 5 steps on mixed shapes the weights are equal bit for bit."""
+    loop does: after 5 steps on mixed shapes the weights are equal bit for bit,
+    and each parameter still holds the array it held before the first step."""
 
     @staticmethod
-    def run(cfg, skip=None):
+    def run(cfg):
         rng = make_rng(31)
         init = {n: rng.normal(size=shape) for n, shape in SHAPES.items()}
         grad_steps = [{n: rng.normal(0.0, 0.1 * (k + 1), size=shape)
-                       for n, shape in SHAPES.items() if (k, n) != skip} for k in range(5)]
+                       for n, shape in SHAPES.items()} for k in range(5)]
         params = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
         opt = Optimizer(cfg, params)
+        arrays = {n: t.data for n, t in params.items()}
         for step, grads in enumerate(grad_steps, 1):
             opt.step(grads, step)
         want = optimizer_steps_per_parameter(cfg, init, grad_steps)
         for name, t in params.items():
+            assert t.data is arrays[name], name
             assert t.shape == SHAPES[name]
             assert t.data.tobytes() == want[name].tobytes(), name
 
@@ -91,10 +88,6 @@ class TestFlatUpdate:
     def test_adamax(self):
         self.run(OptimizerConfig(kind=ADAMAX_NODECAY, lr=0.05, warmup_steps=2,
                                  weight_decay=0.0))
-
-    @pytest.mark.parametrize("kind", ["adam_decay", ADAMAX_NODECAY])
-    def test_missing_grad_mid_run_keeps_moments(self, kind):
-        self.run(OptimizerConfig(kind=kind, lr=0.05, warmup_steps=2), skip=(2, "e"))
 
     def test_nan_after_finite_params_names_the_param(self):
         params = {n: Tensor(np.zeros(shape), requires_grad=True) for n, shape in SHAPES.items()}

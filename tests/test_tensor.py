@@ -125,8 +125,9 @@ class TestBackward:
         p = Tensor(make_rng(3).normal(size=(3, 4)), requires_grad=True)
         a, b = T.scale(p, 2.0), T.scale(p, 3.0)
         u = T.add(T.add(T.add(a, b), a), b)
-        grads = T.backward(tsum(T.mul(u, u)), [p])
-        want = backward_recursive(tsum(T.mul(u, u)), [p])
+        flat = T.reshape(u, (12,))
+        grads = T.backward(dot(flat, flat), [p])
+        want = backward_recursive(dot(flat, flat), [p])
         assert grads[p].tobytes() == want[p].tobytes()
         assert np.abs(grads[p] - 2 * 10 * 10 * p.data).max() < 1e-12
 
@@ -147,8 +148,8 @@ class TestBackward:
 
         def forward():
             h = T.gelu(T.add(T.matmul(xt, params["w1"]), params["b1"]))
-            out = T.softmax(T.matmul(h, params["w2"]))
-            return T.tmean(T.mul(out, out))
+            out = T.reshape(T.softmax(T.matmul(h, params["w2"])), (6,))
+            return dot(out, out)
 
         def loss_value():
             return forward().item()
@@ -164,7 +165,6 @@ class TestOpGradients:
     CASES = {
         "matmul": lambda p, r: T.matmul(p, r["b"]),
         "add_bias": lambda p, r: T.add(p, r["bias"]),
-        "mul": lambda p, r: T.mul(p, r["same"]),
         "scale": lambda p, r: T.scale(p, 1.7),
         "transpose": lambda p, r: T.transpose(p),
         "reshape": lambda p, r: T.reshape(p, (15,)),
@@ -197,7 +197,6 @@ class TestOpGradients:
         refs = {
             "b": Tensor(rng.normal(size=(5, 4))),
             "bias": Tensor(rng.normal(size=5)),
-            "same": Tensor(rng.normal(size=(3, 5))),
             "gain": Tensor(rng.normal(size=5)),
             "beta": Tensor(rng.normal(size=5)),
             "b3": Tensor(rng.normal(size=(2, 5, 4))),
@@ -212,7 +211,7 @@ class TestOpGradients:
             p = Tensor(arr, requires_grad=True)
             out = self.CASES[name](p, refs)
             flat = T.reshape(out, (out.data.size,))
-            return tsum(T.mul(flat, Tensor(proj[:out.data.size]))), p
+            return dot(flat, Tensor(proj[:out.data.size])), p
 
         loss, p = build(x)
         analytic = {"x": T.backward(loss, [p])[p]}
@@ -227,7 +226,7 @@ class TestOpGradients:
         def build():
             ps = [Tensor(a, requires_grad=True) for a in xs]
             stacked = T.stack(ps)
-            loss = tsum(T.mul(T.reshape(stacked, (18,)), proj))
+            loss = dot(T.reshape(stacked, (18,)), proj)
             return loss, ps
 
         loss, ps = build()
@@ -238,7 +237,7 @@ class TestOpGradients:
 
     def test_dropout_grad_matches_mask(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
-        out = T.dropout(x, 0.5, make_rng(3))
+        out = T.dropout(x, 0.5, make_rng(3).random((4, 4)) >= 0.5)
         grads = T.backward(tsum(out), [x])
         assert np.array_equal(grads[x], out.data)  # mask already includes 1/(1-p)
 
@@ -260,8 +259,8 @@ class TestInvariants:
 
     def test_backward_reuses_node_gradients_correctly(self):
         # diamond: y = x*x + x*x must give dy/dx = 4x
-        x = Tensor([3.0], requires_grad=True)
-        sq = T.mul(x, x)
+        x = Tensor([[3.0]], requires_grad=True)
+        sq = T.matmul(x, x)
         y = tsum(T.add(sq, sq))
         grads = T.backward(y, [x])
         assert np.abs(grads[x] - 12.0).max() < 1e-12

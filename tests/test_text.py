@@ -32,20 +32,20 @@ class TestVocabulary:
     def test_reserved_ids(self):
         v = Vocabulary(["a"])
         assert (PAD_ID, S_ID, MASK_ID, UNK_ID) == (0, 1, 2, 3)
-        assert v.id_of("a") == 4
+        assert v.encode_tokens(["a"]) == [4]
 
     def test_frequency_order_with_reserved_offset(self):
         v = build_vocab(["a b a"], 10)
-        assert v.id_of("a") == 4 and v.id_of("b") == 5
+        assert v.encode_tokens(["a", "b"]) == [4, 5]
 
     def test_max_size_truncates(self):
         v = build_vocab(["a b a", "c c c c"], 5)
         assert len(v) == 5  # 4 reserved + 1 word
-        assert v.id_of("c") == 4  # most frequent survives
+        assert v.encode_tokens(["c"]) == [4]  # most frequent survives
 
     def test_ties_broken_lexicographically(self):
         v = build_vocab(["z y x"], 10)
-        assert v.id_of("x") == 4 and v.id_of("y") == 5 and v.id_of("z") == 6
+        assert v.encode_tokens(["x", "y", "z"]) == [4, 5, 6]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ParseError):
@@ -65,8 +65,8 @@ class TestVocabulary:
 
     def test_round_trip_identity(self):
         v = build_vocab(["alpha beta gamma"], 10)
-        for tok in ("alpha", "beta", "gamma"):
-            assert v.token_of(v.id_of(tok)) == tok
+        tokens = ["alpha", "beta", "gamma"]
+        assert [v.token_of(i) for i in v.encode_tokens(tokens)] == tokens
 
     def test_save_load_round_trip(self, tmp_path):
         v = build_vocab(["a b c a"], 10)
@@ -88,26 +88,28 @@ def vocab():
 class TestEncodePair:
     def test_layout_and_segments(self, vocab):
         tp = encode_pair("hi", "yo", vocab, 16)
-        assert tp.token_ids == (S_ID, vocab.id_of("hi"), S_ID, vocab.id_of("yo"))
+        hi, yo = vocab.encode_tokens(["hi", "yo"])
+        assert tp.token_ids == (S_ID, hi, S_ID, yo)
         assert tp.segment_ids == (0, 0, 1, 1)
         assert TokenBatch.of([tp]).pad_mask.tolist() == [[True] * 4]
 
     def test_empty_label(self, vocab):
         tp = encode_pair("hi yo", "", vocab, 16)
-        assert tp.token_ids == (S_ID, vocab.id_of("hi"), vocab.id_of("yo"), S_ID)
+        assert tp.token_ids == (S_ID, *vocab.encode_tokens(["hi", "yo"]), S_ID)
 
     def test_overlong_input_keeps_label(self, vocab):
         text = " ".join(["how"] * 50) + " you"
         tp = encode_pair(text, "fine thanks", vocab, 12)
         assert len(tp) == 12
         # label fully retained, input truncated from the front (oldest dropped)
-        assert tp.token_ids[-2:] == (vocab.id_of("fine"), vocab.id_of("thanks"))
-        assert tp.token_ids[-4] == vocab.id_of("you")  # most recent input token kept
+        fine, thanks, you = vocab.encode_tokens(["fine", "thanks", "you"])
+        assert tp.token_ids[-2:] == (fine, thanks)
+        assert tp.token_ids[-4] == you  # most recent input token kept
 
     def test_overlong_label_tail_cut(self, vocab):
         tp = encode_pair("hi", " ".join(["are"] * 30), vocab, 8)
         assert len(tp) == 8
-        assert tp.token_ids[1] == vocab.id_of("hi")  # input keeps its one token
+        assert tp.token_ids[1] == vocab.encode_tokens(["hi"])[0]  # input keeps its one token
 
     def test_unknown_tokens_map_to_unk(self, vocab):
         tp = encode_pair("zzz", "yo", vocab, 8)
@@ -141,7 +143,7 @@ class TestEncodePair:
 class TestEncodeSingle:
     def test_basic(self, vocab):
         tp = encode_single("hi", vocab, 8)
-        assert tp.token_ids == (S_ID, vocab.id_of("hi"))
+        assert tp.token_ids == (S_ID, *vocab.encode_tokens(["hi"]))
         assert tp.segment_ids == (0, 0)
 
     def test_empty_text(self, vocab):
@@ -160,13 +162,14 @@ class TestEncodeSingle:
 
     def test_truncation_keeps_most_recent(self, vocab):
         tp = encode_single("hi yo how are you", vocab, 4)
-        assert tp.token_ids == (S_ID, vocab.id_of("how"), vocab.id_of("are"), vocab.id_of("you"))
+        assert tp.token_ids == (S_ID, *vocab.encode_tokens(["how", "are", "you"]))
 
 
 class TestPadTo:
     def test_pads_tail(self, vocab):
         batch = pad_to(encode_single("hi", vocab, 8), 5)
-        assert batch.token_ids.tolist() == [[S_ID, vocab.id_of("hi"), PAD_ID, PAD_ID, PAD_ID]]
+        assert batch.token_ids.tolist() == [[S_ID, *vocab.encode_tokens(["hi"]), PAD_ID, PAD_ID,
+                                             PAD_ID]]
         assert batch.pad_mask.tolist() == [[True, True, False, False, False]]
         assert batch.n_real == 2 and len(batch) == 5
 
