@@ -3,12 +3,13 @@
 Bi/Poly score against precomputed candidate embeddings; Cross re-encodes every
 (context, candidate) pair. Cache builds and cross reranks encode in padded
 batches. All scoring is exact - no approximate nearest-neighbor shortcuts.
-Poly attends over the cache in [m', rows] blocks of cache rows, small enough
-to stay in cache: softmax max and sum are m' vectorised passes over a block's
-logits. A row's score, sum w*l / sum w over its m' logits l, equals its dot
-product with the attention-pooled vector. Top k is exact in O(C) plus a sort
-of about k: a partition finds the k-th best score, and only rows scoring at
-least that (ties included) are sorted, by descending score then ascending id.
+The cache is column-major in memory (row-major on disk), so poly's [m', rows]
+logits for a block of cache rows are a plain GEMM into buffers reused across
+blocks and small enough to stay in cache; both softmax column sums are GEMVs.
+A row's score, sum w*l / sum w over its m' logits l, is its dot product with
+the attention-pooled vector. Top k is exact in O(C) plus a sort of about k: a
+partition finds the k-th best score, and only rows scoring at least that (ties
+included) are sorted, by descending score then ascending id.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ NO_FINGERPRINT = "unsaved"
 
 @dataclass
 class CandidateCache:
-    """Precomputed candidate embeddings, row i belongs to ids[i]."""
+    """Precomputed candidate embeddings, row i belongs to ids[i], column-major in memory."""
 
     ids: list[int]
     strings: list[str]
-    embeddings: np.ndarray  # [C, hidden]
+    embeddings: np.ndarray  # [C, hidden], column-major
     fingerprint: str
     # ids as an int64 array for ranking, made once: replace the cache, not its ids
     id_array: np.ndarray = field(init=False, repr=False, compare=False)
@@ -51,6 +52,7 @@ class CandidateCache:
             raise ShapeError(
                 f"cache rows {self.embeddings.shape} do not match {len(self.ids)} ids"
             )
+        self.embeddings = np.asfortranarray(self.embeddings)
         self.id_array = np.asarray(self.ids, dtype=np.int64)
 
     @property
@@ -76,10 +78,13 @@ def _chunks(items: list) -> list[list]:
 
 def build_cache(candidates: list[str], scorer: Scorer) -> CandidateCache:
     """Encode every candidate once through the candidate-side encoder, in
-    padded batches of ENCODE_CHUNK."""
+    padded batches of ENCODE_CHUNK, written into one column-major matrix."""
     if not candidates:
         raise ContractError("cannot build a cache from an empty candidate list")
-    emb = np.concatenate([scorer.candidate_vectors(chunk).data for chunk in _chunks(candidates)])
+    tower = scorer.model.candidate_tower()
+    emb = np.empty((len(candidates), tower.cfg.hidden), tower.dtype, order="F")
+    for i, chunk in enumerate(_chunks(candidates)):
+        emb[i * ENCODE_CHUNK:(i + 1) * ENCODE_CHUNK] = scorer.candidate_vectors(chunk).data
     return CandidateCache(list(range(len(candidates))), list(candidates), emb,
                           _model_fingerprint(scorer))
 
@@ -131,15 +136,19 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
     blocks of cache rows in single matrix passes."""
     _check_fresh(cache, scorer)
     vecs = scorer.poly_vectors(context_turns).data  # [m', H]
-    rows = max(1, POLY_BLOCK_ELEMENTS // vecs.shape[0])
-    parts = []
+    rows = max(1, min(cache.size, POLY_BLOCK_ELEMENTS // len(vecs)))
+    dtype = np.result_type(vecs, cache.embeddings)
+    logits, w = np.empty((2, len(vecs), rows), dtype)  # reused by every block
+    ones, scores = np.ones(len(vecs), dtype), np.empty(cache.size, dtype)
     for start in range(0, cache.size, rows):
-        logits = vecs @ cache.embeddings[start:start + rows].T  # [m', rows]
-        w = logits - logits.max(axis=0)
-        np.exp(w, out=w)
-        logits *= w
-        parts.append(logits.sum(axis=0) / w.sum(axis=0))
-    return _result(cache.id_array, np.concatenate(parts), k, gold_id)
+        block = cache.embeddings[start:start + rows].T  # a strided [H, rows] view
+        lg, wt = logits[:, :block.shape[1]], w[:, :block.shape[1]]
+        np.matmul(vecs, block, out=lg)
+        np.exp(np.subtract(lg, lg.max(axis=0), out=wt), out=wt)
+        den = ones @ wt
+        lg *= wt
+        np.divide(ones @ lg, den, out=scores[start:start + block.shape[1]])
+    return _result(cache.id_array, scores, k, gold_id)
 
 
 def rank_cross(scorer: Scorer, context_turns, candidates: list[str], k: int,
@@ -191,7 +200,8 @@ def load_cache(path) -> CandidateCache:
     r = RecordReader(path, CACHE_MAGIC, CACHE_VERSION, "cache")
     fingerprint = r.text("fingerprint")
     c, hidden = r.u32("candidate count"), r.u32("hidden size")
-    emb = r.floats(c * hidden, "<f4", "embeddings").reshape(c, hidden)
+    # a writable copy: asfortranarray keeps the read-only view of a 1xH matrix
+    emb = np.array(r.floats(c * hidden, "<f4", "embeddings").reshape(c, hidden), order="F")
     ids, strings = r.u32_texts(c, "candidate id and string")
     r.end()
-    return CandidateCache(ids, strings, emb.copy(), fingerprint)
+    return CandidateCache(ids, strings, emb, fingerprint)

@@ -82,6 +82,7 @@ class TestBuildCache:
         scorer = Scorer(base.derive("bi", make_rng(1), reduction=reduction), vocab)
         cands = mixed_texts(make_rng(10), ENCODE_CHUNK + 1)  # crosses a chunk boundary
         cache = build_cache(cands, scorer)
+        assert cache.embeddings.flags.f_contiguous
         direct = np.stack([scorer.candidate_vector(c).data for c in cands])
         assert np.abs(cache.embeddings - direct).max() < 1e-9
 
@@ -257,20 +258,33 @@ class TestRankPolyLayout:
             monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", block)
         self.check(vocab, dtype, tol, 16, 101, scale=8.0)
 
+    @pytest.mark.parametrize("arch,m", [("bi", 1), ("poly", 1), ("poly", 16), ("poly", 360)])
+    @pytest.mark.parametrize("c", [1, 1000])
+    def test_float32_cache_scored_by_float64_model(self, vocab, arch, m, c, monkeypatch):
+        # `rank --precision 64 --cache <float32 file>`: the pass computes in
+        # float64, so float32 buffers would miss this bound by orders of magnitude
+        monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", 4096)
+        self.check(vocab, np.float64, 1e-9, m, c, cache_dtype=np.float32, arch=arch)
+
     @staticmethod
-    def check(vocab, dtype, tol, m, c, scale=1.0):
+    def check(vocab, dtype, tol, m, c, scale=1.0, cache_dtype=None, arch="poly"):
         base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17), dtype=dtype)
-        model = base.derive("poly", make_rng(1), poly_variant="learnt", poly_m=m)
-        # unit-scale codes and rows, so the attention is far from uniform
-        model.extras["poly.codes"].data[:] = make_rng(m).normal(0.0, 1.0, size=(m, 32))
-        scorer = Scorer(model, vocab)
-        emb = make_rng(m + c).normal(0.0, scale, size=(c, 32)).astype(dtype)
+        emb = make_rng(m + c).normal(0.0, scale, size=(c, 32)).astype(cache_dtype or dtype)
         cache = CandidateCache(list(range(c)), [""] * c, emb, "unsaved")
         context = ["w2 w4 w6 w8 w10 w12", "w1 w9 w3"]
-        res = rank_poly(scorer, context, cache, k=c)
-        vecs = scorer.poly_vectors(context).data
-        assert vecs.shape[0] == m
-        want = poly_scores_pooled(vecs.astype(np.float64), emb.astype(np.float64))
+        if arch == "bi":
+            scorer = Scorer(base.derive("bi", make_rng(1)), vocab)
+            res = rank_bi(scorer, context, cache, k=c)
+            want = emb.astype(np.float64) @ scorer.context_vector(context).data.astype(np.float64)
+        else:
+            model = base.derive("poly", make_rng(1), poly_variant="learnt", poly_m=m)
+            # unit-scale codes and rows, so the attention is far from uniform
+            model.extras["poly.codes"].data[:] = make_rng(m).normal(0.0, 1.0, size=(m, 32))
+            scorer = Scorer(model, vocab)
+            res = rank_poly(scorer, context, cache, k=c)
+            vecs = scorer.poly_vectors(context).data
+            assert vecs.shape[0] == m
+            want = poly_scores_pooled(vecs.astype(np.float64), emb.astype(np.float64))
         got = np.empty(c)
         for cid, score in res.ranking:
             got[cid] = score
@@ -359,6 +373,15 @@ class TestCacheFile:
         assert back.fingerprint == cache.fingerprint
         assert np.abs(back.embeddings - cache.embeddings).max() < 1e-6  # f32 quantization
 
+    @pytest.mark.parametrize("c", [1, 7])
+    def test_loaded_matrix_column_major_owned_writable(self, world, tmp_path, c):
+        # at C=1 the [1, H] file view is both C- and F-contiguous
+        bi, _, _ = world
+        path = tmp_path / "c.bin"
+        save_cache(build_cache(texts(make_rng(24), c), bi), path)
+        emb = load_cache(path).embeddings
+        assert emb.flags.f_contiguous and emb.flags.owndata and emb.flags.writeable
+
     def test_trailing_bytes_rejected(self, saved_cache, tmp_path):
         path = tmp_path / "c.bin"
         path.write_bytes(saved_cache + b"\x00")
@@ -385,6 +408,8 @@ class TestCacheFormat:
         return CandidateCache([3, 0, 7, 1, 2**32 - 1], strings, emb, "fp-" + "ä" * 4)
 
     def test_writer_matches_reference(self, cache, tmp_path):
+        # made from a row-major array, kept column-major, written row-major
+        assert cache.embeddings.flags.f_contiguous
         path = tmp_path / "c.bin"
         save_cache(cache, path)
         assert path.read_bytes() == cache_bytes_reference(cache)
