@@ -15,10 +15,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import json
-import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .encoder import ModelConfig
 from .errors import ConfigError, ContractError
 from .heads import parse_arch
 from .model import Model, Scorer
-from .retrieval import build_cache, rank_bi, rank_cross, rank_poly
+from .retrieval import build_cache, rank
 from .text import Vocabulary
 
 
@@ -75,7 +74,7 @@ class BenchCell:
 @dataclass
 class BenchReport:
     cells: list[BenchCell]
-    threads: int
+    threads: int | None  # None: BLAS could not be reached, so the count is unknown
     precision: str
 
 
@@ -116,11 +115,10 @@ def environment() -> dict:
 def _one_blas_thread():
     """Run the block with BLAS pinned to one thread, restoring the previous
     count afterwards. Yields the effective count read back from BLAS; where
-    BLAS cannot be reached, nothing is pinned and the count POLYSCORE_THREADS
-    asked for (else the CPU count) is yielded as the best guess."""
+    BLAS cannot be reached, nothing is pinned and None (unknown) is yielded."""
     calls = _openblas_thread_calls()
     if calls is None:
-        yield int(os.environ.get("POLYSCORE_THREADS") or os.cpu_count() or 1)
+        yield None
         return
     get, put = calls
     before = get()
@@ -190,19 +188,17 @@ def run_bench(spec: BenchSpec, models: dict[str, Model], vocab: Vocabulary,
 def _query_run(spec: BenchSpec, arch: str, scorer: Scorer, cands: list[str]):
     """(query fn, candidates it scores, cache build seconds) for one cell.
     Cross scores a sub-count when extrapolating; bi/poly build their cache."""
-    kind, _, _ = parse_arch(arch)
-    k = min(spec.top_k, len(cands))
-    if kind == "cross":
-        sub = len(cands)
-        if spec.extrapolate_cross_from and sub > spec.extrapolate_cross_from:
-            sub = spec.extrapolate_cross_from
-        sub_cands = cands[:sub]
-        return (lambda q: rank_cross(scorer, q, sub_cands, min(k, sub))), sub, None
-    t0 = time.perf_counter()
-    cache = build_cache(cands, scorer)
-    cache_s = time.perf_counter() - t0
-    rank = rank_bi if kind == "bi" else rank_poly
-    return (lambda q: rank(scorer, q, cache, k)), len(cands), cache_s
+    sub, cache_s = len(cands), None
+    if parse_arch(arch)[0] == "cross":
+        if spec.extrapolate_cross_from:
+            sub = min(sub, spec.extrapolate_cross_from)
+        pool = cands[:sub]
+    else:
+        t0 = time.perf_counter()
+        pool = build_cache(cands, scorer)
+        cache_s = time.perf_counter() - t0
+    k = min(spec.top_k, sub)
+    return (lambda q: rank(scorer, q, pool, k)), sub, cache_s
 
 
 def make_bench_models(cfg: ModelConfig, architectures: list[str], seed: int,
@@ -231,16 +227,10 @@ def synthetic_texts(vocab: Vocabulary, n: int, tokens: int,
 
 # ---- rendering ----
 
-_COLUMNS = ["arch", "candidates", "n_queries", "mean_ms", "median_ms", "p95_ms",
-            "min_ms", "max_ms", "extrapolated", "cache_build_s"]
-
-
 def report_to_jsonl(report: BenchReport) -> str:
     lines = []
     for cell in report.cells:
-        row = {c: getattr(cell, c) for c in _COLUMNS}
-        row["threads"] = report.threads
-        row["precision"] = report.precision
+        row = {**asdict(cell), "threads": report.threads, "precision": report.precision}
         lines.append(json.dumps(row, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 

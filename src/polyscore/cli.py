@@ -350,18 +350,14 @@ def cmd_train(s: Settings) -> int:
 
 def _rank_examples(scorer, examples, ks):
     """Per-example candidate ranking for metric evaluation."""
-    from .retrieval import build_cache, mrr, rank_bi, rank_cross, rank_poly, recall_at_k
+    from .retrieval import build_cache, mrr, rank, recall_at_k
 
     results = []
     for ex in examples:
-        if scorer.model.kind == "cross":
-            res = rank_cross(scorer, ex.context, list(ex.candidates),
-                             len(ex.candidates), gold_index=ex.label_index)
-        else:
-            cache = build_cache(list(ex.candidates), scorer)
-            rank = rank_bi if scorer.model.kind == "bi" else rank_poly
-            res = rank(scorer, ex.context, cache, len(ex.candidates), gold_id=ex.label_index)
-        results.append(res)
+        pool = list(ex.candidates)
+        if scorer.model.kind != "cross":
+            pool = build_cache(pool, scorer)
+        results.append(rank(scorer, ex.context, pool, len(ex.candidates), gold_id=ex.label_index))
     metrics = {"n_examples": len(results),
                "r_at_k": {str(k): recall_at_k(results, k) for k in ks},
                "mrr": mrr(results)}
@@ -397,26 +393,25 @@ def cmd_index(s: Settings) -> int:
 
 
 def cmd_rank(s: Settings) -> int:
-    from .retrieval import build_cache, load_cache, rank_bi, rank_cross, rank_poly
+    from .retrieval import build_cache, load_cache, rank
     from .text import read_lines
 
     scorer = _load_scorer("rank", s.checkpoint, s.vocab, s.precision, ("bi", "poly", "cross"))
     kind = scorer.model.kind
 
-    candidates = cache = None
     if kind != "cross" and not s.no_cache and s.cache is not None:
-        cache = load_cache(s.cache)
+        pool = load_cache(s.cache, s.precision)
     elif not s.candidates:
         raise ConfigError("cross ranking needs --candidates (no cache possible)" if kind == "cross"
                           else "rank needs --cache, or --candidates for the no-cache path")
     else:
-        candidates = _read_candidates(s.candidates)
+        pool = _read_candidates(s.candidates)
         if kind != "cross":
-            cache = build_cache(candidates, scorer)
+            pool = build_cache(pool, scorer)
 
     manifest = Manifest(str(s.out) + ".manifest.json", "rank", s)
     k = s.k
-    n_cands = cache.size if cache is not None else len(candidates)
+    n_cands = len(pool) if kind == "cross" else pool.size
     if k > n_cands:
         print(f"warning: k={k} clamped to {n_cands} candidates", file=sys.stderr)
         k = n_cands
@@ -433,12 +428,7 @@ def cmd_rank(s: Settings) -> int:
             if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
                 raise ParseError(f"{s.queries}:{lineno + 1}: 'context' must be an array "
                                  f"of strings, got {turns!r}")
-            if kind == "cross":
-                res = rank_cross(scorer, turns, candidates, k)
-            elif kind == "bi":
-                res = rank_bi(scorer, turns, cache, k)
-            else:
-                res = rank_poly(scorer, turns, cache, k)
+            res = rank(scorer, turns, pool, k)
             out.write(json.dumps({
                 "query_id": obj.get("query_id", lineno),
                 "ranking": [{"id": cid, "score": score} for cid, score in res.ranking],

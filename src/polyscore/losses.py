@@ -15,9 +15,7 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"need [B,N] logits and B targets, got {logits.shape} / {targets.shape}")
-    lsm = T.log_softmax(logits)
-    picked = T.take_pairs(lsm, np.arange(len(targets)), targets)
-    return T.neg(T.tmean(picked))
+    return T.cross_entropy(logits, targets)
 
 
 def in_batch_loss(y_ctxt: Tensor, y_cand: Tensor) -> tuple[Tensor, Tensor]:

@@ -23,8 +23,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .encoder import ModelConfig, TransformerOutput, TransformerWeights, forward, \
-    init_parameters
+from .encoder import ModelConfig, TransformerWeights, forward, init_parameters
 from .errors import ConfigError, ShapeError
 from .heads import POLY_VARIANTS, REDUCTION_FIRST, cross_score, parse_reduction, \
     poly_context_vectors, reduce_output
@@ -249,22 +248,31 @@ class Scorer:
 
     # batches
 
-    def context_outputs(self, contexts, rng=None, first_only=False) -> TransformerOutput:
-        """[B, L, hidden] outputs of several contexts from one batched forward;
-        dropout runs when an rng is given. See forward for `first_only`."""
-        batch = TokenBatch.of([self.encode_context(turns) for turns in contexts])
-        return forward(batch, self.model.context_tower(), rng=rng, first_only=first_only)
+    def context_vectors(self, contexts, rng=None) -> Tensor:
+        """[B, hidden] reduced context vectors from one batched forward;
+        dropout runs when an rng is given."""
+        return self._reduced([self.encode_context(turns) for turns in contexts],
+                             self.model.context_tower(), rng)
 
     def candidate_vectors(self, texts: list[str], rng=None) -> Tensor:
         """[B, hidden] candidate vectors from one batched forward."""
-        batch = TokenBatch.of([self.encode_candidate(t) for t in texts])
-        out = forward(batch, self.model.candidate_tower(), rng=rng, first_only=self._first)
+        return self._reduced([self.encode_candidate(t) for t in texts],
+                             self.model.candidate_tower(), rng)
+
+    def _reduced(self, seqs: list[TokenizedPair], tower, rng) -> Tensor:
+        """The model's reduction of one batched forward, which stops at h_1
+        when the reduction reads h_1 alone."""
+        first = self.model.reduction == REDUCTION_FIRST
+        out = forward(TokenBatch.of(seqs), tower, rng=rng, first_only=first)
         return reduce_output(out, self.model.reduction)
 
-    @property
-    def _first(self) -> bool:
-        """Whether the reduction reads h_1 alone, so a forward may stop there."""
-        return self.model.reduction == REDUCTION_FIRST
+    def poly_context(self, contexts, rng=None) -> tuple[Tensor, np.ndarray]:
+        """The poly head's ([B, m', H] context vectors, [B, m'] validity mask)
+        from one batched forward; see poly_context_vectors."""
+        m = self.model
+        batch = TokenBatch.of([self.encode_context(turns) for turns in contexts])
+        return poly_context_vectors(forward(batch, m.context_tower(), rng=rng), m.poly_variant,
+                                    m.poly_m, m.extras.get("poly.codes"))
 
     def cross_scores(self, pairs: list[TokenizedPair], rng=None) -> Tensor:
         """[P] cross scores of encoded (context, candidate) pairs, from one
@@ -275,17 +283,14 @@ class Scorer:
     # one sequence: row 0 of a batch of one, its batch axis reshaped away
 
     def context_vector(self, turns) -> Tensor:
-        out = self.context_outputs([turns], first_only=self._first)
-        return _row0(reduce_output(out, self.model.reduction))
+        return _row0(self.context_vectors([turns]))
 
     def candidate_vector(self, text: str) -> Tensor:
         return _row0(self.candidate_vectors([text]))
 
     def poly_vectors(self, turns) -> Tensor:
         """The context's [m', H] vectors; all of a batch of one's slots are valid."""
-        vecs, _ = poly_context_vectors(self.context_outputs([turns]), self.model.poly_variant,
-                                       self.model.poly_m, self.model.extras.get("poly.codes"))
-        return _row0(vecs)
+        return _row0(self.poly_context([turns])[0])
 
     def score_cross(self, turns, cand: str) -> Tensor:
         return _row0(self.cross_scores([self.encode_cross(turns, cand)]))

@@ -60,10 +60,9 @@ def pretraining_config(lr: float = 2e-4, warmup_steps: int = 100,
 
 @dataclass
 class PlateauTracker:
-    """Multiplies the schedule by `factor` after `patience` non-improving evals."""
+    """Multiplies the schedule by PLATEAU_FACTOR after PLATEAU_PATIENCE
+    non-improving evals."""
 
-    factor: float = PLATEAU_FACTOR
-    patience: int = PLATEAU_PATIENCE
     best: float = math.inf
     streak: int = 0
     scale: float = 1.0
@@ -74,8 +73,8 @@ class PlateauTracker:
             self.streak = 0
             return False
         self.streak += 1
-        if self.streak >= self.patience:
-            self.scale *= self.factor
+        if self.streak >= PLATEAU_PATIENCE:
+            self.scale *= PLATEAU_FACTOR
             self.streak = 0
             return True
         return False

@@ -152,15 +152,27 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
 
 
 def rank_cross(scorer: Scorer, context_turns, candidates: list[str], k: int,
-               gold_index=None) -> RankResult:
+               gold_id=None) -> RankResult:
     """A full joint forward per (context, candidate) pair, run as padded
     batches of ENCODE_CHUNK pairs; nothing cacheable here beyond the context's
-    token ids, which are computed once per query."""
+    token ids, which are computed once per query. A candidate's id is its
+    position in `candidates`."""
     if not candidates:
         raise ContractError("rank_cross needs at least one candidate")
     pairs = scorer.cross_pairs(context_turns, list(candidates))
     scores = np.concatenate([scorer.cross_scores(chunk).data for chunk in _chunks(pairs)])
-    return _result(np.arange(len(candidates)), scores, k, gold_index)
+    return _result(np.arange(len(candidates)), scores, k, gold_id)
+
+
+def rank(scorer: Scorer, context_turns, pool, k: int, gold_id=None) -> RankResult:
+    """Rank `pool` with the ranker of the scorer's model kind: rank_bi or
+    rank_poly over a CandidateCache, rank_cross over a list of candidate
+    strings. The rankers are looked up when called, so a rebound module
+    attribute (a tracing wrapper, say) is the one that runs."""
+    rankers = {"bi": rank_bi, "poly": rank_poly, "cross": rank_cross}
+    if scorer.model.kind not in rankers:
+        raise ContractError(f"no ranker for a {scorer.model.kind} model")
+    return rankers[scorer.model.kind](scorer, context_turns, pool, k, gold_id)
 
 
 def recall_at_k(results: list[RankResult], k: int) -> float:
@@ -195,13 +207,15 @@ def save_cache(cache: CandidateCache, path) -> None:
     w.save(path)
 
 
-def load_cache(path) -> CandidateCache:
-    """Read a cache written by save_cache; any malformed file raises ParseError."""
+def load_cache(path, dtype=np.float32) -> CandidateCache:
+    """Read a cache written by save_cache, its matrix cast once to `dtype`
+    (the scoring model's float width); any malformed file raises ParseError."""
     r = RecordReader(path, CACHE_MAGIC, CACHE_VERSION, "cache")
     fingerprint = r.text("fingerprint")
     c, hidden = r.u32("candidate count"), r.u32("hidden size")
     # a writable copy: asfortranarray keeps the read-only view of a 1xH matrix
-    emb = np.array(r.floats(c * hidden, "<f4", "embeddings").reshape(c, hidden), order="F")
+    emb = np.array(r.floats(c * hidden, "<f4", "embeddings").reshape(c, hidden), dtype,
+                   order="F")
     ids, strings = r.u32_texts(c, "candidate id and string")
     r.end()
     return CandidateCache(ids, strings, emb, fingerprint)

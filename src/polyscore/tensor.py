@@ -124,10 +124,6 @@ def scale(a, c: float):
     return _result(_data(a) * c, (a,), lambda g: (g * c,))
 
 
-def neg(a):
-    return scale(a, -1.0)
-
-
 def transpose(a, axes=None):
     """Permute axes into a contiguous copy; without `axes`, the matrix transpose."""
     x = _data(a)
@@ -147,7 +143,7 @@ def reshape(a, shape):
     return _result(x.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def softmax(x, axis: int = -1, bias=None):
+def softmax(x, bias=None):
     """Max-subtracted softmax along the last axis; NaN inputs are rejected.
 
     `bias`, a constant array broadcast onto x, is added first: -inf masks an
@@ -155,8 +151,6 @@ def softmax(x, axis: int = -1, bias=None):
     """
     inputs = (x,)
     x = _data(x)
-    if axis not in (-1, x.ndim - 1):
-        raise ShapeError("softmax is defined along the last axis only")
     z = x if bias is None else x + bias
     if z.shape != x.shape:
         raise ShapeError(f"softmax bias {np.shape(bias)} does not broadcast onto {x.shape}")
@@ -179,19 +173,24 @@ def softmax(x, axis: int = -1, bias=None):
     return _result(out, inputs, vjp)
 
 
-def log_softmax(x):
-    """log(softmax(x)) along the last axis, stable for widely spread logits."""
-    inputs = (x,)
-    x = _data(x)
+def cross_entropy(logits, targets):
+    """Mean softmax cross-entropy of each row of [B, N] logits against its
+    target column, -mean(log_softmax(logits)[b, targets[b]]), stable for
+    widely spread logits; NaN inputs are rejected."""
+    inputs = (logits,)
+    x = _data(logits)
     if np.isnan(x).any():
-        raise NumericError("log_softmax received NaN input")
+        raise NumericError("cross_entropy received NaN input")
     shifted = x - x.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(x.shape[0])
 
-    def vjp(g):
-        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+    def vjp(g):  # -g/B at each target, through log_softmax: gp - softmax * sum(gp)
+        gp = np.zeros_like(lsm)
+        gp[rows, targets] = g * -1.0 / len(rows)
+        return (gp - np.exp(lsm) * gp.sum(axis=-1, keepdims=True),)
 
-    return _result(out, inputs, vjp)
+    return _result(lsm[rows, targets].mean() * -1.0, inputs, vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-12):
@@ -249,13 +248,6 @@ def gelu(x):
     return _result(out, inputs, vjp)
 
 
-def tmean(x):
-    """Mean over all elements, as a scalar."""
-    inputs = (x,)
-    x = _data(x)
-    return _result(x.mean(), inputs, lambda g: (np.full(x.shape, g / x.size, dtype=x.dtype),))
-
-
 def dropout(x, p: float, keep: np.ndarray):
     """Inverted dropout under the caller's boolean `keep` mask, drawn as
     rng.random(x.shape) >= p; call only on training paths."""
@@ -297,20 +289,6 @@ def gather_rows(table, ids):
         return (_scatter_add(table, (ids % rows)[..., None] * h + np.arange(h), g),)
 
     return _result(table[ids], inputs, vjp)
-
-
-def take_pairs(x, rows, cols):
-    """Pick x[rows[i], cols[i]] into a vector; used for picking target logits."""
-    inputs = (x,)
-    x = _data(x)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-
-    def vjp(g):
-        r, c = x.shape
-        return (_scatter_add(x, rows % r * c + cols % c, g),)
-
-    return _result(x[rows, cols], inputs, vjp)
 
 
 def stack(tensors):

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .encoder import TransformerWeights, forward
 from .errors import ConfigError, ContractError
-from .heads import cross_score, poly_context_vectors, reduce_output
+from .heads import cross_score
 from .losses import cross_entropy_rows, in_batch_loss, masked_token_loss
 from .model import Model, Scorer
 from .optim import Optimizer, OptimizerConfig
@@ -351,8 +351,7 @@ def _sample_negatives(gold: str, pool: list[str], rng, count: int) -> list[str]:
 
 def bi_batch_loss(scorer: Scorer, batch, rng=None) -> Tensor:
     """In-batch negatives over one context forward and one candidate forward."""
-    out = scorer.context_outputs([ex.context for ex in batch], rng)
-    y_ctxt = reduce_output(out, scorer.model.reduction)
+    y_ctxt = scorer.context_vectors([ex.context for ex in batch], rng)
     y_cand = scorer.candidate_vectors([ex.gold for ex in batch], rng)
     loss, _ = in_batch_loss(y_ctxt, y_cand)
     return loss
@@ -365,9 +364,7 @@ def poly_batch_loss(scorer: Scorer, batch, rng=None) -> Tensor:
     if b < 2:
         raise ContractError(f"in-batch negatives need batch size >= 2, got {b}")
     y_cand = scorer.candidate_vectors([ex.gold for ex in batch], rng)  # [B, H]
-    out = scorer.context_outputs([ex.context for ex in batch], rng)
-    vecs, valid = poly_context_vectors(out, scorer.model.poly_variant, scorer.model.poly_m,
-                                       scorer.model.extras.get("poly.codes"))  # [B, m', H]
+    vecs, valid = scorer.poly_context([ex.context for ex in batch], rng)  # [B, m', H]
     m, hid = vecs.shape[1:]
     # attention logits of every candidate over every context's vectors: [B, B, m']
     logits = T.transpose(T.reshape(T.matmul(T.reshape(vecs, (b * m, hid)), T.transpose(y_cand)),
@@ -421,13 +418,13 @@ def finetune_valid_loss(model: Model, scorer: Scorer, sample, pool,
 
 def finetune_loop(model: Model, vocab, train_examples, valid_examples,
                   opt_cfg: OptimizerConfig, settings: FinetuneSettings,
-                  metrics_path=None, scorer: Scorer | None = None) -> MetricsLog:
+                  metrics_path=None) -> MetricsLog:
     """Fine-tune a bi/poly/cross model; freezing per settings.freeze."""
     if model.kind not in ("bi", "poly", "cross"):
         raise ConfigError(f"cannot fine-tune a {model.kind} model")
     train_examples, sample = training_data(model.kind, train_examples, valid_examples,
                                            settings.neg_mode)
-    scorer = scorer or Scorer(model, vocab)
+    scorer = Scorer(model, vocab)
     pool = [ex.gold for ex in train_examples]
     b = settings.batch_size
     if model.kind != "cross":

@@ -273,6 +273,19 @@ def scatter_add_formula(shape, dtype, index, g):
     return out
 
 
+def cross_entropy_chain_formula(x, targets, g):
+    """The four ops that tensor.cross_entropy replaced, in plain numpy:
+    log_softmax, a pick of each row's target, a mean, then a negation.
+    Returns the loss and the gradient of x for the upstream gradient g."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(len(x))
+    picked = lsm[rows, targets]
+    g_picked = np.full(picked.shape, g * -1.0 / picked.size, dtype=picked.dtype)
+    g_lsm = scatter_add_formula(x.shape, x.dtype, (rows, targets), g_picked)
+    return picked.mean() * -1.0, g_lsm - np.exp(lsm) * g_lsm.sum(axis=-1, keepdims=True)
+
+
 def finite_diff(loss_fn, array, idx, h=1e-5):
     orig = array[idx]
     array[idx] = orig + h
@@ -333,6 +346,15 @@ def _cross_entropy_mean(logit_rows, targets):
     return T._result(-log_probs[picked].mean(), tuple(logit_rows), vjp)
 
 
+def _mean(losses):
+    """Mean of scalar losses in plain numpy: one tape node whose parents are
+    the losses."""
+    from polyscore import tensor as T
+
+    n = len(losses)
+    return T._result(np.mean([t.data for t in losses]), tuple(losses), lambda g: (g / n,) * n)
+
+
 def bi_loss_per_sequence(scorer, batch):
     from polyscore import tensor as T
     from polyscore.losses import in_batch_loss
@@ -370,7 +392,7 @@ def cross_loss_per_sequence(scorer, batch, pool, settings, data_rng):
                     negs.append(neg)
         scores = [scorer.score_cross(ex.context, c) for c in [ex.gold, *negs]]
         losses.append(external_neg_loss(T.stack(scores), 0))
-    return T.tmean(T.stack(losses))
+    return _mean(losses)
 
 
 def mlm_loss_per_sequence(model, vocab, examples, data_rng):
@@ -410,7 +432,7 @@ def next_loss_per_sequence(model, vocab, triples):
         pair = TokenBatch.of([encode_pair(input_text, cand, vocab, model.cfg.max_positions)])
         score = cross_score(pair, model.towers["enc"], model.extras["next.w"])
         losses.append(binary_choice_loss(T.reshape(score, ()), label))
-    return T.tmean(T.stack(losses))
+    return _mean(losses)
 
 
 def backward_keep_all(loss, params):

@@ -15,7 +15,7 @@ import pytest
 
 from polyscore import tensor as T
 from polyscore.bench import BenchSpec, make_bench_models, run_bench, synthetic_texts
-from polyscore.encoder import ModelConfig
+from polyscore.encoder import ModelConfig, forward
 from polyscore.heads import poly_context_vectors, reduce_output
 from polyscore.losses import external_neg_loss
 from polyscore.model import Model, Scorer, load_checkpoint, save_checkpoint
@@ -23,7 +23,8 @@ from polyscore.optim import OptimizerConfig, pretraining_config
 from polyscore.retrieval import RankResult, build_cache, load_cache, mrr, rank_bi, \
     rank_cross, rank_poly, recall_at_k, save_cache
 from polyscore.synth import make_overlap_dataset
-from polyscore.text import Vocabulary, build_vocab, encode_single, example_token_stream
+from polyscore.text import TokenBatch, Vocabulary, build_vocab, encode_single, \
+    example_token_stream
 from polyscore.training import FinetuneSettings, batch_kind, bi_batch_loss, \
     cross_batch_loss, finetune_loop, mlm_corrupt, next_selection_batch, \
     poly_batch_loss, pretrain_loop
@@ -121,7 +122,7 @@ def test_criterion_3_degeneracy_identities():
         scorer = Scorer(model, vocab)
         ctx = [" ".join(f"w{int(i)}" for i in rng.integers(0, 24, size=6))]
         cand = " ".join(f"w{int(i)}" for i in rng.integers(0, 24, size=3))
-        out = scorer.context_outputs([ctx])
+        out = forward(TokenBatch.of([scorer.encode_context(ctx)]), model.context_tower())
         y_cand = scorer.candidate_vector(cand)
         vecs, _ = poly_context_vectors(out, "first_m", 1)
         b = bi_score(T.reshape(reduce_output(out, "first"), (cfg.hidden,)), y_cand).item()
@@ -204,7 +205,7 @@ def _eval_r1(model, vocab, test, kind):
     for ex in test:
         if kind == "cross":
             results.append(rank_cross(scorer, ex.context, list(ex.candidates),
-                                      len(ex.candidates), gold_index=ex.label_index))
+                                      len(ex.candidates), gold_id=ex.label_index))
         else:
             cache = build_cache(list(ex.candidates), scorer)
             fn = rank_bi if kind == "bi" else rank_poly

@@ -8,7 +8,6 @@ import pytest
 from polyscore import tensor as T
 from polyscore.encoder import ModelConfig, forward
 from polyscore.errors import ContractError
-from polyscore.heads import poly_context_vectors
 from polyscore.model import Model, Scorer
 from polyscore.tensor import Tensor
 from polyscore.text import Example, TokenBatch, Vocabulary, encode_pair, encode_pairs
@@ -158,8 +157,7 @@ class TestPolyContextBatch:
         model = base.derive("poly", make_rng(1), poly_variant=variant, poly_m=4)
         scorer = Scorer(model, vocab)
         contexts = [("w1",), ("w2 w3 w4 w5 w6", "w7"), ("w8 w9",)]
-        vecs, valid = poly_context_vectors(scorer.context_outputs(contexts), variant, 4,
-                                           model.extras.get("poly.codes"))
+        vecs, valid = scorer.poly_context(contexts)
         for i, turns in enumerate(contexts):
             single = scorer.poly_vectors(turns).data
             assert valid[i].sum() == single.shape[0]

@@ -1,11 +1,12 @@
 """Benchmark harness structure and report rendering."""
 
+import json
 import time
 
 import numpy as np
 import pytest
 
-from polyscore import bench
+from polyscore import bench, retrieval
 from polyscore.bench import (
     BenchCell,
     _openblas_thread_calls,
@@ -128,6 +129,16 @@ class TestRunBench:
         finally:
             put(before)
 
+    def test_unknown_blas_threads_reported_as_unknown(self, vocab, monkeypatch):
+        # where BLAS cannot be reached, the count is unknown, not guessed
+        monkeypatch.setattr(bench, "_openblas_thread_calls", lambda: None)
+        spec = tiny_spec(architectures=["bi"])
+        models = make_bench_models(ModelConfig(vocab_size=len(vocab)), ["bi"], seed=0)
+        report = run_bench(spec, models, vocab,
+                           *pool_and_queries(spec, vocab, 8, 6, make_rng(1)))
+        assert report.threads is None
+        assert json.loads(report_to_jsonl(report).splitlines()[0])["threads"] is None
+
     def test_models_use_float32(self, vocab):
         cfg = ModelConfig(vocab_size=len(vocab))
         models = make_bench_models(cfg, ["bi"], seed=0)
@@ -178,16 +189,19 @@ class TestRunBench:
         # so a slow spell of the machine cannot fall on one cell alone; the
         # order within a round is reshuffled, so no cell always runs right
         # after the same (possibly cache-evicting) neighbour
+        # the rankers are patched in retrieval: retrieval.rank looks them up
+        # when called, as the benchmark's tracer needs
         calls = []
 
         def recording(fn, size):
-            def wrapped(scorer, q, cands, k):
-                calls.append((fn.__name__, size(cands)))
-                return fn(scorer, q, cands, k)
+            def wrapped(scorer, q, pool, k, *rest):
+                calls.append((fn.__name__, size(pool)))
+                return fn(scorer, q, pool, k, *rest)
             return wrapped
 
-        monkeypatch.setattr(bench, "rank_bi", recording(bench.rank_bi, lambda c: len(c.ids)))
-        monkeypatch.setattr(bench, "rank_cross", recording(bench.rank_cross, len))
+        monkeypatch.setattr(retrieval, "rank_bi",
+                            recording(retrieval.rank_bi, lambda c: len(c.ids)))
+        monkeypatch.setattr(retrieval, "rank_cross", recording(retrieval.rank_cross, len))
         spec = tiny_spec(architectures=["bi", "cross"], candidate_counts=[4, 8],
                          n_queries=2, warmup_queries=1)
         models = make_bench_models(ModelConfig(vocab_size=len(vocab)), spec.architectures, seed=0)
@@ -229,8 +243,6 @@ class TestRender:
 
     def test_single_cell_json_fields(self):
         report = self.make_report()
-        import json
-
         line = report_to_jsonl(report).splitlines()[0]
         row = json.loads(line)
         assert set(row) == {"arch", "candidates", "n_queries", "mean_ms", "median_ms",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import polyscore
+from polyscore import retrieval
 from polyscore.bench import _openblas_thread_calls
 from polyscore.cli import COMMANDS, build_parser, main
 from polyscore.model import load_checkpoint, save_checkpoint
@@ -249,6 +250,26 @@ class TestIndexAndRank:
         a = (tmp_path / "with_cache.jsonl").read_text()
         b = (tmp_path / "no_cache.jsonl").read_text()
         assert a == b
+
+    def test_precision_64_casts_the_cache_once(self, ranked_world, tmp_path, monkeypatch):
+        # the float32 file is loaded as float64 for a float64 model, not
+        # promoted again on every query
+        root, workdir = ranked_world
+        ckpt, vocab = root / "bi" / "checkpoint.bin", workdir / "ft_base" / "vocab.txt"
+        assert main(["index", "--candidates", str(root / "cands.txt"), "--checkpoint",
+                     str(ckpt), "--vocab", str(vocab), "--out", str(tmp_path / "c.bin")]) == 0
+        loaded, load = [], retrieval.load_cache
+
+        def recording(*args):
+            cache = load(*args)
+            loaded.append(cache.embeddings.dtype)
+            return cache
+
+        monkeypatch.setattr(retrieval, "load_cache", recording)
+        assert main(["rank", "--queries", str(root / "queries.jsonl"), "--checkpoint",
+                     str(ckpt), "--vocab", str(vocab), "--cache", str(tmp_path / "c.bin"),
+                     "--precision", "64", "--k", "5", "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert loaded == [np.float64]
 
     def test_rank_output_schema(self, ranked_world, tmp_path):
         root, workdir = ranked_world

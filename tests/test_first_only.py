@@ -105,7 +105,7 @@ class TestPrunedMatchesFullRow0:
         want = first_rows(TokenBatch.of([scorer.encode_context(c) for c in contexts]),
                           model.context_tower())
         forward_rows.clear()
-        got = reduce_output(scorer.context_outputs(contexts, first_only=True), "first").data
+        got = scorer.context_vectors(contexts).data
         single = scorer.context_vector(contexts[0]).data
         assert forward_rows == [1, 1]
         assert np.abs(got - want).max() < TOL[dtype]

@@ -9,7 +9,6 @@ from polyscore import tensor as T
 from polyscore import training
 from polyscore.encoder import ModelConfig, TransformerWeights, forward
 from polyscore.errors import NumericError, ShapeError
-from polyscore.heads import poly_context_vectors, reduce_output
 from polyscore.model import Model, Scorer
 from polyscore.tensor import Tensor
 from polyscore.text import PAD_ID, Example, TokenBatch, Vocabulary, encode_single
@@ -48,17 +47,16 @@ def scorer_outputs(scorer):
         pairs = [p for ctx in CONTEXTS for p in scorer.cross_pairs(ctx, CANDIDATES)]
         return {"cross_scores": scorer.cross_scores(pairs),
                 "score_cross": scorer.score_cross(CONTEXTS[0], CANDIDATES[2])}
+    batch = TokenBatch.of([scorer.encode_context(turns) for turns in CONTEXTS])
     out = {"candidate_vectors": scorer.candidate_vectors(CANDIDATES),
            "candidate_vector": scorer.candidate_vector(CANDIDATES[2]),
-           "context_outputs": scorer.context_outputs(CONTEXTS).hidden_states}
+           "context_states": forward(batch, model.context_tower()).hidden_states}
     if model.kind == "bi":
         out["context_vector"] = scorer.context_vector(CONTEXTS[0])
-        out["reduced_batch"] = reduce_output(scorer.context_outputs(CONTEXTS), model.reduction)
+        out["context_vectors"] = scorer.context_vectors(CONTEXTS)
     else:
         out["poly_vectors"] = scorer.poly_vectors(CONTEXTS[0])
-        vecs, _ = poly_context_vectors(scorer.context_outputs(CONTEXTS), model.poly_variant,
-                                       model.poly_m, model.extras.get("poly.codes"))
-        out["poly_batch"] = vecs
+        out["poly_context"] = scorer.poly_context(CONTEXTS)[0]
     return out
 
 
@@ -133,7 +131,6 @@ GUARDED = {
     "add_bias": lambda: T.add(M, np.ones(2)),
     "transpose": lambda: T.transpose(np.ones((2, 3, 4))),
     "transpose_axes": lambda: T.transpose(M, (0, 0)),
-    "softmax_axis": lambda: T.softmax(M, axis=0),
     "softmax_bias": lambda: T.softmax(M, bias=np.zeros((4, 2, 3))),
     "layer_norm": lambda: T.layer_norm(M, np.ones(2), np.zeros(3)),
     "tsum": lambda: tsum(M, axis=0),
@@ -170,13 +167,15 @@ def tape_nodes(t):
 
 # tape nodes of one training step's loss, as counted before the ops had a
 # kernel path, less the no-op reshape each cross/next score and learnt poly
-# head dropped once the heads took batches only; frozen lower layers
-# (top_layer) may run kernels but record the same tape
+# head dropped once the heads took batches only, and less 3 for the
+# cross-entropy that became one op (it was log_softmax, a pick of the target
+# logits, a mean and a negation); frozen lower layers (top_layer) may run
+# kernels but record the same tape
 TAPE_NODES = {
-    ("bi", None, "every_layer"): 228, ("poly", "learnt", "every_layer"): 244,
-    ("poly", "last_m_h1", "every_layer"): 239, ("cross", None, "every_layer"): 122,
-    ("bi", None, "top_layer"): 108, ("poly", "learnt", "top_layer"): 124,
-    ("poly", "last_m_h1", "top_layer"): 119, ("cross", None, "top_layer"): 62,
+    ("bi", None, "every_layer"): 225, ("poly", "learnt", "every_layer"): 241,
+    ("poly", "last_m_h1", "every_layer"): 236, ("cross", None, "every_layer"): 119,
+    ("bi", None, "top_layer"): 105, ("poly", "learnt", "top_layer"): 121,
+    ("poly", "last_m_h1", "top_layer"): 116, ("cross", None, "top_layer"): 59,
 }
 
 
@@ -215,7 +214,7 @@ def test_pretraining_step_tape_unchanged():
     mlm = training.mlm_batch_loss(model, VOCAB, batch, make_rng(7), make_rng(8))
     triples = training.next_selection_batch(batch, make_rng(9), 4)
     nxt = training.next_batch_loss(model, VOCAB, triples, make_rng(8))
-    assert (tape_nodes(mlm), tape_nodes(nxt)) == (127, 120)
+    assert (tape_nodes(mlm), tape_nodes(nxt)) == (124, 117)
 
 
 # ---- in-place kernels: the same float64 arithmetic as the out-of-place
@@ -305,13 +304,22 @@ def test_gather_rows_scatter_matches_add_at(dtype, tol):
     assert close_or_same(got, want, tol)
 
 
-@pytest.mark.parametrize("dtype,tol", [(np.float64, 0.0), (np.float32, 1e-5)],
-                         ids=["float64", "float32"])
-def test_take_pairs_scatter_matches_add_at(dtype, tol):
+@pytest.mark.parametrize("g", [1.0, -0.37], ids=["g1", "g-0.37"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_cross_entropy_bit_identical_to_chain(dtype, g):
     rng = make_rng(26)
-    x = rng.normal(size=(4, 7)).astype(dtype)
-    rows, cols = np.array([0, 1, 1, 3, 0, 1, -1]), np.array([2, 6, 6, 0, 2, 6, 1])
-    g = rng.normal(0.0, 10.0, size=len(rows)).astype(dtype)
-    got = T.take_pairs(taped(x), rows, cols)._vjp(g)[0]
-    want = oracles.scatter_add_formula(x.shape, dtype, (rows, cols), g)
-    assert close_or_same(got, want, tol)
+    # 7 rows: g * -1.0 / 7 and g * (-1.0 / 7) round apart at g = -0.37
+    x = rng.normal(0.0, 4.0, size=(7, 6)).astype(dtype)
+    targets = np.array([2, 5, 0, 5, 3, 1, -1])  # a repeated column, and -1 for the last
+    g = np.asarray(g, dtype=dtype)  # as backward hands a scalar loss its gradient
+    out = T.cross_entropy(taped(x), targets)
+    want_out, want_gx = oracles.cross_entropy_chain_formula(x, targets, g)
+    assert same_bits(out.data, want_out)
+    assert same_bits(out._vjp(g)[0], want_gx)
+
+
+def test_cross_entropy_rejects_nan():
+    x = np.zeros((2, 3))
+    x[1, 0] = np.nan
+    with pytest.raises(NumericError):
+        T.cross_entropy(x, [0, 1])

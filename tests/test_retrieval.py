@@ -1,5 +1,7 @@
 """Candidate cache, ranking paths and IR metrics."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,7 @@ from polyscore.retrieval import (
     build_cache,
     load_cache,
     mrr,
+    rank,
     rank_bi,
     rank_cross,
     rank_poly,
@@ -295,7 +298,7 @@ class TestRankPolyLayout:
 class TestRankCross:
     def test_single_candidate(self, world):
         _, _, cross = world
-        res = rank_cross(cross, ["w1"], ["w2"], k=1, gold_index=0)
+        res = rank_cross(cross, ["w1"], ["w2"], k=1, gold_id=0)
         assert res.rank_of_gold == 1
 
     def test_deterministic(self, world):
@@ -315,6 +318,29 @@ class TestRankCross:
         assert [cid for cid, _ in res.ranking] == [cid for cid, _ in expected]
         got = dict(res.ranking)
         assert all(abs(got[cid] - s) < 1e-9 for cid, s in expected)
+
+
+class TestRank:
+    def test_rankers_share_parameter_names(self):
+        # all but the pool's: a CandidateCache for bi and poly, strings for cross
+        for fn in (rank_bi, rank_poly, rank_cross, rank):
+            names = list(inspect.signature(fn).parameters)
+            assert names[:2] + names[3:] == ["scorer", "context_turns", "k", "gold_id"], fn
+
+    def test_picks_the_ranker_of_the_model_kind(self, world):
+        bi, poly, cross = world
+        cands = mixed_texts(make_rng(15), 9)
+        for scorer, fn in ((bi, rank_bi), (poly, rank_poly)):
+            cache = build_cache(cands, scorer)
+            assert rank(scorer, ["w1 w2"], cache, 4, gold_id=3) == \
+                fn(scorer, ["w1 w2"], cache, 4, gold_id=3)
+        assert rank(cross, ["w1 w2"], cands, 4, gold_id=3) == \
+            rank_cross(cross, ["w1 w2"], cands, 4, gold_id=3)
+
+    def test_pretrain_model_rejected(self, vocab):
+        model = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(1))
+        with pytest.raises(ContractError, match="no ranker"):
+            rank(Scorer(model, vocab), ["w1"], ["w2"], 1)
 
 
 class TestMetrics:
@@ -381,6 +407,22 @@ class TestCacheFile:
         save_cache(build_cache(texts(make_rng(24), c), bi), path)
         emb = load_cache(path).embeddings
         assert emb.flags.f_contiguous and emb.flags.owndata and emb.flags.writeable
+
+    def test_loads_in_the_scoring_float_width(self, world, tmp_path):
+        bi, _, _ = world  # a float64 model
+        path = tmp_path / "c.bin"
+        save_cache(build_cache(mixed_texts(make_rng(16), 40), bi), path)
+        f32, f64 = load_cache(path), load_cache(path, np.float64)
+        assert f32.embeddings.dtype == np.float32 and f64.embeddings.dtype == np.float64
+        assert f64.embeddings.flags.f_contiguous and f64.embeddings.flags.writeable
+        assert np.array_equal(f64.embeddings, f32.embeddings)
+        # against the float32 matrix, as float64 ranking read the cache before:
+        # a float64 GEMV sums in another order than the mixed product, so
+        # scores may move by an ulp while the order stays
+        got, want = rank_bi(bi, ["w3 w4"], f64, k=40), rank_bi(bi, ["w3 w4"], f32, k=40)
+        assert [i for i, _ in got.ranking] == [i for i, _ in want.ranking]
+        assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b))
+                   for (_, a), (_, b) in zip(got.ranking, want.ranking))
 
     def test_trailing_bytes_rejected(self, saved_cache, tmp_path):
         path = tmp_path / "c.bin"

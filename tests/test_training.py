@@ -309,8 +309,7 @@ class TestFinetuneLoop:
                             for s in range(32)])
 
         before = dropout_loss()
-        finetune_loop(model, vocab, train, train[:12], self.opt(), self.settings(steps=30),
-                      scorer=scorer)
+        finetune_loop(model, vocab, train, train[:12], self.opt(), self.settings(steps=30))
         assert dropout_loss() < before
 
     def test_poly_and_cross_run(self, overlap_world):
