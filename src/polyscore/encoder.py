@@ -164,9 +164,10 @@ def embed(batch: TokenBatch, w: TransformerWeights, prm=None):
 def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator):
     """Keep masks for every dropout site of a forward, in site order: the
     embeddings, then each layer's attention probs, attention output and FFN
-    output. Each row draws all its sites in turn over its own span (up to its
-    last real token), as a forward of that sequence alone draws them, so a
-    seeded run does not depend on how sequences are batched. Pad slots keep."""
+    output, as [B, heads, L, L] or [B, L, hidden] arrays. Each row draws all
+    its sites in turn over its own span (up to its last real token), as a
+    forward of that sequence alone draws them, so a seeded run does not
+    depend on how sequences are batched. Pad slots keep."""
     b, n = batch.token_ids.shape
     lengths = n - np.argmax(batch.pad_mask[:, ::-1], axis=1)
     p, heads, hidden = cfg.dropout_p, cfg.heads, cfg.hidden
@@ -180,11 +181,7 @@ def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator
                 keep[i, :, :length, :length] = rng.random((heads, length, length)) >= p
             else:
                 keep[i, :length] = rng.random((length, hidden)) >= p
-    return iter([k.reshape(b * n, hidden) if k.ndim == 3 else k for k in sites])
-
-
-def _maybe_dropout(x, p, keeps):
-    return x if keeps is None else T.dropout(x, p, next(keeps))
+    return iter(sites)
 
 
 def forward(
@@ -206,9 +203,11 @@ def forward(
     only its result in a Tensor; training runs the same kernels under the tape.
     `taps`, when given, receives intermediate tensors keyed by name
     (currently the last block's FFN output projection, pre-residual, [B*L, hidden]).
-    `first_only` asks for h_1 alone: a forward without tape or dropout then runs
-    the last block past its keys and values on position 0 only, to [B, 1, hidden]
-    states. A taped forward keeps every row: training arithmetic stays as it is.
+    `first_only` asks for h_1 alone: the last block then runs its keys and
+    values over every position and all else on position 0 only, to
+    [B, 1, hidden] states, taped or not (the other rows' gradients are exactly
+    zero). Dropout masks are drawn in full, so the rng advances as in a full
+    forward; the last block applies their position-0 rows.
     """
     cfg = w.cfg
     b, n = batch.token_ids.shape
@@ -222,27 +221,31 @@ def forward(
         return T.transpose(T.reshape(t, (b, rows, heads, head_dim)), axes)
 
     prm = {name: T.operand(t) for name, t in w.params.items()}
-    prune = first_only and keeps is None and not any(t.requires_grad for t in w.params.values())
     rows = n  # query positions per row
 
     def project(t, name):
         return T.add(T.matmul(t, prm[f"{name}.weight"]), prm[f"{name}.bias"])
 
+    def dropout(t):  # the next site's mask, on the query rows that still run
+        if keeps is None:
+            return t
+        return T.dropout(t, cfg.dropout_p, next(keeps)[..., :rows, :].reshape(t.shape))
+
     x = embed(batch, w, prm)
     x = T.layer_norm(x, prm["embeddings.norm.gain"], prm["embeddings.norm.bias"], LN_EPS)
-    x = _maybe_dropout(x, cfg.dropout_p, keeps)
+    x = dropout(x)
 
     for i in range(cfg.layers):
         p = f"layers.{i}"
         k = split_heads(project(x, f"{p}.attn.k"), n, (0, 2, 3, 1))
         v = split_heads(project(x, f"{p}.attn.v"), n, (0, 2, 1, 3))
-        if prune and i == cfg.layers - 1:  # from here on only h_1 of each row
-            x, rows = np.ascontiguousarray(x[::n]), 1
+        if first_only and i == cfg.layers - 1:  # from here on only h_1 of each row
+            x, rows = T.gather_rows(x, np.arange(0, b * n, n)), 1
         q = split_heads(T.scale(project(x, f"{p}.attn.q"), inv_sqrt), rows, (0, 2, 1, 3))
         probs = T.softmax(T.matmul(q, k), bias=key_bias)  # [B, heads, rows, L]
-        probs = _maybe_dropout(probs, cfg.dropout_p, keeps)
+        probs = dropout(probs)
         ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * rows, hidden))
-        attn_out = _maybe_dropout(project(ctx, f"{p}.attn.out"), cfg.dropout_p, keeps)
+        attn_out = dropout(project(ctx, f"{p}.attn.out"))
         x = T.layer_norm(
             T.add(x, attn_out), prm[f"{p}.attn_norm.gain"], prm[f"{p}.attn_norm.bias"], LN_EPS
         )
@@ -250,7 +253,7 @@ def forward(
         ffn_out = project(T.gelu(project(x, f"{p}.ffn.inner")), f"{p}.ffn.out")
         if taps is not None and i == cfg.layers - 1:
             taps["last_ffn_out"] = T.as_tensor(ffn_out)
-        ffn_out = _maybe_dropout(ffn_out, cfg.dropout_p, keeps)
+        ffn_out = dropout(ffn_out)
         x = T.layer_norm(
             T.add(x, ffn_out), prm[f"{p}.ffn_norm.gain"], prm[f"{p}.ffn_norm.bias"], LN_EPS
         )

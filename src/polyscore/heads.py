@@ -75,8 +75,8 @@ def reduce_output(out: TransformerOutput, kind: str) -> Tensor:
 
 def cross_score(pairs: TokenBatch, w: TransformerWeights, head_w: Tensor, rng=None) -> Tensor:
     """Jointly encode (context, candidate) pairs and score each first output
-    through the [hidden, 1] weight: [B] scores. Only h_1 is read, so an
-    untaped forward runs its last block on position 0 alone."""
+    through the [hidden, 1] weight: [B] scores. Only h_1 is read, so the
+    forward runs its last block past keys and values on position 0 alone."""
     if head_w.shape != (w.cfg.hidden, 1):
         raise ShapeError(f"cross head weight must be [hidden, 1], got {head_w.shape}")
     first = reduce_output(forward(pairs, w, rng=rng, first_only=True), REDUCTION_FIRST)

@@ -261,7 +261,7 @@ class Scorer:
 
     def _reduced(self, seqs: list[TokenizedPair], tower, rng) -> Tensor:
         """The model's reduction of one batched forward, which stops at h_1
-        when the reduction reads h_1 alone."""
+        when the reduction reads h_1 alone, in training forwards too."""
         first = self.model.reduction == REDUCTION_FIRST
         out = forward(TokenBatch.of(seqs), tower, rng=rng, first_only=first)
         return reduce_output(out, self.model.reduction)

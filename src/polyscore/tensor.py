@@ -288,7 +288,7 @@ def gather_rows(table, ids):
         rows, h = table.shape
         return (_scatter_add(table, (ids % rows)[..., None] * h + np.arange(h), g),)
 
-    return _result(table[ids], inputs, vjp)
+    return _result(table.take(ids, axis=0), inputs, vjp)  # table[ids], ~2x faster
 
 
 def stack(tensors):

@@ -6,6 +6,7 @@ cross-entropy, a from-scratch transformer trace, brute-force reranking and
 finite differences.
 """
 
+import contextlib
 import json
 import math
 import struct
@@ -433,6 +434,30 @@ def next_loss_per_sequence(model, vocab, triples):
         score = cross_score(pair, model.towers["enc"], model.extras["next.w"])
         losses.append(binary_choice_loss(T.reshape(score, ()), label))
     return _mean(losses)
+
+
+# ---- full-row training losses ----
+
+
+@contextlib.contextmanager
+def full_rows(rows):
+    """The package's losses built from full forwards: inside the block, every
+    forward the heads and the Scorer run ignores `first_only` and returns all
+    [B, L, hidden] states, from which the heads read h_1 as before forwards
+    stopped there. `rows` receives the position count of each result."""
+    from polyscore import encoder, heads, model
+
+    def full(*args, first_only=False, **kwargs):
+        out = encoder.forward(*args, **kwargs)
+        rows.append(out.hidden_states.shape[1])
+        return out
+
+    saved = heads.forward, model.forward
+    heads.forward = model.forward = full
+    try:
+        yield
+    finally:
+        heads.forward, model.forward = saved
 
 
 def backward_keep_all(loss, params):

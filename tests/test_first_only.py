@@ -1,16 +1,19 @@
-"""The first-position forward: an untaped forward whose head reads h_1 alone
-runs its last block on position 0 only and returns [B, 1, hidden] states.
+"""The first-position forward: a forward whose head reads h_1 alone, taped
+or not, with dropout or without, runs its last block on position 0 only and
+returns [B, 1, hidden] states.
 
 Every pruned result is checked against row 0 of the full [B, L, hidden]
 forward it replaces, over a pad-heavy batch, a length-1 sequence and a batch
-of one; and every forward that must keep its rows (an avg_all reduction, a
-tape, dropout, rescale_final_layer's taps) is pinned to keep them.
+of one; every training loss and its gradients against the same loss built
+from full forwards (oracles.full_rows); and every forward that must keep its
+rows (an avg_all reduction, rescale_final_layer's taps) is pinned to keep
+them.
 """
 
 import numpy as np
 import pytest
 
-from polyscore import heads, model as model_module, training
+from polyscore import heads, model as model_module, tensor as T, training
 from polyscore.encoder import ModelConfig, forward
 from polyscore.heads import parse_arch, reduce_output
 from polyscore.model import Model, Scorer
@@ -18,6 +21,7 @@ from polyscore.text import Example, TokenBatch, Vocabulary, encode_single
 from polyscore.training import FinetuneSettings, finetune_valid_loss, rescale_final_layer
 
 from conftest import make_rng
+from oracles import full_rows, grad_check
 
 TOL = {np.float32: 1e-5, np.float64: 1e-9}
 WORDS = [f"w{i}" for i in range(28)]
@@ -40,13 +44,19 @@ def base(vocab):
     return Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(BASE_SEED))
 
 
-def served(base, arch, dtype, reduction="first"):
-    """A model derived from base's seed in dtype, as a loaded checkpoint holds
-    it: no parameter is marked."""
-    kind, variant, m = parse_arch(arch)
+def trainee(base, arch, dtype, reduction="first"):
+    """A model derived from base's seed in dtype, every parameter marked as
+    training holds it; "next" is the pre-training model itself."""
     base = Model.init_pretrain(base.cfg, make_rng(BASE_SEED), dtype)
-    model = base.derive(kind, make_rng(2), reduction=reduction, poly_variant=variant,
-                        poly_m=m)
+    if arch == "next":
+        return base
+    kind, variant, m = parse_arch(arch)
+    return base.derive(kind, make_rng(2), reduction=reduction, poly_variant=variant, poly_m=m)
+
+
+def served(base, arch, dtype, reduction="first"):
+    """trainee's model as a loaded checkpoint holds it: no parameter is marked."""
+    model = trainee(base, arch, dtype, reduction)
     for t in model.named_parameters().values():
         t.requires_grad = False
     return model
@@ -139,37 +149,6 @@ class TestFullRowsKept:
         want = reduce_output(forward(batch, model.candidate_tower()), "avg_all").data
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kind", ["bi", "cross"])
-    def test_taped_forwards_keep_every_row(self, base, vocab, kind, forward_rows):
-        model = base.derive(kind, make_rng(2))  # derived parameters are marked
-        scorer = Scorer(model, vocab)
-        if kind == "cross":
-            scorer.cross_scores(scorer.cross_pairs(["w1 w2"], ["w3", "w4 w5"]))
-        else:
-            scorer.candidate_vectors(["w3", "w4 w5"])
-            scorer.context_vector(["w1 w2"])
-        sample = [Example((f"w{i} w{i + 1}",), (f"w{i + 2}", f"w{i + 3}"), 0) for i in range(4)]
-        settings = FinetuneSettings(batch_size=2, n_candidates=2)
-        finetune_valid_loss(model, scorer, sample, [ex.gold for ex in sample], settings,
-                            make_rng(3))
-        assert forward_rows and min(forward_rows) > 1
-
-    def test_taped_forward_returns_all_states(self, base, vocab):
-        w = base.derive("bi", make_rng(2)).candidate_tower()
-        batch = TokenBatch.of([encode_single(t, vocab, 64) for t in TEXTS["pad_heavy"]])
-        full, asked = forward(batch, w), forward(batch, w, first_only=True)
-        assert asked.hidden_states.requires_grad
-        assert asked.hidden_states.shape == full.hidden_states.shape
-        assert np.array_equal(asked.hidden_states.data, full.hidden_states.data)
-        assert np.array_equal(asked.pad_mask, batch.pad_mask)
-
-    def test_dropout_forward_returns_all_states(self, base, vocab):
-        w = served(base, "bi", np.float64).candidate_tower()
-        batch = TokenBatch.of([encode_single(t, vocab, 64) for t in TEXTS["pad_heavy"]])
-        got = forward(batch, w, rng=make_rng(4), first_only=True).hidden_states.data
-        want = forward(batch, w, rng=make_rng(4)).hidden_states.data
-        assert np.array_equal(got, want)
-
     def test_rescale_taps_see_every_row(self, base, vocab, monkeypatch):
         seen = []
 
@@ -184,3 +163,155 @@ class TestFullRowsKept:
         rescale_final_layer(w, 0.5, probes)
         slots = len(TokenBatch.of(probes))
         assert seen == [(slots, (slots, w.cfg.hidden))]
+
+
+def test_training_and_validation_forwards_prune(base, vocab, forward_rows):
+    for kind in ("bi", "cross"):
+        model = base.derive(kind, make_rng(2))  # derived parameters are marked
+        scorer = Scorer(model, vocab)
+        if kind == "cross":
+            scorer.cross_scores(scorer.cross_pairs(["w1 w2"], ["w3", "w4 w5"]), make_rng(4))
+        else:
+            scorer.candidate_vectors(["w3", "w4 w5"], make_rng(4))
+            scorer.context_vector(["w1 w2"])
+        sample = [Example((f"w{i} w{i + 1}",), (f"w{i + 2}", f"w{i + 3}"), 0) for i in range(4)]
+        settings = FinetuneSettings(batch_size=2, n_candidates=2)
+        finetune_valid_loss(model, scorer, sample, [ex.gold for ex in sample], settings,
+                            make_rng(3))
+    assert forward_rows and set(forward_rows) == {1}
+
+
+SETUPS = {"taped": (True, False), "dropout": (False, True), "taped_dropout": (True, True)}
+
+
+@pytest.mark.parametrize("texts", TEXTS.values(), ids=TEXTS.keys())
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestTrainingForwardsPrune:
+    @pytest.mark.parametrize("taped, dropout", SETUPS.values(), ids=SETUPS.keys())
+    def test_forward_is_row0_of_full(self, base, vocab, texts, dtype, taped, dropout):
+        w = (trainee if taped else served)(base, "bi", dtype).candidate_tower()
+        batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
+        full = forward(batch, w, rng=make_rng(4) if dropout else None).hidden_states
+        out = forward(batch, w, rng=make_rng(4) if dropout else None, first_only=True)
+        assert out.hidden_states.requires_grad == taped
+        assert out.hidden_states.shape == (len(texts), 1, w.cfg.hidden)
+        assert out.hidden_states.dtype == dtype
+        assert np.array_equal(out.pad_mask, batch.pad_mask[:, :1])
+        assert np.abs(out.hidden_states.data[:, 0] - full.data[:, 0]).max() < TOL[dtype]
+
+    def test_rng_advances_as_a_full_forward(self, base, vocab, texts, dtype):
+        w = trainee(base, "bi", dtype).candidate_tower()
+        batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
+        pruned, full = make_rng(4), make_rng(4)
+        forward(batch, w, rng=pruned, first_only=True)
+        forward(batch, w, rng=full)
+        assert pruned.bit_generator.state == full.bit_generator.state
+
+
+# ---- training losses against the same losses built from full forwards ----
+
+LOSSES = ["bi", "poly:learnt:3", "poly:first_m:2", "cross", "next"]
+# the pad-heavy batch holds a length-1 sequence; the length-1 batch is nothing
+# else (but for the pairs of cross and next, which hold two tokens at least)
+LOSS_TEXTS = {"pad_heavy": TEXTS["pad_heavy"], "length_1": ["", "", ""]}
+
+
+def examples_of(texts):
+    """One example per text, its gold the next text."""
+    return [Example((t,), (g,), 0) for t, g in zip(texts, texts[1:] + texts[:1])]
+
+
+def negatives_pool(examples):
+    return [ex.gold for ex in examples] + ["w9 w10"]
+
+
+def training_loss(model, vocab, arch, examples, drop_rng):
+    if arch == "next":
+        triples = [(ex.context_text, ex.gold, i % 2) for i, ex in enumerate(examples)]
+        return training.next_batch_loss(model, vocab, triples, drop_rng)
+    scorer = Scorer(model, vocab)
+    if model.kind == "bi":
+        return training.bi_batch_loss(scorer, examples, drop_rng)
+    if model.kind == "poly":
+        return training.poly_batch_loss(scorer, examples, drop_rng)
+    return training.cross_batch_loss(scorer, examples, negatives_pool(examples),
+                                     FinetuneSettings(n_candidates=3), make_rng(6), drop_rng)
+
+
+def loss_and_grads(model, vocab, arch, examples, dropout):
+    """The training loss and every marked parameter's gradient, by name."""
+    named = {n: t for n, t in model.named_parameters().items() if t.requires_grad}
+    loss = training_loss(model, vocab, arch, examples, make_rng(5) if dropout else None)
+    grads = T.backward(loss, named.values())
+    return loss.item(), {n: grads[t] for n, t in named.items()}
+
+
+def largest_gap(got, want):
+    return max(float(np.abs(got[n] - want[n]).max()) for n in want)
+
+
+@pytest.mark.parametrize("texts", LOSS_TEXTS.values(), ids=LOSS_TEXTS.keys())
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("dropout", [False, True], ids=["no_dropout", "dropout"])
+@pytest.mark.parametrize("arch", LOSSES)
+def test_loss_and_gradients_match_full_rows(base, vocab, arch, dropout, dtype, texts):
+    """The loss within tol of the full-row loss, scaled by the loss, and every
+    gradient within tol scaled by the model's largest gradient: some are
+    exactly zero in exact arithmetic, so a per-tensor scale means nothing.
+
+    In float32 the gradient bound adds twice the full-row path's own distance
+    from the float64 full-row gradients. The in-batch gradients of this
+    random-init model's near-identical vectors cancel in the shared
+    parameters, and without dropout that leaves the float32 full-row
+    gradients up to ~6e-4 of the largest one away from float64, above 1e-5;
+    two float32 roundings of one gradient may differ by twice that."""
+    model = trainee(base, arch, dtype)
+    examples = examples_of(texts)
+    got, got_grads = loss_and_grads(model, vocab, arch, examples, dropout)
+    rows = []
+    with full_rows(rows):
+        want, want_grads = loss_and_grads(model, vocab, arch, examples, dropout)
+    if texts is LOSS_TEXTS["pad_heavy"]:
+        assert min(rows) > 1
+    assert abs(got - want) <= TOL[dtype] * max(1.0, abs(want))
+    tol = TOL[dtype] * max(float(np.abs(g).max()) for g in want_grads.values())
+    if dtype == np.float32:
+        with full_rows([]):
+            exact = loss_and_grads(trainee(base, arch, np.float64), vocab, arch, examples,
+                                   dropout)[1]
+        tol += 2 * largest_gap(want_grads, exact)
+    assert largest_gap(got_grads, want_grads) <= tol
+
+
+@pytest.mark.parametrize("texts", LOSS_TEXTS.values(), ids=LOSS_TEXTS.keys())
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("arch", ["bi", "poly:learnt:3", "poly:first_m:2", "cross"])
+def test_valid_loss_matches_full_rows(base, vocab, arch, dtype, texts):
+    model = trainee(base, arch, dtype)
+    scorer = Scorer(model, vocab)
+    examples = examples_of(texts)
+    settings = FinetuneSettings(batch_size=2, n_candidates=3)
+
+    def valid_loss():
+        return finetune_valid_loss(model, scorer, examples, negatives_pool(examples), settings,
+                                   make_rng(3))
+
+    got = valid_loss()
+    with full_rows([]):
+        want = valid_loss()
+    assert abs(got - want) <= TOL[dtype] * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("dropout", [False, True], ids=["no_dropout", "dropout"])
+def test_pruned_cross_loss_grad_check(base, vocab, dropout, forward_rows):
+    model = trainee(base, "cross", np.float64)
+    params = model.named_parameters()
+    examples = examples_of(TEXTS["pad_heavy"])
+
+    def loss():  # fixed negatives and dropout masks: a deterministic loss surface
+        return training_loss(model, vocab, "cross", examples, make_rng(5) if dropout else None)
+
+    grads = T.backward(loss(), list(params.values()))
+    assert set(forward_rows) == {1}
+    grad_check(lambda: loss().item(), {n: t.data for n, t in params.items()},
+               {n: grads[t] for n, t in params.items()}, make_rng(11), probes=60)
