@@ -165,19 +165,19 @@ class TestFullRowsKept:
         assert seen == [(slots, (slots, w.cfg.hidden))]
 
 
-def test_training_and_validation_forwards_prune(base, vocab, forward_rows):
-    for kind in ("bi", "cross"):
-        model = base.derive(kind, make_rng(2))  # derived parameters are marked
-        scorer = Scorer(model, vocab)
-        if kind == "cross":
-            scorer.cross_scores(scorer.cross_pairs(["w1 w2"], ["w3", "w4 w5"]), make_rng(4))
-        else:
-            scorer.candidate_vectors(["w3", "w4 w5"], make_rng(4))
-            scorer.context_vector(["w1 w2"])
-        sample = [Example((f"w{i} w{i + 1}",), (f"w{i + 2}", f"w{i + 3}"), 0) for i in range(4)]
-        settings = FinetuneSettings(batch_size=2, n_candidates=2)
-        finetune_valid_loss(model, scorer, sample, [ex.gold for ex in sample], settings,
-                            make_rng(3))
+@pytest.mark.parametrize("kind", ["bi", "cross"])
+def test_training_and_validation_forwards_prune(base, vocab, forward_rows, kind):
+    model = base.derive(kind, make_rng(2))  # derived parameters are marked
+    scorer = Scorer(model, vocab)
+    if kind == "cross":
+        scorer.cross_scores(scorer.cross_pairs(["w1 w2"], ["w3", "w4 w5"]), make_rng(4))
+    else:
+        scorer.candidate_vectors(["w3", "w4 w5"], make_rng(4))
+        scorer.context_vector(["w1 w2"])
+    sample = [Example((f"w{i} w{i + 1}",), (f"w{i + 2}", f"w{i + 3}"), 0) for i in range(4)]
+    settings = FinetuneSettings(batch_size=2, n_candidates=2)
+    finetune_valid_loss(model, scorer, sample, [ex.gold for ex in sample], settings,
+                        make_rng(3))
     assert forward_rows and set(forward_rows) == {1}
 
 
