@@ -7,9 +7,12 @@ The cache is column-major in memory (row-major on disk), so poly's [m', rows]
 logits for a block of cache rows are a plain GEMM into buffers reused across
 blocks and small enough to stay in cache; both softmax column sums are GEMVs.
 A row's score, sum w*l / sum w over its m' logits l, is its dot product with
-the attention-pooled vector. Top k is exact in O(C) plus a sort of about k: a
-partition finds the k-th best score, and only rows scoring at least that (ties
-included) are sorted, by descending score then ascending id.
+the attention-pooled vector. By Cauchy-Schwarz, |l| <= B = max_j |v_j| *
+max_c |c|; while B <= T = ln(1/tiny)/2 (43.7 in float32, 354 in float64),
+every e^l and both sums are normal and finite, so softmax skips its max shift,
+which runs when B > T or B is not finite. Top k is exact in O(C) plus a sort
+of about k: a partition finds the k-th best score, and only rows scoring at
+least that (ties included) are sorted, by descending score then ascending id.
 """
 
 from __future__ import annotations
@@ -44,16 +47,18 @@ class CandidateCache:
     strings: list[str]
     embeddings: np.ndarray  # [C, hidden], column-major
     fingerprint: str
-    # ids as an int64 array for ranking, made once: replace the cache, not its ids
-    id_array: np.ndarray = field(init=False, repr=False, compare=False)
+    # made once for ranking: replace the cache, not its ids or rows
+    id_array: np.ndarray = field(init=False, repr=False, compare=False)  # ids as int64
+    max_norm: float = field(init=False, repr=False, compare=False)  # largest row norm
 
     def __post_init__(self):
         if self.embeddings.ndim != 2 or len(self.ids) != self.embeddings.shape[0]:
             raise ShapeError(
                 f"cache rows {self.embeddings.shape} do not match {len(self.ids)} ids"
             )
-        self.embeddings = np.asfortranarray(self.embeddings)
+        e = self.embeddings = np.asfortranarray(self.embeddings)
         self.id_array = np.asarray(self.ids, dtype=np.int64)
+        self.max_norm = float(np.sqrt(np.einsum("ch,ch->c", e, e).max(initial=0)))
 
     @property
     def size(self) -> int:
@@ -133,18 +138,22 @@ def rank_bi(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
 def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
               gold_id=None) -> RankResult:
     """Candidate-as-query attention over the context vectors, batched across
-    blocks of cache rows in single matrix passes."""
+    blocks of cache rows in single matrix passes. The softmax weights are e^l
+    while B = max_j |v_j| * cache.max_norm <= T (43.7 in float32, 354 in
+    float64), else, as when B is not finite, e^(l - column max)."""
     _check_fresh(cache, scorer)
     vecs = scorer.poly_vectors(context_turns).data  # [m', H]
     rows = max(1, min(cache.size, POLY_BLOCK_ELEMENTS // len(vecs)))
     dtype = np.result_type(vecs, cache.embeddings)
     logits, w = np.empty((2, len(vecs), rows), dtype)  # reused by every block
     ones, scores = np.ones(len(vecs), dtype), np.empty(cache.size, dtype)
+    bound = float(np.sqrt(np.einsum("mh,mh->m", vecs, vecs).max())) * cache.max_norm
+    shift = not bound <= -0.5 * np.log(np.finfo(dtype).tiny)
     for start in range(0, cache.size, rows):
         block = cache.embeddings[start:start + rows].T  # a strided [H, rows] view
         lg, wt = logits[:, :block.shape[1]], w[:, :block.shape[1]]
         np.matmul(vecs, block, out=lg)
-        np.exp(np.subtract(lg, lg.max(axis=0), out=wt), out=wt)
+        np.exp(np.subtract(lg, lg.max(axis=0), out=wt) if shift else lg, out=wt)
         den = ones @ wt
         lg *= wt
         np.divide(ones @ lg, den, out=scores[start:start + block.shape[1]])

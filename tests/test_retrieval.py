@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polyscore.bench import make_bench_models, synthetic_texts
 from polyscore.encoder import ModelConfig
 from polyscore.errors import ContractError, ParseError, StaleCacheError
 from polyscore.model import Model, Scorer
@@ -25,6 +26,7 @@ from polyscore.retrieval import (
     recall_at_k,
     save_cache,
 )
+from polyscore.tensor import Tensor
 from polyscore.text import Vocabulary
 
 from conftest import make_rng
@@ -229,10 +231,21 @@ class TestPartialTopK:
             _result(np.arange(3), np.zeros(3), 1, 7)
 
 
+def shift_threshold(dtype):
+    """T = ln(1/tiny)/2: rank_poly skips the softmax max shift when B <= T."""
+    return -0.5 * np.log(np.finfo(dtype).tiny)
+
+
+T32, T64 = shift_threshold(np.float32), shift_threshold(np.float64)
+
+
 class TestRankPolyLayout:
     """rank_poly's blocked [m', C] pass equals the [C, m'] pooled formula,
     computed in float64 from the same inputs, within tol relative to the
-    largest score."""
+    largest score, on either side of its shift threshold."""
+
+    def test_threshold_values(self):
+        assert T32 == pytest.approx(43.668, abs=1e-3) and T64 == pytest.approx(354.198, abs=1e-3)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
                              ids=["float64", "float32"])
@@ -250,16 +263,34 @@ class TestRankPolyLayout:
         monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", 50)
         self.check(vocab, dtype, tol, m, 101)
 
-    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
+    @pytest.mark.parametrize("dtype,tol,shifted", [(np.float64, 1e-9, False),
+                                                   (np.float32, 1e-5, True)],
                              ids=["float64", "float32"])
     @pytest.mark.parametrize("block", [None, 50], ids=["one_block", "blocks"])
-    def test_peaked_attention_matches_pooled_reference(self, vocab, dtype, tol, block,
+    def test_peaked_attention_matches_pooled_reference(self, vocab, dtype, tol, shifted, block,
                                                        monkeypatch):
-        # rows 8x larger: logits spread far enough that most of each row's
-        # softmax weight sits on one or two codes
+        # logits reach +-100: most of each row's softmax weight sits on one or
+        # two codes, and an unshifted float32 e^100 would overflow
         if block:
             monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", block)
-        self.check(vocab, dtype, tol, 16, 101, scale=8.0)
+        self.check(vocab, dtype, tol, 16, 101, bound=100.0, shifted=shifted)
+
+    @pytest.mark.parametrize("dtype,tol,bound,shifted,nan", [
+        (np.float32, 1e-5, 0.999 * T32, False, None),  # e^-B is still a normal float
+        (np.float32, 1e-5, 1.001 * T32, True, None),
+        (np.float64, 1e-9, 0.999 * T64, False, None),
+        (np.float64, 1e-9, 1.001 * T64, True, None),
+        (np.float64, 1e-9, 1000.0, True, None),  # an unshifted e^1000 overflows float64
+        # a NaN makes B NaN, which keeps the shifted form
+        (np.float32, 1e-5, 20.0, True, "row"),
+        (np.float64, 1e-9, 20.0, True, "row"),
+        (np.float32, 1e-5, 20.0, True, "context"),
+        (np.float64, 1e-9, 20.0, True, "context"),
+    ], ids=["float32-under", "float32-over", "float64-under", "float64-over", "float64-1000",
+            "float32-nan_row", "float64-nan_row", "float32-nan_context", "float64-nan_context"])
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_either_side_of_the_threshold(self, vocab, dtype, tol, bound, shifted, nan, m):
+        self.check(vocab, dtype, tol, m, 101, bound=bound, shifted=shifted, nan=nan)
 
     @pytest.mark.parametrize("arch,m", [("bi", 1), ("poly", 1), ("poly", 16), ("poly", 360)])
     @pytest.mark.parametrize("c", [1, 1000])
@@ -269,30 +300,72 @@ class TestRankPolyLayout:
         monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", 4096)
         self.check(vocab, np.float64, 1e-9, m, c, cache_dtype=np.float32, arch=arch)
 
+    @pytest.mark.parametrize("arch", ["poly:16", "poly:360"])
+    def test_bench_models_fall_under_the_threshold(self, arch):
+        # the random-init models that `bench` and criterion 5 time, built as
+        # `bench` builds them at its defaults, take the unshifted path
+        # (perfbench makes its models the same way)
+        rng = make_rng(0)
+        vocab = Vocabulary([f"w{i:04d}" for i in range(252)])
+        scorer = Scorer(make_bench_models(ModelConfig(vocab_size=len(vocab)), [arch], 0)[arch],
+                        vocab)
+        cache = build_cache(synthetic_texts(vocab, 1000, 16, rng), scorer)
+        for query in synthetic_texts(vocab, 8, 64, rng):
+            vecs = scorer.poly_vectors([query]).data
+            assert np.linalg.norm(vecs, axis=1).max() * cache.max_norm <= T32
+
     @staticmethod
-    def check(vocab, dtype, tol, m, c, scale=1.0, cache_dtype=None, arch="poly"):
+    def check(vocab, dtype, tol, m, c, bound=20.0, shifted=False, cache_dtype=None,
+              arch="poly", nan=None):
+        """Cache rows scaled so that B = max_j |v_j| * max_c |c| is `bound`, with
+        rows 0 and 1 against and along the longest context vector, so that
+        logits reach -B and +B; `shifted` is the side of the threshold B lies on.
+        `nan` puts a NaN into the gold row ("row") or one context vector."""
         base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17), dtype=dtype)
-        emb = make_rng(m + c).normal(0.0, scale, size=(c, 32)).astype(cache_dtype or dtype)
-        cache = CandidateCache(list(range(c)), [""] * c, emb, "unsaved")
         context = ["w2 w4 w6 w8 w10 w12", "w1 w9 w3"]
         if arch == "bi":
             scorer = Scorer(base.derive("bi", make_rng(1)), vocab)
-            res = rank_bi(scorer, context, cache, k=c)
-            want = emb.astype(np.float64) @ scorer.context_vector(context).data.astype(np.float64)
+            vecs = scorer.context_vector(context).data[None]
         else:
             model = base.derive("poly", make_rng(1), poly_variant="learnt", poly_m=m)
-            # unit-scale codes and rows, so the attention is far from uniform
+            # unit-scale codes, so the attention is far from uniform
             model.extras["poly.codes"].data[:] = make_rng(m).normal(0.0, 1.0, size=(m, 32))
             scorer = Scorer(model, vocab)
-            res = rank_poly(scorer, context, cache, k=c)
             vecs = scorer.poly_vectors(context).data
             assert vecs.shape[0] == m
+        rows = make_rng(m + c).normal(0.0, 1.0, size=(c, 32))
+        rows /= np.linalg.norm(rows, axis=1).max()
+        longest = vecs[np.linalg.norm(vecs, axis=1).argmax()].astype(np.float64)
+        rows[:2] = np.outer([-1.0, 1.0], longest / np.linalg.norm(longest))[:c]
+        emb = (rows * (bound / np.linalg.norm(longest))).astype(cache_dtype or dtype)
+        gold = c // 2
+        if nan == "row":
+            emb[gold, 3] = np.nan
+        elif nan == "context":  # the encoder rejects NaN, so it enters after the head
+            vecs = vecs.copy()
+            vecs[m // 2, 3] = np.nan
+            scorer.poly_vectors = lambda turns: Tensor(vecs)
+        cache = CandidateCache(list(range(c)), [""] * c, emb, "unsaved")
+        np.testing.assert_allclose(cache.max_norm, np.linalg.norm(emb, axis=1).max(), rtol=1e-6)
+        if arch == "bi":
+            res = rank_bi(scorer, context, cache, k=c, gold_id=gold)
+            want = emb.astype(np.float64) @ vecs[0].astype(np.float64)
+        else:
+            b = np.linalg.norm(vecs, axis=1).max() * np.linalg.norm(emb, axis=1).max()
+            assert (not b <= shift_threshold(np.result_type(vecs, emb))) == shifted, b
+            res = rank_poly(scorer, context, cache, k=c, gold_id=gold)
             want = poly_scores_pooled(vecs.astype(np.float64), emb.astype(np.float64))
         got = np.empty(c)
         for cid, score in res.ranking:
             got[cid] = score
-        assert np.abs(got - want).max() < tol * max(1.0, np.abs(want).max())
-        assert res.ranking == lexsort_rank(np.arange(c), got, c)[0]
+        nans = np.isnan(want)
+        assert nans.any() == (nan is not None) and np.array_equal(np.isnan(got), nans)
+        err, scale = np.abs(got - want)[~nans], np.abs(want[~nans])
+        assert err.max(initial=0) < tol * scale.max(initial=1.0)
+        ranking, rank_of_gold = lexsort_rank(np.arange(c), got, c, gold)  # NaN ranks last
+        assert [i for i, _ in res.ranking] == [i for i, _ in ranking]
+        np.testing.assert_array_equal([s for _, s in res.ranking], [s for _, s in ranking])
+        assert res.rank_of_gold == rank_of_gold
 
 
 class TestRankCross:
@@ -386,6 +459,7 @@ class TestCacheFile:
         save_cache(cache, p1)
         save_cache(load_cache(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert load_cache(p2).max_norm == load_cache(p1).max_norm
 
     def test_fields_survive(self, world, tmp_path):
         bi, _, _ = world
@@ -398,6 +472,7 @@ class TestCacheFile:
         assert back.ids == [0, 1, 2, 3]
         assert back.fingerprint == cache.fingerprint
         assert np.abs(back.embeddings - cache.embeddings).max() < 1e-6  # f32 quantization
+        assert back.max_norm == pytest.approx(cache.max_norm, rel=1e-6)
 
     @pytest.mark.parametrize("c", [1, 7])
     def test_loaded_matrix_column_major_owned_writable(self, world, tmp_path, c):
