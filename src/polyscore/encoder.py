@@ -11,7 +11,7 @@ forced to -inf before the softmax, so pad rows never leak into real ones.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,27 +161,33 @@ def embed(batch: TokenBatch, w: TransformerWeights, prm=None):
     return T.add(T.add(tok, pos), seg)
 
 
-def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator):
+def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator,
+                   first_only: bool):
     """Keep masks for every dropout site of a forward, in site order: the
     embeddings, then each layer's attention probs, attention output and FFN
-    output, as [B, heads, L, L] or [B, L, hidden] arrays. Each row draws all
-    its sites in turn over its own span (up to its last real token), as a
-    forward of that sequence alone draws them, so a seeded run does not
-    depend on how sequences are batched. Pad slots keep."""
+    output, as [B, heads, R, L] or [B*R, hidden] arrays (R = L, or 1 in a
+    first_only forward's last block). Each row draws all its sites in turn
+    over its own span (up to its last real token), as a full forward of that
+    sequence alone draws them, so a seeded run depends neither on batching nor
+    on first_only: with R = 1 a site draws row 0 of each (length, width) block
+    and `advance`s past the rest (one PCG64 step per float64 draw; advance
+    also drops a buffered 32-bit draw). Pad slots keep."""
     b, n = batch.token_ids.shape
-    lengths = n - np.argmax(batch.pad_mask[:, ::-1], axis=1)
+    lengths = (n - np.argmax(batch.pad_mask[:, ::-1], axis=1)).tolist()
     p, heads, hidden = cfg.dropout_p, cfg.heads, cfg.hidden
     sites = [np.ones((b, n, hidden), dtype=bool)]
-    for _ in range(cfg.layers):
-        sites += [np.ones((b, heads, n, n), dtype=bool),
-                 np.ones((b, n, hidden), dtype=bool), np.ones((b, n, hidden), dtype=bool)]
+    for i in range(cfg.layers):
+        rows = 1 if first_only and i == cfg.layers - 1 else n
+        sites += [np.ones((b, heads, rows, n), dtype=bool),
+                  np.ones((b, rows, hidden), dtype=bool), np.ones((b, rows, hidden), dtype=bool)]
     for i, length in enumerate(lengths):
         for keep in sites:
-            if keep.ndim == 4:
-                keep[i, :, :length, :length] = rng.random((heads, length, length)) >= p
-            else:
-                keep[i, :length] = rng.random((length, hidden)) >= p
-    return iter(sites)
+            r = min(keep.shape[-2], length)
+            for block in keep[i, :, :r, :length] if keep.ndim == 4 else keep[i, None, :r]:
+                block[...] = rng.random(block.shape) >= p
+                if r < length:
+                    rng.bit_generator.advance((length - r) * block.shape[1])
+    return (k if k.ndim == 4 else k.reshape(-1, hidden) for k in sites)
 
 
 def forward(
@@ -193,70 +199,53 @@ def forward(
 ) -> TransformerOutput:
     """Full encoder pass over a padded [B, L] batch, to [B, L, hidden] states.
 
-    Projections are single GEMMs over all B*L rows; heads are split and merged
-    by reshape/transpose; pad keys get an additive -inf bias before the
-    softmax, so pad positions never leak into real ones. Dropout runs exactly
-    when an rng is given (and dropout_p > 0), its masks drawn sequence by
-    sequence (see _dropout_keeps).
+    Each layer is six `linear` projections (one GEMM over all B*L rows each),
+    one `attention` and one `gelu`, and two residual `layer_norm`s: one tape
+    node each. Pad keys get an additive -inf bias before the softmax, so pad
+    positions never leak into real ones. Dropout runs exactly when an rng is
+    given (and dropout_p > 0), its masks drawn sequence by sequence (see
+    _dropout_keeps), inside the attention and the output projections.
     Each op gets a parameter's bare array unless the parameter needs a
     gradient, so an inference forward runs array kernels end to end and wraps
     only its result in a Tensor; training runs the same kernels under the tape.
     `taps`, when given, receives intermediate tensors keyed by name
-    (currently the last block's FFN output projection, pre-residual, [B*L, hidden]).
+    (currently the last block's FFN output projection, pre-dropout and
+    pre-residual, [B*L, hidden], or [B, hidden] under first_only).
     `first_only` asks for h_1 alone: the last block then runs its keys and
     values over every position and all else on position 0 only, to
     [B, 1, hidden] states, taped or not (the other rows' gradients are exactly
-    zero). Dropout masks are drawn in full, so the rng advances as in a full
-    forward; the last block applies their position-0 rows.
+    zero). The rng advances as in a full forward.
     """
     cfg = w.cfg
     b, n = batch.token_ids.shape
-    heads, hidden = cfg.heads, cfg.hidden
-    head_dim = hidden // heads
-    inv_sqrt = 1.0 / math.sqrt(head_dim)
+    p_drop, hidden = cfg.dropout_p, cfg.hidden
     key_bias = np.where(batch.pad_mask, 0.0, -np.inf).astype(w.dtype)[:, None, None, :]
-    keeps = _dropout_keeps(batch, cfg, rng) if rng is not None and cfg.dropout_p > 0.0 else None
-
-    def split_heads(t, rows, axes):  # [B*rows, H] -> [B, heads, rows, d], [B, heads, d, rows]
-        return T.transpose(T.reshape(t, (b, rows, heads, head_dim)), axes)
-
+    keeps = (_dropout_keeps(batch, cfg, rng, first_only)
+             if rng is not None and p_drop > 0.0 else itertools.repeat(None))
     prm = {name: T.operand(t) for name, t in w.params.items()}
     rows = n  # query positions per row
 
-    def project(t, name):
-        return T.add(T.matmul(t, prm[f"{name}.weight"]), prm[f"{name}.bias"])
+    def linear(t, name, keep=None):
+        return T.linear(t, prm[f"{name}.weight"], prm[f"{name}.bias"], keep, p_drop)
 
-    def dropout(t):  # the next site's mask, on the query rows that still run
-        if keeps is None:
-            return t
-        return T.dropout(t, cfg.dropout_p, next(keeps)[..., :rows, :].reshape(t.shape))
+    def norm(t, name, residual=None):
+        return T.layer_norm(t, prm[f"{name}.gain"], prm[f"{name}.bias"], LN_EPS, residual)
 
-    x = embed(batch, w, prm)
-    x = T.layer_norm(x, prm["embeddings.norm.gain"], prm["embeddings.norm.bias"], LN_EPS)
-    x = dropout(x)
-
+    x = T.dropout(norm(embed(batch, w, prm), "embeddings.norm"), p_drop, next(keeps))
     for i in range(cfg.layers):
         p = f"layers.{i}"
-        k = split_heads(project(x, f"{p}.attn.k"), n, (0, 2, 3, 1))
-        v = split_heads(project(x, f"{p}.attn.v"), n, (0, 2, 1, 3))
+        k, v = linear(x, f"{p}.attn.k"), linear(x, f"{p}.attn.v")
         if first_only and i == cfg.layers - 1:  # from here on only h_1 of each row
             x, rows = T.gather_rows(x, np.arange(0, b * n, n)), 1
-        q = split_heads(T.scale(project(x, f"{p}.attn.q"), inv_sqrt), rows, (0, 2, 1, 3))
-        probs = T.softmax(T.matmul(q, k), bias=key_bias)  # [B, heads, rows, L]
-        probs = dropout(probs)
-        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * rows, hidden))
-        attn_out = dropout(project(ctx, f"{p}.attn.out"))
-        x = T.layer_norm(
-            T.add(x, attn_out), prm[f"{p}.attn_norm.gain"], prm[f"{p}.attn_norm.bias"], LN_EPS
-        )
+        ctx = T.attention(linear(x, f"{p}.attn.q"), k, v, key_bias, cfg.heads, next(keeps), p_drop)
+        x = norm(x, f"{p}.attn_norm", linear(ctx, f"{p}.attn.out", next(keeps)))
 
-        ffn_out = project(T.gelu(project(x, f"{p}.ffn.inner")), f"{p}.ffn.out")
-        if taps is not None and i == cfg.layers - 1:
+        keep, tap = next(keeps), taps is not None and i == cfg.layers - 1
+        ffn_out = linear(T.gelu(linear(x, f"{p}.ffn.inner")), f"{p}.ffn.out", None if tap else keep)
+        if tap:  # the tap reads the output before dropout
             taps["last_ffn_out"] = T.as_tensor(ffn_out)
-        ffn_out = dropout(ffn_out)
-        x = T.layer_norm(
-            T.add(x, ffn_out), prm[f"{p}.ffn_norm.gain"], prm[f"{p}.ffn_norm.bias"], LN_EPS
-        )
+            ffn_out = T.dropout(ffn_out, p_drop, keep)
+        x = norm(x, f"{p}.ffn_norm", ffn_out)
 
     x = T.reshape(x, (b, rows, hidden))
     return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=batch.pad_mask[:, :rows])

@@ -8,6 +8,8 @@ Tensor recording parents and closure if an input needs a gradient, an untaped
 Tensor if an input is one, and else the bare array: a forward that hands its
 ops bare arrays (see `operand`) runs kernels end to end and builds no Tensor
 per op. `backward` replays the implicit tape in reverse topological order.
+The encoder's chains are fused ops (`linear`, `attention`, `layer_norm` with
+a residual): one node each, whose vjp keeps only the arrays it reads.
 
 Tensors are immutable after creation for graph purposes: training code may
 update `.data` in place only between forward passes, never while a tape that
@@ -119,11 +121,6 @@ def add(a, b):
     return _result(a + b, inputs, vjp)
 
 
-def scale(a, c: float):
-    c = float(c)
-    return _result(_data(a) * c, (a,), lambda g: (g * c,))
-
-
 def transpose(a, axes=None):
     """Permute axes into a contiguous copy; without `axes`, the matrix transpose."""
     x = _data(a)
@@ -143,6 +140,25 @@ def reshape(a, shape):
     return _result(x.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
+def _softmax_rows(z, out):  # into out: z itself, or None for a new array
+    top = z.max(axis=-1, keepdims=True)
+    # max propagates NaN, so a NaN anywhere in a row shows in its max, also
+    # under a -inf mask (NaN - inf is NaN)
+    if np.isnan(top).any():
+        raise NumericError("softmax received NaN input")
+    out = np.subtract(z, top, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_vjp(g, out):  # (g - sum(g * out)) * out
+    gx = g * out
+    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    gx *= out
+    return gx
+
+
 def softmax(x, bias=None):
     """Max-subtracted softmax along the last axis; NaN inputs are rejected.
 
@@ -154,23 +170,9 @@ def softmax(x, bias=None):
     z = x if bias is None else x + bias
     if z.shape != x.shape:
         raise ShapeError(f"softmax bias {np.shape(bias)} does not broadcast onto {x.shape}")
-    top = z.max(axis=-1, keepdims=True)
-    # max propagates NaN, so a NaN anywhere in a row shows in its max, also
-    # under a -inf mask (NaN - inf is NaN)
-    if np.isnan(top).any():
-        raise NumericError("softmax received NaN input")
     # in place past x itself: attention-sized arrays make temporaries costly
-    out = np.subtract(z, top, out=None if z is x else z)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    def vjp(g):  # (g - sum(g * out)) * out
-        gx = g * out
-        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
-        gx *= out
-        return (gx,)
-
-    return _result(out, inputs, vjp)
+    out = _softmax_rows(z, None if z is x else z)
+    return _result(out, inputs, lambda g: (_softmax_vjp(g, out),))
 
 
 def cross_entropy(logits, targets):
@@ -193,10 +195,16 @@ def cross_entropy(logits, targets):
     return _result(lsm[rows, targets].mean() * -1.0, inputs, vjp)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-12):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    inputs = x, gain, bias
+def layer_norm(x, gain, bias, eps: float = 1e-12, residual=None):
+    """Normalize the last axis to zero mean / unit variance, then affine;
+    given a `residual` r, of x + r (one node, parents (x, r, gain, bias))."""
+    inputs = (x, gain, bias) if residual is None else (x, residual, gain, bias)
     x, gain, bias = _data(x), _data(gain), _data(bias)
+    if residual is not None:
+        r = _data(residual)
+        if r.shape != x.shape:
+            raise ShapeError(f"layer_norm residual {r.shape} does not match {x.shape}")
+        x = x + r
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
@@ -219,7 +227,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-12):
         gx -= gx.sum(axis=-1, keepdims=True) / n
         gx -= np.multiply(xhat, proj, out=gg)
         gx *= inv
-        return gx, np.multiply(g, xhat, out=gg).sum(axis=lead), g.sum(axis=lead)
+        grads = gx, np.multiply(g, xhat, out=gg).sum(axis=lead), g.sum(axis=lead)
+        return grads if residual is None else (gx, *grads)  # x and r share gx
 
     return _result(out, inputs, vjp)
 
@@ -235,7 +244,8 @@ def gelu(x):
     out *= 0.5 * x  # 0.5 * x * (1 + t)
 
     def vjp(g):  # g * (0.5*(1 + t) + 0.5*x*(1 - t*t) * SCALE*(1 + 3*COEFF*x2))
-        du = (3.0 * GELU_COEFF) * x2
+        du = x * x  # x2 again: the tape keeps x and t only
+        du *= 3.0 * GELU_COEFF
         du += 1.0
         du *= GELU_SCALE
         gx = 1.0 - t * t
@@ -248,26 +258,96 @@ def gelu(x):
     return _result(out, inputs, vjp)
 
 
-def dropout(x, p: float, keep: np.ndarray):
-    """Inverted dropout under the caller's boolean `keep` mask, drawn as
-    rng.random(x.shape) >= p; call only on training paths."""
-    inputs = (x,)
-    x = _data(x)
+def _dropper(p: float, keep: np.ndarray | None, x):
+    """a -> a * (keep * c), c = 1/(1-p), for arrays shaped like x, or the
+    identity without a mask. The tape keeps the boolean mask (drawn as
+    rng.random(x.shape) >= p), and keep * c rebuilds the 0 or 1/(1-p)
+    multiplier exactly (signed zeros of dropped entries included)."""
+    if keep is None:
+        return lambda a: a
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must be in [0,1), got {p}")
     if keep.shape != x.shape:
         raise ShapeError(f"dropout mask {keep.shape} does not match input {x.shape}")
-    # the tape keeps a boolean mask, not a float array of the input's size;
-    # keep * c rebuilds the 0 or 1/(1-p) multiplier exactly (signed zeros of
-    # dropped entries included)
     c = x.dtype.type(1.0 / (1.0 - p))
 
-    def scaled(a):  # a * (keep * c)
+    def drop(a):
         out = np.multiply(keep, c)
         out *= a
         return out
 
-    return _result(scaled(x), inputs, lambda g: (scaled(g),))
+    return drop
+
+
+def dropout(x, p: float, keep: np.ndarray | None):
+    """Inverted dropout under a boolean `keep` mask (`_dropper`); x without one."""
+    if keep is None:
+        return x
+    inputs = (x,)
+    x = _data(x)
+    drop = _dropper(p, keep, x)
+    return _result(drop(x), inputs, lambda g: (drop(g),))
+
+
+def linear(x, w, b, keep: np.ndarray | None = None, p: float = 0.0):
+    """x @ w + b for [N, K] rows, a [K, M] weight and an [M] bias, then
+    `dropout` under a `keep` mask if given: one node, parents (x, w, b)."""
+    inputs = x, w, b
+    x, w, b = _data(x), _data(w), _data(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear shapes do not agree: {x.shape} @ {w.shape} + {b.shape}")
+    out = x @ w
+    out += b
+    drop = _dropper(p, keep, out)
+
+    def vjp(g):
+        g = drop(g)
+        return g @ w.T, x.T @ g, g.sum(axis=0)
+
+    return _result(drop(out), inputs, vjp)
+
+
+def attention(q, k, v, key_bias: np.ndarray, heads: int,
+              keep: np.ndarray | None = None, p: float = 0.0):
+    """Multi-head attention of [B*R, H] queries over [B*L, H] keys and values,
+    to the [B*R, H] merged context: queries scaled by 1/sqrt(d), heads split
+    into contiguous copies, scores plus the constant [B, 1, 1, L] `key_bias`
+    (-inf at pad keys), softmax, then `dropout` of the [B, heads, R, L]
+    probabilities under `keep` if given. One node, parents (q, k, v), keeping
+    the probabilities: its vjp splits q, k and v again."""
+    inputs = q, k, v
+    q, k, v = _data(q), _data(k), _data(v)
+    b, length = key_bias.shape[0], key_bias.shape[-1]
+    rows, hidden = len(q) // b, q.shape[-1]
+    d = hidden // heads
+    if (key_bias.shape != (b, 1, 1, length) or q.shape != (b * rows, heads * d)
+            or k.shape != (b * length, hidden) or v.shape != k.shape):
+        raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}, key bias {key_bias.shape}, {heads} heads")
+    c = 1.0 / math.sqrt(d)
+
+    def split(t, n, axes):  # [B*n, H] -> [B, heads, n, d], or [B, heads, d, n] for keys
+        return np.ascontiguousarray(np.transpose(t.reshape(b, n, heads, d), axes))
+
+    z = split(q * c, rows, (0, 2, 1, 3)) @ split(k, length, (0, 2, 3, 1))
+    z += key_bias
+    probs = _softmax_rows(z, z)
+    drop = _dropper(p, keep, probs)
+    ctx = drop(probs) @ split(v, length, (0, 2, 1, 3))
+    out = np.ascontiguousarray(np.transpose(ctx, (0, 2, 1, 3))).reshape(b * rows, hidden)
+
+    def vjp(g):
+        g = np.transpose(g.reshape(b, rows, heads, d), (0, 2, 1, 3))
+        gp = g @ np.swapaxes(split(v, length, (0, 2, 1, 3)), -1, -2)
+        gv = np.swapaxes(drop(probs), -1, -2) @ g
+        gz = _softmax_vjp(drop(gp), probs)
+        gq = gz @ np.swapaxes(split(k, length, (0, 2, 3, 1)), -1, -2)
+        gk = np.swapaxes(split(q * c, rows, (0, 2, 1, 3)), -1, -2) @ gz
+        return (np.transpose(gq, (0, 2, 1, 3)).reshape(b * rows, hidden) * c,
+                np.transpose(gk, (0, 3, 1, 2)).reshape(b * length, hidden),
+                np.transpose(gv, (0, 2, 1, 3)).reshape(b * length, hidden))
+
+    return _result(out, inputs, vjp)
 
 
 def _scatter_add(like, flat, g):

@@ -162,6 +162,14 @@ def tsum(x, axis=None):
     return T._result(x.sum(axis=-1), inputs, vjp)
 
 
+def scale(x, c):
+    """x * c for a constant c, as a tensor op."""
+    from polyscore import tensor as T
+
+    c = float(c)
+    return T._result(T._data(x) * c, (x,), lambda g: (g * c,))
+
+
 def bi_score(y_ctxt, y_cand):
     """Dot-product score between one context vector and one candidate vector."""
     return dot(y_ctxt, y_cand)
@@ -285,6 +293,54 @@ def cross_entropy_chain_formula(x, targets, g):
     g_picked = np.full(picked.shape, g * -1.0 / picked.size, dtype=picked.dtype)
     g_lsm = scatter_add_formula(x.shape, x.dtype, (rows, targets), g_picked)
     return picked.mean() * -1.0, g_lsm - np.exp(lsm) * g_lsm.sum(axis=-1, keepdims=True)
+
+
+# ---- the op chains the fused encoder ops replaced, as tensor ops: each
+# fused op's output and input gradients equal theirs bit for bit ----
+
+
+def linear_chain(x, w, b, keep=None, p=0.0):
+    """Matmul, bias add, then dropout under `keep` if given."""
+    from polyscore import tensor as T
+
+    return T.dropout(T.add(T.matmul(x, w), b), p, keep)
+
+
+def attention_chain(q, k, v, key_bias, heads, keep=None, p=0.0):
+    """The encoder's attention as a chain of ops: split the heads of q
+    (scaled first), k and v by reshape and transpose, scores, masked softmax,
+    dropout under `keep` if given, context, and merge the heads."""
+    from polyscore import tensor as T
+
+    b, length = key_bias.shape[0], key_bias.shape[-1]
+    rows, hidden = q.shape[0] // b, q.shape[1]
+    d = hidden // heads
+
+    def split_heads(t, n, axes):
+        return T.transpose(T.reshape(t, (b, n, heads, d)), axes)
+
+    k = split_heads(k, length, (0, 2, 3, 1))
+    v = split_heads(v, length, (0, 2, 1, 3))
+    q = split_heads(scale(q, 1.0 / math.sqrt(d)), rows, (0, 2, 1, 3))
+    probs = T.dropout(T.softmax(T.matmul(q, k), bias=key_bias), p, keep)
+    return T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * rows, hidden))
+
+
+def layer_norm_residual_chain(x, residual, gain, bias, eps):
+    """The residual add, then the layer norm."""
+    from polyscore import tensor as T
+
+    return T.layer_norm(T.add(x, residual), gain, bias, eps)
+
+
+def chain_gradients(out, g, inputs):
+    """Gradients of `inputs` for the upstream gradient g of `out`, through the
+    whole tape under out: backward from a scalar node whose vjp hands out g."""
+    from polyscore import tensor as T
+
+    seed = T._result(np.zeros((), dtype=g.dtype), (out,), lambda _: (g,))
+    grads = T.backward(seed, inputs)
+    return [grads[t] for t in inputs]
 
 
 def finite_diff(loss_fn, array, idx, h=1e-5):
@@ -417,7 +473,7 @@ def mlm_loss_per_sequence(model, vocab, examples, data_rng):
     # mean over all targets = target-weighted mean of the per-example means
     loss = None
     for logits, targets in blocks:
-        part = T.scale(cross_entropy_rows(logits, targets), len(targets) / total)
+        part = scale(cross_entropy_rows(logits, targets), len(targets) / total)
         loss = part if loss is None else T.add(loss, part)
     return loss
 

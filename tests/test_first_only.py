@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from polyscore import heads, model as model_module, tensor as T, training
-from polyscore.encoder import ModelConfig, forward
+from polyscore.encoder import ModelConfig, _dropout_keeps, forward
 from polyscore.heads import parse_arch, reduce_output
 from polyscore.model import Model, Scorer
 from polyscore.text import Example, TokenBatch, Vocabulary, encode_single
@@ -206,6 +206,21 @@ class TestTrainingForwardsPrune:
         forward(batch, w, rng=pruned, first_only=True)
         forward(batch, w, rng=full)
         assert pruned.bit_generator.state == full.bit_generator.state
+
+    def test_pruned_block_masks_are_row0_of_full_masks(self, base, vocab, texts, dtype):
+        w = trainee(base, "bi", dtype).candidate_tower()
+        batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
+        b, n = batch.token_ids.shape
+        pruned = list(_dropout_keeps(batch, w.cfg, make_rng(4), True))
+        full = list(_dropout_keeps(batch, w.cfg, make_rng(4), False))
+        last = 1 + 3 * (w.cfg.layers - 1)  # the pruned block's three sites follow
+        assert all(np.array_equal(p, f) for p, f in zip(pruned[:last], full[:last]))
+        probs, *outputs = pruned[last:]
+        assert probs.shape == (b, w.cfg.heads, 1, n)
+        assert np.array_equal(probs, full[last][:, :, :1])
+        for got, want in zip(outputs, full[last + 1:]):
+            assert got.shape == (b, w.cfg.hidden)
+            assert np.array_equal(got, want.reshape(b, n, -1)[:, 0])
 
 
 # ---- training losses against the same losses built from full forwards ----

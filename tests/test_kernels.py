@@ -1,6 +1,7 @@
 """The kernel path of the tensor ops: an inference forward hands every op bare
 arrays and builds no Tensor per op, yet it computes what the taped path
-computes, keeps every guard, and leaves training's tape as it was."""
+computes and keeps every guard. Training's tape has the pinned size, and the
+fused encoder ops equal the op chains they replaced bit for bit."""
 
 import numpy as np
 import pytest
@@ -104,7 +105,9 @@ def test_taped_forward_still_builds_a_tensor_per_op(monkeypatch):
     w = TransformerWeights.init(ModelConfig(vocab_size=len(VOCAB)), make_rng(3))
     made = count_tensors(monkeypatch)
     out = forward(TokenBatch.of([encode_single("w1 w2", VOCAB, 8)]), w)
-    assert len(made) > 50 and out.hidden_states.requires_grad
+    # the embeddings' three gathers, two adds and layer norm, ten ops per
+    # layer (see TAPE_NODES) and the final reshape
+    assert len(made) == 6 + 2 * 10 + 1 and out.hidden_states.requires_grad
 
 
 def test_nan_under_masked_pad_key_raises(desk_weights):
@@ -133,6 +136,11 @@ GUARDED = {
     "transpose_axes": lambda: T.transpose(M, (0, 0)),
     "softmax_bias": lambda: T.softmax(M, bias=np.zeros((4, 2, 3))),
     "layer_norm": lambda: T.layer_norm(M, np.ones(2), np.zeros(3)),
+    "layer_norm_residual": lambda: T.layer_norm(M, np.ones(3), np.zeros(3), residual=M.T),
+    "linear": lambda: T.linear(M, M, np.ones(3)),
+    "linear_bias": lambda: T.linear(M, M.T, np.ones(3)),
+    "attention": lambda: T.attention(np.ones((2, 4)), np.ones((3, 4)), np.ones((3, 4)),
+                                     np.zeros((1, 1, 1, 2)), 2),
     "tsum": lambda: tsum(M, axis=0),
     "dropout": lambda: T.dropout(M, 0.5, np.ones((3, 2), dtype=bool)),
     "gather_rows": lambda: T.gather_rows(np.ones(3), [0]),
@@ -165,20 +173,19 @@ def tape_nodes(t):
     return len(seen)
 
 
-# tape nodes of one training step's loss, as counted before the ops had a
-# kernel path, less the no-op reshape each cross/next score and learnt poly
-# head dropped once the heads took batches only, and less 3 for the
-# cross-entropy that became one op (it was log_softmax, a pick of the target
-# logits, a mean and a negation), plus 1 for each first-position forward whose
-# input to the last block is taped: its gather of the h_1 rows (bi: both
-# towers; poly: the candidate tower; cross: the pairs). Frozen lower layers
-# (top_layer) may run kernels but record the same tape; the gather of their
-# untaped rows records nothing
+# tape nodes of one training step's loss, parameters included. The pins catch
+# unintended tape growth. An encoder layer records ten nodes: six `linear`
+# projections, one `attention`, one `gelu` and two residual `layer_norm`s;
+# the embeddings five gathers and adds, their layer norm and, under dropout,
+# its `dropout`. A first-position forward whose input to the last block is
+# taped adds its gather of the h_1 rows (bi: both towers; poly: the candidate
+# tower; cross: the pairs). Frozen lower layers (top_layer) run as kernels
+# and record nothing, nor does the gather of their untaped rows
 TAPE_NODES = {
-    ("bi", None, "every_layer"): 227, ("poly", "learnt", "every_layer"): 242,
-    ("poly", "last_m_h1", "every_layer"): 237, ("cross", None, "every_layer"): 120,
-    ("bi", None, "top_layer"): 105, ("poly", "learnt", "top_layer"): 121,
-    ("poly", "last_m_h1", "top_layer"): 116, ("cross", None, "top_layer"): 59,
+    ("bi", None, "every_layer"): 139, ("poly", "learnt", "every_layer"): 154,
+    ("poly", "last_m_h1", "every_layer"): 149, ("cross", None, "every_layer"): 76,
+    ("bi", None, "top_layer"): 61, ("poly", "learnt", "top_layer"): 77,
+    ("poly", "last_m_h1", "top_layer"): 72, ("cross", None, "top_layer"): 37,
 }
 
 
@@ -217,7 +224,7 @@ def test_pretraining_step_tape_unchanged():
     mlm = training.mlm_batch_loss(model, VOCAB, batch, make_rng(7), make_rng(8))
     triples = training.next_selection_batch(batch, make_rng(9), 4)
     nxt = training.next_batch_loss(model, VOCAB, triples, make_rng(8))
-    assert (tape_nodes(mlm), tape_nodes(nxt)) == (124, 118)  # next: + the h_1 gather
+    assert (tape_nodes(mlm), tape_nodes(nxt)) == (80, 74)  # next: + the h_1 gather
 
 
 # ---- in-place kernels: the same float64 arithmetic as the out-of-place
@@ -326,3 +333,106 @@ def test_cross_entropy_rejects_nan():
     x[1, 0] = np.nan
     with pytest.raises(NumericError):
         T.cross_entropy(x, [0, 1])
+
+
+# ---- fused encoder ops: output and every input gradient equal those of the
+# op chains they replaced (tests/oracles.py), bit for bit ----
+
+B, L, HEADS, H = 3, 5, 2, 8
+LENGTHS = [5, 2, 4]  # the second and third sequences padded
+
+
+def fused_cases(dtype, rows, dropout):
+    """op -> (fused op, the chain it replaced, input arrays, upstream
+    gradient), with `rows` query rows per sequence (L, or 1 as in a
+    first_only forward's last block) and, if `dropout`, keep masks."""
+    rng = make_rng(27)
+
+    def normal(*shape, s=1.0):
+        return rng.normal(0.0, s, size=shape).astype(dtype)
+
+    def mask(*shape):
+        return rng.random(shape) >= 0.3 if dropout else None
+
+    n = B * rows
+    lin_keep, attn_keep = mask(n, 6), mask(B, HEADS, rows, L)
+    real = np.arange(L) < np.array(LENGTHS)[:, None]
+    bias = np.where(real, 0.0, -np.inf).astype(dtype)[:, None, None, :]
+    return {
+        "linear": (lambda x, w, b: T.linear(x, w, b, lin_keep, 0.3),
+                   lambda x, w, b: oracles.linear_chain(x, w, b, lin_keep, 0.3),
+                   [normal(n, H), normal(H, 6), normal(6)], normal(n, 6)),
+        "attention": (lambda q, k, v: T.attention(q, k, v, bias, HEADS, attn_keep, 0.3),
+                      lambda q, k, v: oracles.attention_chain(q, k, v, bias, HEADS, attn_keep, 0.3),
+                      [normal(n, H, s=2.0), normal(B * L, H, s=2.0), normal(B * L, H)],
+                      normal(n, H)),
+        "layer_norm_residual": (
+            lambda x, r, gain, b: T.layer_norm(x, gain, b, 1e-12, residual=r),
+            lambda x, r, gain, b: oracles.layer_norm_residual_chain(x, r, gain, b, 1e-12),
+            [normal(n, H, s=3.0), normal(n, H), normal(H), normal(H)], normal(n, H)),
+    }
+
+
+FUSED = ["linear", "attention", "layer_norm_residual"]
+
+
+@pytest.mark.parametrize("rows", [L, 1], ids=["R=L", "R=1"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("op,dropout", [(op, mask) for op in FUSED for mask in (False, True)
+                                        if op != "layer_norm_residual" or not mask],
+                         ids=lambda v: {False: "no_mask", True: "mask"}.get(v, v))
+def test_fused_op_bit_identical_to_chain(op, dropout, dtype, rows):
+    fused, chain, arrays, g = fused_cases(dtype, rows, dropout)[op]
+    got_in, want_in = [taped(a) for a in arrays], [taped(a) for a in arrays]
+    got, want = fused(*got_in), chain(*want_in)
+    assert tape_nodes(got) == len(arrays) + 1  # one node over its inputs
+    assert same_bits(got.data, want.data)
+    for got_g, want_g in zip(oracles.chain_gradients(got, g, got_in),
+                             oracles.chain_gradients(want, g, want_in)):
+        assert same_bits(got_g, want_g)
+
+
+@pytest.mark.parametrize("rows", [L, 1], ids=["R=L", "R=1"])
+@pytest.mark.parametrize("op", FUSED)
+def test_fused_op_gradients(op, rows):
+    fused, _, arrays, _ = fused_cases(np.float64, rows, True)[op]
+    rng = make_rng(28)
+    inputs = [taped(a) for a in arrays]
+    out = fused(*inputs)
+    proj = rng.normal(size=out.shape)
+    named = {f"input{i}": a for i, a in enumerate(arrays)}
+    analytic = dict(zip(named, oracles.chain_gradients(out, proj, inputs)))
+    oracles.grad_check(lambda: float((fused(*arrays) * proj).sum()), named, analytic, rng,
+                       probes=60)
+
+
+def kept_bytes(node):
+    """Bytes of the arrays a node's vjp closure holds (nested closures
+    included) that are not its parents' own arrays."""
+    parents = {id(p.data) for p in node._parents}
+    seen, kept, work = set(), 0, [node._vjp]
+    while work:
+        for cell in work.pop().__closure__ or ():
+            v = cell.cell_contents
+            if id(v) in seen or id(v) in parents:
+                continue
+            seen.add(id(v))
+            if isinstance(v, np.ndarray):
+                kept += v.nbytes
+            elif callable(v) and getattr(v, "__closure__", None):
+                work.append(v)
+    return kept
+
+
+def test_fused_ops_keep_only_what_their_gradients_read():
+    """The tape keeps boolean masks, the attention probabilities before
+    dropout, the layer norm's xhat and 1/std and gelu's tanh: no float mask,
+    no head-split copy and no array a parent already holds."""
+    n, f64 = B * L, 8
+    cases = fused_cases(np.float64, L, True)
+    want = {"linear": n * 6, "attention": B * HEADS * L * L * (f64 + 1),
+            "layer_norm_residual": n * H * f64 + n * f64}
+    for op in FUSED:
+        fused, _, arrays, _ = cases[op]
+        assert kept_bytes(fused(*[taped(a) for a in arrays])) == want[op], op
+    assert kept_bytes(T.gelu(taped(np.ones((n, H))))) == n * H * f64

