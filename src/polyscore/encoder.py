@@ -5,7 +5,7 @@ layer norm, GELU feed-forward, residual, layer norm) with an embedding layer
 norm up front; dimensions come from ModelConfig so both the desk default and
 BERT-base sizes are expressible. The forward takes only a padded [B, L]
 TokenBatch (one sequence is a batch of one) and returns [B, L, hidden]
-states, or h_1 alone when asked; attention logits at pad key positions are
+states, or the rows it is asked for; attention logits at pad key positions are
 forced to -inf before the softmax, so pad rows never leak into real ones.
 """
 
@@ -135,8 +135,8 @@ class TransformerWeights:
 
 @dataclass
 class TransformerOutput:
-    """Per-token hidden states h_1..h_N, [B, L, hidden] (h_1 alone, [B, 1, hidden],
-    from a first_only forward), plus the pad mask of those positions."""
+    """Per-token hidden states h_1..h_N, [B, L, hidden] (the selected rows,
+    [B, R, hidden], from a `rows` forward), plus the pad mask of those positions."""
 
     hidden_states: Tensor
     pad_mask: np.ndarray
@@ -162,32 +162,39 @@ def embed(batch: TokenBatch, w: TransformerWeights, prm=None):
 
 
 def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator,
-                   first_only: bool):
+                   rows: np.ndarray | None):
     """Keep masks for every dropout site of a forward, in site order: the
     embeddings, then each layer's attention probs, attention output and FFN
-    output, as [B, heads, R, L] or [B*R, hidden] arrays (R = L, or 1 in a
-    first_only forward's last block). Each row draws all its sites in turn
-    over its own span (up to its last real token), as a full forward of that
-    sequence alone draws them, so a seeded run depends neither on batching nor
-    on first_only: with R = 1 a site draws row 0 of each (length, width) block
-    and `advance`s past the rest (one PCG64 step per float64 draw; advance
-    also drops a buffered 32-bit draw). Pad slots keep."""
+    output, as [B, heads, R, L] or [B*R, hidden] arrays (R = L, or the R of a
+    `rows` forward's last block). Each row draws all its sites in turn over
+    its own span (up to its last real token), as a full forward of that
+    sequence alone draws them, so a seeded run depends neither on batching
+    nor on `rows`: a site of the last block draws rows 0..max(selected) of
+    each (length, width) block, keeps the selected ones and `advance`s past
+    the rest (one PCG64 step per float64 draw; advance also drops a buffered
+    32-bit draw). Pad slots keep; a selected position must be a real token."""
     b, n = batch.token_ids.shape
     lengths = (n - np.argmax(batch.pad_mask[:, ::-1], axis=1)).tolist()
     p, heads, hidden = cfg.dropout_p, cfg.heads, cfg.hidden
-    sites = [np.ones((b, n, hidden), dtype=bool)]
+    tops = lengths if rows is None else np.minimum(rows.max(axis=1) + 1, lengths).tolist()
+    # rows 0..top-1 are drawn: one selected position is the last of them
+    picks = ([slice(None)] * b if rows is None else
+             [slice(-1, None)] * b if rows.shape[1] == 1 else list(rows))
+    sites = [(np.ones((b, n, hidden), dtype=bool), False)]
     for i in range(cfg.layers):
-        rows = 1 if first_only and i == cfg.layers - 1 else n
-        sites += [np.ones((b, heads, rows, n), dtype=bool),
-                  np.ones((b, rows, hidden), dtype=bool), np.ones((b, rows, hidden), dtype=bool)]
+        last = i == cfg.layers - 1
+        r = n if rows is None or not last else rows.shape[1]
+        sites += [(np.ones(shape, dtype=bool), last)
+                  for shape in ((b, heads, r, n), (b, r, hidden), (b, r, hidden))]
     for i, length in enumerate(lengths):
-        for keep in sites:
-            r = min(keep.shape[-2], length)
-            for block in keep[i, :, :r, :length] if keep.ndim == 4 else keep[i, None, :r]:
-                block[...] = rng.random(block.shape) >= p
-                if r < length:
-                    rng.bit_generator.advance((length - r) * block.shape[1])
-    return (k if k.ndim == 4 else k.reshape(-1, hidden) for k in sites)
+        for keep, selects in sites:
+            pick, top = (picks[i], tops[i]) if selects else (slice(None), length)
+            for block in keep[i, :, :, :length] if keep.ndim == 4 else keep[i, None]:
+                drawn = rng.random((top, block.shape[1]))[pick] >= p
+                block[:len(drawn)] = drawn
+                if top < length:
+                    rng.bit_generator.advance((length - top) * block.shape[1])
+    return (k if k.ndim == 4 else k.reshape(-1, hidden) for k, _ in sites)
 
 
 def forward(
@@ -195,9 +202,10 @@ def forward(
     w: TransformerWeights,
     rng: np.random.Generator | None = None,
     taps: dict | None = None,
-    first_only: bool = False,
+    rows: np.ndarray | None = None,
 ) -> TransformerOutput:
-    """Full encoder pass over a padded [B, L] batch, to [B, L, hidden] states.
+    """Encoder pass over a padded [B, L] batch, to [B, L, hidden] states, or
+    [B, R, hidden] states at the positions a [B, R] `rows` selects.
 
     Each layer is six `linear` projections (one GEMM over all B*L rows each),
     one `attention` and one `gelu`, and two residual `layer_norm`s: one tape
@@ -210,20 +218,21 @@ def forward(
     only its result in a Tensor; training runs the same kernels under the tape.
     `taps`, when given, receives intermediate tensors keyed by name
     (currently the last block's FFN output projection, pre-dropout and
-    pre-residual, [B*L, hidden], or [B, hidden] under first_only).
-    `first_only` asks for h_1 alone: the last block then runs its keys and
-    values over every position and all else on position 0 only, to
-    [B, 1, hidden] states, taped or not (the other rows' gradients are exactly
-    zero). The rng advances as in a full forward.
+    pre-residual, [B*L, hidden], or [B*R, hidden] under `rows`).
+    `rows` (real-token positions per sequence; one may repeat) is for heads that
+    read only some states: the last block then runs its keys and values over
+    every position and all else on the B*R selected rows alone, taped or not
+    (the other rows' gradients are exactly zero). The rng advances as in a
+    full forward.
     """
     cfg = w.cfg
     b, n = batch.token_ids.shape
     p_drop, hidden = cfg.dropout_p, cfg.hidden
     key_bias = np.where(batch.pad_mask, 0.0, -np.inf).astype(w.dtype)[:, None, None, :]
-    keeps = (_dropout_keeps(batch, cfg, rng, first_only)
+    keeps = (_dropout_keeps(batch, cfg, rng, rows)
              if rng is not None and p_drop > 0.0 else itertools.repeat(None))
     prm = {name: T.operand(t) for name, t in w.params.items()}
-    rows = n  # query positions per row
+    flat = None if rows is None else rows + np.arange(0, b * n, n)[:, None]  # [B, R] row ids
 
     def linear(t, name, keep=None):
         return T.linear(t, prm[f"{name}.weight"], prm[f"{name}.bias"], keep, p_drop)
@@ -235,8 +244,8 @@ def forward(
     for i in range(cfg.layers):
         p = f"layers.{i}"
         k, v = linear(x, f"{p}.attn.k"), linear(x, f"{p}.attn.v")
-        if first_only and i == cfg.layers - 1:  # from here on only h_1 of each row
-            x, rows = T.gather_rows(x, np.arange(0, b * n, n)), 1
+        if flat is not None and i == cfg.layers - 1:  # from here on the selected rows only
+            x = T.gather_rows(x, flat.ravel())
         ctx = T.attention(linear(x, f"{p}.attn.q"), k, v, key_bias, cfg.heads, next(keeps), p_drop)
         x = norm(x, f"{p}.attn_norm", linear(ctx, f"{p}.attn.out", next(keeps)))
 
@@ -247,5 +256,6 @@ def forward(
             ffn_out = T.dropout(ffn_out, p_drop, keep)
         x = norm(x, f"{p}.ffn_norm", ffn_out)
 
-    x = T.reshape(x, (b, rows, hidden))
-    return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=batch.pad_mask[:, :rows])
+    mask = batch.pad_mask if flat is None else batch.pad_mask.ravel()[flat]
+    x = T.reshape(x, (*mask.shape, hidden))
+    return TransformerOutput(hidden_states=T.as_tensor(x), pad_mask=mask)

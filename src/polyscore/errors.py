@@ -30,4 +30,9 @@ class ConfigError(PolyscoreError):
 
 
 class StaleCacheError(PolyscoreError):
-    """Candidate cache was built from a different checkpoint than the scoring model."""
+    """Candidate cache was built from another checkpoint, vocabulary or encode
+    caps than the scoring model's."""
+
+
+class OldFormatError(StaleCacheError, ParseError):
+    """A file in a format version older than the one this program reads."""

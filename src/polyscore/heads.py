@@ -79,7 +79,8 @@ def cross_score(pairs: TokenBatch, w: TransformerWeights, head_w: Tensor, rng=No
     forward runs its last block past keys and values on position 0 alone."""
     if head_w.shape != (w.cfg.hidden, 1):
         raise ShapeError(f"cross head weight must be [hidden, 1], got {head_w.shape}")
-    first = reduce_output(forward(pairs, w, rng=rng, first_only=True), REDUCTION_FIRST)
+    h1 = np.zeros((len(pairs.token_ids), 1), dtype=np.int64)
+    first = reduce_output(forward(pairs, w, rng=rng, rows=h1), REDUCTION_FIRST)
     return T.reshape(T.matmul(first, head_w), first.shape[:1])
 
 

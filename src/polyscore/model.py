@@ -230,6 +230,8 @@ class Scorer:
         self.max_context = min(MAX_CONTEXT_TOKENS, cap)
         self.max_candidate = min(MAX_CANDIDATE_TOKENS, cap)
         self.max_pair = cap
+        # what a cache's rows depend on besides the checkpoint
+        self.binding = (vocab.digest(), self.max_context, self.max_candidate)
 
     # encoding
 
@@ -263,7 +265,8 @@ class Scorer:
         """The model's reduction of one batched forward, which stops at h_1
         when the reduction reads h_1 alone, in training forwards too."""
         first = self.model.reduction == REDUCTION_FIRST
-        out = forward(TokenBatch.of(seqs), tower, rng=rng, first_only=first)
+        h1 = np.zeros((len(seqs), 1), dtype=np.int64) if first else None
+        out = forward(TokenBatch.of(seqs), tower, rng=rng, rows=h1)
         return reduce_output(out, self.model.reduction)
 
     def poly_context(self, contexts, rng=None) -> tuple[Tensor, np.ndarray]:

@@ -3,7 +3,8 @@
 A file is an 8-byte magic, a u32 format version, then its fields: little-endian
 u32 or u8 integers, length-prefixed strings (a u32 byte count, then UTF-8
 bytes) and raw little-endian float arrays sized by earlier fields. Truncation,
-trailing bytes, a wrong magic or version and undecodable text raise ParseError.
+trailing bytes, a wrong magic or version and undecodable text raise ParseError
+(an older version given a `rebuild` hint raises its OldFormatError subclass).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import OldFormatError, ParseError
 
 _U32, _U32_PAIR, _U8 = struct.Struct("<I"), struct.Struct("<II"), struct.Struct("<B")
 
@@ -51,13 +52,15 @@ class RecordReader:
     """Bounds-checked reads of one file's fields in written order; each read
     unpacks at an offset and copies no more than the field it returns."""
 
-    def __init__(self, path, magic: bytes, version: int, kind: str):
+    def __init__(self, path, magic: bytes, version: int, kind: str, rebuild: str = ""):
         with open(path, "rb") as f:
             self.raw = f.read()
         self.path, self.kind, self._off = path, kind, 0
         if self.raw[self._take(len(magic), "magic"):self._off] != magic:
             raise self.error(f"not a {kind} file (bad magic)")
         found = self.u32("version")
+        if found < version and rebuild:
+            raise OldFormatError(f"{path}: {kind} version {found} predates {version}; {rebuild}")
         if found != version:
             raise self.error(f"unsupported {kind} version {found}")
 

@@ -35,8 +35,9 @@ ENCODE_CHUNK = 64
 POLY_BLOCK_ELEMENTS = 1 << 17
 
 CACHE_MAGIC = b"PLYCACHE"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 NO_FINGERPRINT = "unsaved"
+REBUILD = "rebuild it with `polyscore index`"
 
 
 @dataclass
@@ -47,6 +48,7 @@ class CandidateCache:
     strings: list[str]
     embeddings: np.ndarray  # [C, hidden], column-major
     fingerprint: str
+    binding: tuple | None = None  # Scorer.binding it was built under; None: unchecked
     # made once for ranking: replace the cache, not its ids or rows
     id_array: np.ndarray = field(init=False, repr=False, compare=False)  # ids as int64
     max_norm: float = field(init=False, repr=False, compare=False)  # largest row norm
@@ -91,7 +93,7 @@ def build_cache(candidates: list[str], scorer: Scorer) -> CandidateCache:
     for i, chunk in enumerate(_chunks(candidates)):
         emb[i * ENCODE_CHUNK:(i + 1) * ENCODE_CHUNK] = scorer.candidate_vectors(chunk).data
     return CandidateCache(list(range(len(candidates))), list(candidates), emb,
-                          _model_fingerprint(scorer))
+                          _model_fingerprint(scorer), scorer.binding)
 
 
 def _check_fresh(cache: CandidateCache, scorer: Scorer):
@@ -101,6 +103,9 @@ def _check_fresh(cache: CandidateCache, scorer: Scorer):
             f"cache was built from checkpoint {cache.fingerprint[:12]}..., "
             f"scoring model is {fp[:12]}..."
         )
+    if cache.binding not in (None, scorer.binding):
+        raise StaleCacheError("cache was built under another vocabulary or other encode caps; "
+                              f"{REBUILD}")
 
 
 def _rank_of(ids: np.ndarray, scores: np.ndarray, gold_id) -> int:
@@ -207,9 +212,14 @@ def _need_gold(results):
 
 
 def save_cache(cache: CandidateCache, path) -> None:
-    """Header (fingerprint, C, hidden), float32 LE matrix, then the id/string table."""
+    """Header (fingerprint, vocabulary hash, context and candidate caps, C,
+    hidden), float32 LE matrix, then the id/string table."""
+    if cache.binding is None:
+        raise ContractError("a cache file needs the binding of the Scorer that built it")
     w = RecordWriter(CACHE_MAGIC, CACHE_VERSION)
     w.text(cache.fingerprint)
+    w.text(cache.binding[0])
+    w.u32(*cache.binding[1:])
     w.u32(*cache.embeddings.shape)
     w.floats(cache.embeddings, "<f4")
     w.u32_texts(cache.ids, cache.strings)
@@ -218,13 +228,15 @@ def save_cache(cache: CandidateCache, path) -> None:
 
 def load_cache(path, dtype=np.float32) -> CandidateCache:
     """Read a cache written by save_cache, its matrix cast once to `dtype`
-    (the scoring model's float width); any malformed file raises ParseError."""
-    r = RecordReader(path, CACHE_MAGIC, CACHE_VERSION, "cache")
+    (the scoring model's float width); any malformed file raises ParseError,
+    one of an older version its OldFormatError subclass."""
+    r = RecordReader(path, CACHE_MAGIC, CACHE_VERSION, "cache", REBUILD)
     fingerprint = r.text("fingerprint")
+    binding = (r.text("vocabulary hash"), r.u32("context cap"), r.u32("candidate cap"))
     c, hidden = r.u32("candidate count"), r.u32("hidden size")
     # a writable copy: asfortranarray keeps the read-only view of a 1xH matrix
     emb = np.array(r.floats(c * hidden, "<f4", "embeddings").reshape(c, hidden), dtype,
                    order="F")
     ids, strings = r.u32_texts(c, "candidate id and string")
     r.end()
-    return CandidateCache(ids, strings, emb, fingerprint)
+    return CandidateCache(ids, strings, emb, fingerprint, binding)

@@ -10,6 +10,7 @@ batch of one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -50,6 +51,10 @@ class Vocabulary:
 
     def token_of(self, idx: int) -> str:
         return self._id_to_token[idx]
+
+    def digest(self) -> str:
+        """sha256 hex of the tokens in id order, one per line."""
+        return hashlib.sha256("\n".join(self._id_to_token).encode()).hexdigest()
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:
         get = self._token_to_id.get

@@ -227,7 +227,7 @@ def _train(model: Model, opt_cfg: OptimizerConfig, steps: int, seed: int, freeze
 def mlm_logits(model: Model, rows: Tensor) -> Tensor:
     """Masked-token head: dense + GELU + layer norm, tied output projection."""
     e = model.extras
-    x = T.add(T.matmul(rows, e["mlm.transform.weight"]), e["mlm.transform.bias"])
+    x = T.linear(rows, e["mlm.transform.weight"], e["mlm.transform.bias"])
     x = T.layer_norm(T.gelu(x), e["mlm.norm.gain"], e["mlm.norm.bias"])
     tok = model.towers["enc"]["embeddings.token"]
     return T.add(T.matmul(x, T.transpose(tok)), e["mlm.out_bias"])
@@ -235,27 +235,28 @@ def mlm_logits(model: Model, rows: Tensor) -> Tensor:
 
 def mlm_batch_loss(model: Model, vocab, examples, data_rng, drop_rng=None) -> Tensor:
     """Mean masked-token loss over a batch of (context, gold) pairs, from one
-    padded forward; examples left with no target are skipped, and a draw that
-    leaves the whole batch none is drawn again."""
+    padded forward that stops at the target positions; examples left with no
+    target are skipped, and a draw that leaves the whole batch none is drawn
+    again."""
     pairs = [encode_pair(ex.context_text, ex.gold, vocab, model.cfg.max_positions)
              for ex in examples]
     if all(tok < len(RESERVED) for tp in pairs for tok in tp.token_ids):
         raise ContractError("no maskable tokens in batch")
-    picks = []  # (batch row, position, original id)
-    while not picks:
+    targets = []  # per kept row, its (position, original id) pairs
+    while not targets:
         corrupted = []
         for pair in pairs:
-            tp, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
-            if targets:
-                picks += [(len(corrupted), pos, tok) for pos, tok in targets]
+            tp, found = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
+            if found:
+                targets.append(found)
                 corrupted.append(tp)
-    batch = TokenBatch.of(corrupted)
-    b, length = batch.token_ids.shape
-    out = forward(batch, model.towers["enc"], rng=drop_rng)
-    row, pos, tok = np.array(picks).T
-    picked = T.gather_rows(T.reshape(out.hidden_states, (b * length, model.cfg.hidden)),
-                           row * length + pos)
-    return masked_token_loss(mlm_logits(model, picked), tok)
+    r = max(map(len, targets))  # a row's spare slots repeat its last target
+    rows = np.array([[pos for pos, _ in t] + [t[-1][0]] * (r - len(t)) for t in targets])
+    out = forward(TokenBatch.of(corrupted), model.towers["enc"], rng=drop_rng, rows=rows)
+    slots = [i * r + j for i, t in enumerate(targets) for j in range(len(t))]
+    states = T.reshape(out.hidden_states, (len(targets) * r, model.cfg.hidden))
+    picked = T.gather_rows(states, slots)
+    return masked_token_loss(mlm_logits(model, picked), [tok for t in targets for _, tok in t])
 
 
 def next_batch_loss(model: Model, vocab, triples, drop_rng=None) -> Tensor:

@@ -478,6 +478,35 @@ def mlm_loss_per_sequence(model, vocab, examples, data_rng):
     return loss
 
 
+def mlm_loss_full_rows(model, vocab, examples, data_rng, drop_rng=None):
+    """training.mlm_batch_loss as it was before its forward stopped at the
+    target positions: one full [B, L, hidden] forward, then one gather of
+    every (row, position) target's state."""
+    from polyscore import tensor as T
+    from polyscore.encoder import forward
+    from polyscore.losses import masked_token_loss
+    from polyscore.text import TokenBatch, encode_pair
+    from polyscore.training import MLM_RATE, mlm_corrupt, mlm_logits
+
+    pairs = [encode_pair(ex.context_text, ex.gold, vocab, model.cfg.max_positions)
+             for ex in examples]
+    picks = []  # (batch row, position, original id)
+    while not picks:
+        corrupted = []
+        for pair in pairs:
+            tp, targets = mlm_corrupt(pair, MLM_RATE, data_rng, len(vocab))
+            if targets:
+                picks += [(len(corrupted), pos, tok) for pos, tok in targets]
+                corrupted.append(tp)
+    batch = TokenBatch.of(corrupted)
+    b, length = batch.token_ids.shape
+    out = forward(batch, model.towers["enc"], rng=drop_rng)
+    row, pos, tok = np.array(picks).T
+    picked = T.gather_rows(T.reshape(out.hidden_states, (b * length, model.cfg.hidden)),
+                           row * length + pos)
+    return masked_token_loss(mlm_logits(model, picked), tok)
+
+
 def next_loss_per_sequence(model, vocab, triples):
     from polyscore import tensor as T
     from polyscore.heads import cross_score
@@ -496,16 +525,16 @@ def next_loss_per_sequence(model, vocab, triples):
 
 
 @contextlib.contextmanager
-def full_rows(rows):
+def full_rows(counts):
     """The package's losses built from full forwards: inside the block, every
-    forward the heads and the Scorer run ignores `first_only` and returns all
+    forward the heads and the Scorer run ignores `rows` and returns all
     [B, L, hidden] states, from which the heads read h_1 as before forwards
-    stopped there. `rows` receives the position count of each result."""
+    stopped there. `counts` receives the position count of each result."""
     from polyscore import encoder, heads, model
 
-    def full(*args, first_only=False, **kwargs):
+    def full(*args, rows=None, **kwargs):
         out = encoder.forward(*args, **kwargs)
-        rows.append(out.hidden_states.shape[1])
+        counts.append(out.hidden_states.shape[1])
         return out
 
     saved = heads.forward, model.forward
@@ -632,17 +661,23 @@ def checkpoint_bytes_reference(model) -> bytes:
     return bytes(blob)
 
 
-def cache_bytes_reference(cache) -> bytes:
-    """A cache file as the struct-based writer built it before the shared
-    record layer: magic, u32 version, u32-prefixed fingerprint, u32 C and
-    hidden, the float32 little-endian matrix, then per candidate a u32 id and
-    a u32-prefixed UTF-8 string."""
+def cache_bytes_reference(cache, version=2) -> bytes:
+    """A cache file as a struct-based writer builds it: magic, u32 version,
+    u32-prefixed fingerprint, at version 2 the u32-prefixed vocabulary hash
+    and the u32 context and candidate caps, u32 C and hidden, the float32
+    little-endian matrix, then per candidate a u32 id and a u32-prefixed
+    UTF-8 string. Version 1 is the layout written before caches carried
+    their vocabulary and caps."""
     blob = bytearray()
     blob += b"PLYCACHE"
-    blob += struct.pack("<I", 1)
+    blob += struct.pack("<I", version)
     fp = cache.fingerprint.encode()
     blob += struct.pack("<I", len(fp))
     blob += fp
+    if version >= 2:
+        vocab_hash, context_cap, candidate_cap = cache.binding
+        blob += struct.pack("<I", len(vocab_hash.encode())) + vocab_hash.encode()
+        blob += struct.pack("<II", context_cap, candidate_cap)
     c, hidden = cache.embeddings.shape
     blob += struct.pack("<II", c, hidden)
     blob += np.ascontiguousarray(cache.embeddings, dtype="<f4").tobytes()

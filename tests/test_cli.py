@@ -17,6 +17,7 @@ from polyscore.synth import make_chain_corpus, make_overlap_dataset, write_jsonl
 from polyscore.text import Example
 
 from conftest import make_rng, rewrite_header
+from oracles import cache_bytes_reference
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +329,26 @@ class TestIndexAndRank:
                    "--vocab", str(vocab), "--cache", str(tmp_path / "cache.bin"),
                    "--k", "2", "--out", str(tmp_path / "r.jsonl")])
         assert rc == 3
+
+    @pytest.mark.parametrize("stale", ["permuted_vocabulary", "old_version"])
+    def test_cache_of_another_vocabulary_or_version_exit_3(self, ranked_world, tmp_path, capsys,
+                                                           stale):
+        root, wd = ranked_world
+        ckpt, vocab = root / "bi" / "checkpoint.bin", wd / "ft_base" / "vocab.txt"
+        cache = tmp_path / "cache.bin"
+        assert main(["index", "--candidates", str(root / "cands.txt"), "--checkpoint",
+                     str(ckpt), "--vocab", str(vocab), "--out", str(cache)]) == 0
+        if stale == "permuted_vocabulary":  # same size, so the model accepts it
+            permuted = tmp_path / "vocab.txt"
+            permuted.write_text("".join(vocab.read_text().splitlines(keepends=True)[::-1]))
+            vocab = permuted
+        else:
+            cache.write_bytes(cache_bytes_reference(retrieval.load_cache(cache), version=1))
+        rc = main(["rank", "--queries", str(root / "queries.jsonl"), "--checkpoint", str(ckpt),
+                   "--vocab", str(vocab), "--cache", str(cache), "--k", "2",
+                   "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 3
+        assert "rebuild it with `polyscore index`" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["trailing_bytes", "undecodable_string"])
     def test_corrupt_cache_exit_2(self, ranked_world, tmp_path, capsys, damage):

@@ -84,16 +84,17 @@ class TestForward:
         b = forward(batch, desk_weights).hidden_states.data
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("first_only", [False, True])
-    def test_tap_is_the_ffn_output_before_dropout(self, desk_weights, vocab, first_only):
+    @pytest.mark.parametrize("h1_only", [False, True])
+    def test_tap_is_the_ffn_output_before_dropout(self, desk_weights, vocab, h1_only):
         batch = TokenBatch.of([encode_pair("w1 w2 w5 w6", "w3", vocab, 16),
                                encode_single("w4", vocab, 16)])
+        sel = np.zeros((2, 1), dtype=np.int64) if h1_only else None
         taps = {}
-        got = forward(batch, desk_weights, rng=make_rng(1), taps=taps, first_only=first_only)
-        want = forward(batch, desk_weights, rng=make_rng(1), first_only=first_only)
+        got = forward(batch, desk_weights, rng=make_rng(1), taps=taps, rows=sel)
+        want = forward(batch, desk_weights, rng=make_rng(1), rows=sel)
         assert got.hidden_states.data.tobytes() == want.hidden_states.data.tobytes()
         tap = taps["last_ffn_out"].data
-        rows = 1 if first_only else batch.token_ids.shape[1]
+        rows = 1 if h1_only else batch.token_ids.shape[1]
         # a dropped entry would be exactly 0; about one in ten would be
         assert tap.shape == (2 * rows, desk_weights.cfg.hidden) and (tap != 0).all()
 

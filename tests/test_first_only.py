@@ -1,13 +1,14 @@
-"""The first-position forward: a forward whose head reads h_1 alone, taped
-or not, with dropout or without, runs its last block on position 0 only and
-returns [B, 1, hidden] states.
+"""Forwards that stop at the rows their heads read: a forward whose head
+reads h_1 alone, taped or not, with dropout or without, runs its last block
+on position 0 only and returns [B, 1, hidden] states; the masked-token
+forward runs it on each sequence's target positions.
 
-Every pruned result is checked against row 0 of the full [B, L, hidden]
-forward it replaces, over a pad-heavy batch, a length-1 sequence and a batch
-of one; every training loss and its gradients against the same loss built
-from full forwards (oracles.full_rows); and every forward that must keep its
-rows (an avg_all reduction, rescale_final_layer's taps) is pinned to keep
-them.
+Every pruned result is checked against the same rows of the full
+[B, L, hidden] forward it replaces, over a pad-heavy batch, a length-1
+sequence and a batch of one; every training loss and its gradients against
+the same loss built from full forwards (oracles.full_rows and
+oracles.mlm_loss_full_rows); and every forward that must keep its rows (an
+avg_all reduction, rescale_final_layer's taps) is pinned to keep them.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from polyscore.text import Example, TokenBatch, Vocabulary, encode_single
 from polyscore.training import FinetuneSettings, finetune_valid_loss, rescale_final_layer
 
 from conftest import make_rng
-from oracles import full_rows, grad_check
+from oracles import full_rows, grad_check, mlm_loss_full_rows
 
 TOL = {np.float32: 1e-5, np.float64: 1e-9}
 WORDS = [f"w{i}" for i in range(28)]
@@ -62,6 +63,11 @@ def served(base, arch, dtype, reduction="first"):
     return model
 
 
+def h1(batch):
+    """The `rows` selection of position 0 in every sequence: [B, 1]."""
+    return np.zeros((len(batch.token_ids), 1), dtype=np.int64)
+
+
 def first_rows(batch, w):
     """Row 0 of each sequence's full forward: [B, hidden]."""
     return forward(batch, w).hidden_states.data[:, 0]
@@ -88,7 +94,7 @@ class TestPrunedMatchesFullRow0:
     def test_forward(self, base, vocab, texts, dtype):
         w = served(base, "bi", dtype).candidate_tower()
         batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
-        out = forward(batch, w, first_only=True)
+        out = forward(batch, w, rows=h1(batch))
         assert out.hidden_states.shape == (len(texts), 1, w.cfg.hidden)
         assert out.hidden_states.dtype == dtype
         assert np.array_equal(out.pad_mask, batch.pad_mask[:, :1])
@@ -192,7 +198,7 @@ class TestTrainingForwardsPrune:
         w = (trainee if taped else served)(base, "bi", dtype).candidate_tower()
         batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
         full = forward(batch, w, rng=make_rng(4) if dropout else None).hidden_states
-        out = forward(batch, w, rng=make_rng(4) if dropout else None, first_only=True)
+        out = forward(batch, w, rng=make_rng(4) if dropout else None, rows=h1(batch))
         assert out.hidden_states.requires_grad == taped
         assert out.hidden_states.shape == (len(texts), 1, w.cfg.hidden)
         assert out.hidden_states.dtype == dtype
@@ -203,7 +209,7 @@ class TestTrainingForwardsPrune:
         w = trainee(base, "bi", dtype).candidate_tower()
         batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
         pruned, full = make_rng(4), make_rng(4)
-        forward(batch, w, rng=pruned, first_only=True)
+        forward(batch, w, rng=pruned, rows=h1(batch))
         forward(batch, w, rng=full)
         assert pruned.bit_generator.state == full.bit_generator.state
 
@@ -211,8 +217,8 @@ class TestTrainingForwardsPrune:
         w = trainee(base, "bi", dtype).candidate_tower()
         batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
         b, n = batch.token_ids.shape
-        pruned = list(_dropout_keeps(batch, w.cfg, make_rng(4), True))
-        full = list(_dropout_keeps(batch, w.cfg, make_rng(4), False))
+        pruned = list(_dropout_keeps(batch, w.cfg, make_rng(4), h1(batch)))
+        full = list(_dropout_keeps(batch, w.cfg, make_rng(4), None))
         last = 1 + 3 * (w.cfg.layers - 1)  # the pruned block's three sites follow
         assert all(np.array_equal(p, f) for p, f in zip(pruned[:last], full[:last]))
         probs, *outputs = pruned[last:]
@@ -330,3 +336,119 @@ def test_pruned_cross_loss_grad_check(base, vocab, dropout, forward_rows):
     assert set(forward_rows) == {1}
     grad_check(lambda: loss().item(), {n: t.data for n, t in params.items()},
                {n: grads[t] for n, t in params.items()}, make_rng(11), probes=60)
+
+
+# ---- row selections beyond h_1: the masked-token forward ----
+
+
+def spread(batch):
+    """Sorted [B, 4] positions of real tokens: the first, an inner one and
+    the last twice (a repeated spare slot)."""
+    n = batch.pad_mask.sum(axis=1)
+    return np.stack([np.zeros_like(n), n // 3, n - 1, n - 1], axis=1)
+
+
+def last_only(batch):
+    """[B, 1]: each sequence's last real token."""
+    return batch.pad_mask.sum(axis=1)[:, None] - 1
+
+
+@pytest.mark.parametrize("selection", [spread, last_only], ids=["spread", "last_only"])
+@pytest.mark.parametrize("texts", TEXTS.values(), ids=TEXTS.keys())
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestSelectedRows:
+    @pytest.mark.parametrize("taped, dropout", SETUPS.values(), ids=SETUPS.keys())
+    def test_forward_is_the_full_forward_at_the_rows(self, base, vocab, texts, dtype, selection,
+                                                     taped, dropout):
+        w = (trainee if taped else served)(base, "bi", dtype).candidate_tower()
+        batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
+        sel = selection(batch)
+        full = forward(batch, w, rng=make_rng(4) if dropout else None).hidden_states.data
+        out = forward(batch, w, rng=make_rng(4) if dropout else None, rows=sel)
+        assert out.hidden_states.requires_grad == taped
+        assert out.hidden_states.shape == (*sel.shape, w.cfg.hidden)
+        assert out.hidden_states.dtype == dtype
+        assert np.array_equal(out.pad_mask, np.take_along_axis(batch.pad_mask, sel, axis=1))
+        want = np.take_along_axis(full, sel[..., None], axis=1)
+        assert np.abs(out.hidden_states.data - want).max() < TOL[dtype]
+
+    def test_masks_and_rng_are_the_full_forwards(self, base, vocab, texts, dtype, selection):
+        w = trainee(base, "bi", dtype).candidate_tower()
+        batch = TokenBatch.of([encode_single(t, vocab, 64) for t in texts])
+        sel = selection(batch)
+        b, r = sel.shape
+        pruned_rng, full_rng = make_rng(4), make_rng(4)
+        pruned = list(_dropout_keeps(batch, w.cfg, pruned_rng, sel))
+        full = list(_dropout_keeps(batch, w.cfg, full_rng, None))
+        assert pruned_rng.bit_generator.state == full_rng.bit_generator.state
+        last = 1 + 3 * (w.cfg.layers - 1)  # the pruned block's three sites follow
+        assert all(np.array_equal(p, f) for p, f in zip(pruned[:last], full[:last]))
+        probs, *outputs = pruned[last:]
+        assert np.array_equal(probs, np.take_along_axis(full[last], sel[:, None, :, None], axis=2))
+        for got, want in zip(outputs, full[last + 1:]):
+            want = np.take_along_axis(want.reshape(b, -1, w.cfg.hidden), sel[..., None], axis=1)
+            assert np.array_equal(got, want.reshape(b * r, -1))
+
+
+MLM_TEXTS = {"pad_heavy": TEXTS["pad_heavy"], "batch_of_one": TEXTS["batch_of_one"]}
+
+
+def mlm_loss_and_grads(model, vocab, examples, dropout, loss_fn):
+    """An MLM loss and every marked parameter's gradient, by name, from fixed
+    corruption and dropout draws."""
+    named = {n: t for n, t in model.named_parameters().items() if t.requires_grad}
+    loss = loss_fn(model, vocab, examples, make_rng(6), make_rng(5) if dropout else None)
+    grads = T.backward(loss, named.values())
+    return loss.item(), {n: grads[t] for n, t in named.items()}
+
+
+@pytest.mark.parametrize("texts", MLM_TEXTS.values(), ids=MLM_TEXTS.keys())
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("dropout", [False, True], ids=["no_dropout", "dropout"])
+def test_mlm_loss_and_gradients_match_full_rows(base, vocab, dropout, dtype, texts,
+                                                 monkeypatch):
+    """Tolerances as in test_loss_and_gradients_match_full_rows, the
+    gradients' scaled by the model's largest gradient."""
+    shapes = []
+
+    def spy(batch, *args, **kwargs):
+        out = forward(batch, *args, **kwargs)
+        shapes.append((batch.token_ids.shape[1], out.hidden_states.shape[1]))
+        return out
+
+    monkeypatch.setattr(training, "forward", spy)
+    model = trainee(base, "next", dtype)
+    examples = examples_of(texts)
+    got, got_grads = mlm_loss_and_grads(model, vocab, examples, dropout, training.mlm_batch_loss)
+    want, want_grads = mlm_loss_and_grads(model, vocab, examples, dropout, mlm_loss_full_rows)
+    (length, selected), = shapes  # the oracle's forward is the full one
+    assert selected < length
+    assert abs(got - want) <= TOL[dtype] * max(1.0, abs(want))
+    tol = TOL[dtype] * max(float(np.abs(g).max()) for g in want_grads.values())
+    assert largest_gap(got_grads, want_grads) <= tol
+
+
+@pytest.mark.parametrize("dropout", [False, True], ids=["no_dropout", "dropout"])
+def test_pruned_mlm_loss_grad_check(base, vocab, dropout):
+    model = trainee(base, "next", np.float64)
+    params = model.named_parameters()
+    examples = examples_of(TEXTS["pad_heavy"])
+
+    def loss():  # fixed corruption and dropout masks: a deterministic loss surface
+        return training.mlm_batch_loss(model, vocab, examples, make_rng(6),
+                                       make_rng(5) if dropout else None)
+
+    grads = T.backward(loss(), list(params.values()))
+    grad_check(lambda: loss().item(), {n: t.data for n, t in params.items()},
+               {n: grads[t] for n, t in params.items()}, make_rng(11), probes=60)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_pretrain_valid_loss_matches_full_rows(base, vocab, dtype, monkeypatch):
+    model = trainee(base, "next", dtype)
+    sample = examples_of(TEXTS["pad_heavy"])
+    got = training.pretrain_valid_loss(model, vocab, sample, make_rng(3))
+    monkeypatch.setattr(training, "mlm_batch_loss", mlm_loss_full_rows)
+    with full_rows([]):
+        want = training.pretrain_valid_loss(model, vocab, sample, make_rng(3))
+    assert abs(got - want) <= TOL[dtype] * max(1.0, abs(want))

@@ -177,8 +177,8 @@ def tape_nodes(t):
 # unintended tape growth. An encoder layer records ten nodes: six `linear`
 # projections, one `attention`, one `gelu` and two residual `layer_norm`s;
 # the embeddings five gathers and adds, their layer norm and, under dropout,
-# its `dropout`. A first-position forward whose input to the last block is
-# taped adds its gather of the h_1 rows (bi: both towers; poly: the candidate
+# its `dropout`. A forward that selects h_1 and whose input to the last
+# block is taped adds its gather of the h_1 rows (bi: both towers; poly: the candidate
 # tower; cross: the pairs). Frozen lower layers (top_layer) run as kernels
 # and record nothing, nor does the gather of their untaped rows
 TAPE_NODES = {
@@ -224,7 +224,10 @@ def test_pretraining_step_tape_unchanged():
     mlm = training.mlm_batch_loss(model, VOCAB, batch, make_rng(7), make_rng(8))
     triples = training.next_selection_batch(batch, make_rng(9), 4)
     nxt = training.next_batch_loss(model, VOCAB, triples, make_rng(8))
-    assert (tape_nodes(mlm), tape_nodes(nxt)) == (80, 74)  # next: + the h_1 gather
+    # both forwards add the gather of their selected rows to the last block
+    # (next: h_1; MLM: its target positions), and the MLM transform is one
+    # `linear` where a matmul and a bias add were two
+    assert (tape_nodes(mlm), tape_nodes(nxt)) == (80, 74)
 
 
 # ---- in-place kernels: the same float64 arithmetic as the out-of-place
@@ -344,8 +347,8 @@ LENGTHS = [5, 2, 4]  # the second and third sequences padded
 
 def fused_cases(dtype, rows, dropout):
     """op -> (fused op, the chain it replaced, input arrays, upstream
-    gradient), with `rows` query rows per sequence (L, or 1 as in a
-    first_only forward's last block) and, if `dropout`, keep masks."""
+    gradient), with `rows` query rows per sequence (L, or 1 as in the last
+    block of a forward that selects h_1) and, if `dropout`, keep masks."""
     rng = make_rng(27)
 
     def normal(*shape, s=1.0):

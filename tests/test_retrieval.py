@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polyscore.bench import make_bench_models, synthetic_texts
 from polyscore.encoder import ModelConfig
-from polyscore.errors import ContractError, ParseError, StaleCacheError
+from polyscore.errors import ContractError, OldFormatError, ParseError, StaleCacheError
 from polyscore.model import Model, Scorer
 from polyscore.retrieval import (
     ENCODE_CHUNK,
@@ -27,7 +27,7 @@ from polyscore.retrieval import (
     save_cache,
 )
 from polyscore.tensor import Tensor
-from polyscore.text import Vocabulary
+from polyscore.text import RESERVED, Vocabulary
 
 from conftest import make_rng
 from oracles import brute_force_rank, cache_bytes_reference, lexsort_rank, poly_scores_pooled, \
@@ -145,6 +145,20 @@ class TestRankBi:
         cache.fingerprint = "deadbeef"
         with pytest.raises(StaleCacheError):
             rank_bi(bi, ["w1"], cache, k=1)
+
+    @pytest.mark.parametrize("change", ["permuted_vocabulary", "candidate_cap"])
+    def test_cache_of_another_binding_is_stale(self, world, change):
+        bi, _, _ = world
+        cache = build_cache(["w1", "w2 w3"], bi)
+        words = [bi.vocab.token_of(i) for i in range(len(RESERVED), len(bi.vocab))]
+        other = Scorer(bi.model, Vocabulary(words[::-1]))  # same size, other ids
+        if change == "candidate_cap":
+            other = Scorer(bi.model, bi.vocab)
+            other.binding = (*bi.binding[:2], bi.binding[2] - 1)
+        with pytest.raises(StaleCacheError, match="polyscore index"):
+            rank_bi(other, ["w1"], cache, k=1)
+        unbound = CandidateCache(cache.ids, cache.strings, cache.embeddings, cache.fingerprint)
+        assert rank_bi(other, ["w1"], unbound, k=1).ranking
 
     def test_k_out_of_range(self, world):
         bi, _, _ = world
@@ -471,6 +485,7 @@ class TestCacheFile:
         assert back.strings == cands
         assert back.ids == [0, 1, 2, 3]
         assert back.fingerprint == cache.fingerprint
+        assert back.binding == cache.binding == bi.binding
         assert np.abs(back.embeddings - cache.embeddings).max() < 1e-6  # f32 quantization
         assert back.max_norm == pytest.approx(cache.max_norm, rel=1e-6)
 
@@ -499,6 +514,19 @@ class TestCacheFile:
         assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b))
                    for (_, a), (_, b) in zip(got.ranking, want.ranking))
 
+    def test_old_version_is_stale(self, world, tmp_path):
+        path = tmp_path / "v1.bin"
+        path.write_bytes(cache_bytes_reference(build_cache(["w1", "w2"], world[0]), version=1))
+        with pytest.raises(OldFormatError, match="polyscore index") as info:
+            load_cache(path)
+        assert isinstance(info.value, StaleCacheError) and isinstance(info.value, ParseError)
+
+    def test_unbound_cache_is_not_saved(self, world, tmp_path):
+        cache = build_cache(["w1"], world[0])
+        cache.binding = None
+        with pytest.raises(ContractError):
+            save_cache(cache, tmp_path / "c.bin")
+
     def test_trailing_bytes_rejected(self, saved_cache, tmp_path):
         path = tmp_path / "c.bin"
         path.write_bytes(saved_cache + b"\x00")
@@ -522,7 +550,8 @@ class TestCacheFormat:
     def cache(self):
         strings = ["plain", "", "café au lait", "日本語のテキスト", "emoji \U0001F600 end"]
         emb = make_rng(21).normal(size=(len(strings), 6)).astype(np.float32)
-        return CandidateCache([3, 0, 7, 1, 2**32 - 1], strings, emb, "fp-" + "ä" * 4)
+        return CandidateCache([3, 0, 7, 1, 2**32 - 1], strings, emb, "fp-" + "ä" * 4,
+                              ("vocab-" + "ö" * 3, 360, 72))
 
     def test_writer_matches_reference(self, cache, tmp_path):
         # made from a row-major array, kept column-major, written row-major
@@ -535,8 +564,8 @@ class TestCacheFormat:
         path = tmp_path / "c.bin"
         path.write_bytes(cache_bytes_reference(cache))
         back = load_cache(path)
-        assert (back.ids, back.strings, back.fingerprint) == \
-            (cache.ids, cache.strings, cache.fingerprint)
+        assert (back.ids, back.strings, back.fingerprint, back.binding) == \
+            (cache.ids, cache.strings, cache.fingerprint, cache.binding)
         assert back.embeddings.dtype == np.float32
         assert np.array_equal(back.embeddings, cache.embeddings)
 
