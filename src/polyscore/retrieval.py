@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ContractError, ShapeError, StaleCacheError
 from .model import Scorer
 from .records import RecordReader, RecordWriter
+from .tensor import EXP_SAFE
 
 # Sequences per batched encoder forward in build_cache and rank_cross: large
 # enough that per-op interpreter cost is amortised, small enough that the
@@ -153,7 +154,7 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
     logits, w = np.empty((2, len(vecs), rows), dtype)  # reused by every block
     ones, scores = np.ones(len(vecs), dtype), np.empty(cache.size, dtype)
     bound = float(np.sqrt(np.einsum("mh,mh->m", vecs, vecs).max())) * cache.max_norm
-    shift = not bound <= -0.5 * np.log(np.finfo(dtype).tiny)
+    shift = not bound <= EXP_SAFE[dtype]
     for start in range(0, cache.size, rows):
         block = cache.embeddings[start:start + rows].T  # a strided [H, rows] view
         lg, wt = logits[:, :block.shape[1]], w[:, :block.shape[1]]

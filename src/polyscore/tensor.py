@@ -26,6 +26,8 @@ from .errors import ContractError, NumericError, ShapeError
 
 GELU_COEFF = 0.044715
 GELU_SCALE = math.sqrt(2.0 / math.pi)
+# the safe exponent T = ln(1/tiny)/2 of each float width: 43.7 and 354
+EXP_SAFE = {np.dtype(t): -0.5 * math.log(np.finfo(t).tiny) for t in (np.float32, np.float64)}
 
 
 class Tensor:
@@ -140,7 +142,17 @@ def reshape(a, shape):
     return _result(x.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def _softmax_rows(z, out):  # into out: z itself, or None for a new array
+def _softmax_rows(z, bias, out):  # into out: z itself, or None for a new array
+    """Softmax of z + bias (0, or -inf to mask) over the last axis. While z is
+    within EXP_SAFE, every e^z and row sum is normal and finite: no max shift."""
+    t = EXP_SAFE[z.dtype]
+    free = -t <= z.min() and z.max() <= t  # NaN fails
+    if bias is not None:
+        z = out = np.add(z, bias, out=out)
+    if free:
+        out = np.exp(z, out=out)
+        out /= np.einsum("...i->...", out)[..., None]
+        return out
     top = z.max(axis=-1, keepdims=True)
     # max propagates NaN, so a NaN anywhere in a row shows in its max, also
     # under a -inf mask (NaN - inf is NaN)
@@ -153,25 +165,22 @@ def _softmax_rows(z, out):  # into out: z itself, or None for a new array
 
 
 def _softmax_vjp(g, out):  # (g - sum(g * out)) * out
-    gx = g * out
-    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    gx = g - np.einsum("...i,...i->...", g, out)[..., None]
     gx *= out
     return gx
 
 
 def softmax(x, bias=None):
-    """Max-subtracted softmax along the last axis; NaN inputs are rejected.
+    """Softmax along the last axis, max-shifted unless x is within EXP_SAFE; rejects NaN.
 
     `bias`, a constant array broadcast onto x, is added first: -inf masks an
     entry to probability 0, 0 keeps it. Every row needs one finite entry.
     """
     inputs = (x,)
     x = _data(x)
-    z = x if bias is None else x + bias
-    if z.shape != x.shape:
+    out = _softmax_rows(x, bias, None)  # a new array: x itself is left alone
+    if out.shape != x.shape:
         raise ShapeError(f"softmax bias {np.shape(bias)} does not broadcast onto {x.shape}")
-    # in place past x itself: attention-sized arrays make temporaries costly
-    out = _softmax_rows(z, None if z is x else z)
     return _result(out, inputs, lambda g: (_softmax_vjp(g, out),))
 
 
@@ -210,22 +219,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-12, residual=None):
         raise ShapeError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} do not match last axis of {x.shape}"
         )
-    # sum / n is mean() bit for bit, float32 too; each in-place step keeps the
-    # operation order of the formula in its comment, so it rounds the same
-    xhat = x - x.sum(axis=-1, keepdims=True) / n
-    out = xhat * xhat
-    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / n + eps)
+    # einsum sums each row by itself, so a row's result does not depend on its batch
+    xhat = x - np.einsum("...i->...", x)[..., None] / n
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + eps)
     xhat *= inv
-    np.multiply(xhat, gain, out=out)
-    out += bias  # xhat * gain + bias
+    out = xhat * gain
+    out += bias
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
         gx = g * gain  # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv
-        gg = gx * xhat
-        proj = gg.sum(axis=-1, keepdims=True) / n
-        gx -= gx.sum(axis=-1, keepdims=True) / n
-        gx -= np.multiply(xhat, proj, out=gg)
+        proj = np.einsum("...i,...i->...", gx, xhat)[..., None] / n
+        gx -= np.einsum("...i->...", gx)[..., None] / n
+        gg = xhat * proj
+        gx -= gg
         gx *= inv
         grads = gx, np.multiply(g, xhat, out=gg).sum(axis=lead), g.sum(axis=lead)
         return grads if residual is None else (gx, *grads)  # x and r share gx
@@ -237,11 +244,14 @@ def gelu(x):
     """GELU, tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     inputs = (x,)
     x = _data(x)
-    # products, not `**`: np.power with exponent 3 is ~30x slower
-    x2 = x * x
-    t = np.tanh(GELU_SCALE * (x + GELU_COEFF * x2 * x))
-    out = 1.0 + t
-    out *= 0.5 * x  # 0.5 * x * (1 + t)
+    # in place in the formula's order, so it rounds the same; products, not `**` (30x slower)
+    t = x * x
+    t *= GELU_COEFF
+    t *= x
+    t += x
+    t *= GELU_SCALE
+    out = np.tanh(t, out=t) + 1.0
+    out *= x * 0.5  # 0.5 * x * (1 + t)
 
     def vjp(g):  # g * (0.5*(1 + t) + 0.5*x*(1 - t*t) * SCALE*(1 + 3*COEFF*x2))
         du = x * x  # x2 again: the tape keeps x and t only
@@ -312,9 +322,9 @@ def attention(q, k, v, key_bias: np.ndarray, heads: int,
     """Multi-head attention of [B*R, H] queries over [B*L, H] keys and values,
     to the [B*R, H] merged context: queries scaled by 1/sqrt(d), heads split
     into contiguous copies, scores plus the constant [B, 1, 1, L] `key_bias`
-    (-inf at pad keys), softmax, then `dropout` of the [B, heads, R, L]
-    probabilities under `keep` if given. One node, parents (q, k, v), keeping
-    the probabilities: its vjp splits q, k and v again."""
+    (-inf at pad keys), softmax (no max shift within EXP_SAFE), `dropout` of
+    the [B, heads, R, L] probabilities under `keep` if given. One node,
+    parents (q, k, v), keeping the probabilities: its vjp splits q, k and v again."""
     inputs = q, k, v
     q, k, v = _data(q), _data(k), _data(v)
     b, length = key_bias.shape[0], key_bias.shape[-1]
@@ -330,8 +340,7 @@ def attention(q, k, v, key_bias: np.ndarray, heads: int,
         return np.ascontiguousarray(np.transpose(t.reshape(b, n, heads, d), axes))
 
     z = split(q * c, rows, (0, 2, 1, 3)) @ split(k, length, (0, 2, 3, 1))
-    z += key_bias
-    probs = _softmax_rows(z, z)
+    probs = _softmax_rows(z, key_bias, z)
     drop = _dropper(p, keep, probs)
     ctx = drop(probs) @ split(v, length, (0, 2, 1, 3))
     out = np.ascontiguousarray(np.transpose(ctx, (0, 2, 1, 3))).reshape(b * rows, hidden)

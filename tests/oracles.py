@@ -271,6 +271,31 @@ def dropout_formula(x, p, keep, g):
     return x * (keep * c), g * (keep * c)
 
 
+def softmax_formula(z, shift):
+    """Softmax over the last axis, with each row's max subtracted first or,
+    as tensor's shift-free path does, e^z over its einsum row sum."""
+    if shift:
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.einsum("...i->...", e)[..., None]
+
+
+def attention_formula(q, k, v, key_bias, heads, shift):
+    """tensor.attention without dropout in plain numpy, through
+    `softmax_formula`: the same products of the same contiguous copies."""
+    b, length = key_bias.shape[0], key_bias.shape[-1]
+    rows, hidden = q.shape[0] // b, q.shape[1]
+    d = hidden // heads
+
+    def split(t, n, axes):
+        return np.ascontiguousarray(np.transpose(t.reshape(b, n, heads, d), axes))
+
+    z = split(q * (1.0 / math.sqrt(d)), rows, (0, 2, 1, 3)) @ split(k, length, (0, 2, 3, 1))
+    ctx = softmax_formula(z + key_bias, shift) @ split(v, length, (0, 2, 1, 3))
+    return np.ascontiguousarray(np.transpose(ctx, (0, 2, 1, 3))).reshape(b * rows, hidden)
+
+
 def softmax_vjp_formula(out, g):
     return (g - (g * out).sum(axis=-1, keepdims=True)) * out
 

@@ -209,6 +209,37 @@ class TestBatchedForward:
             unpadded = forward(TokenBatch.of([tp]), w).hidden_states.data[0]
             assert np.abs(row[:len(tp)] - unpadded).max() < 1e-5
 
+    @pytest.mark.parametrize("h1", [False, True], ids=["full", "rows"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_states_do_not_depend_on_batch(self, desk_config, vocab, dtype, h1):
+        """One sequence at several positions of batches of 1, 2, 7, 64 and 65
+        shorter or equal sequences encodes to byte-identical states: every
+        kernel sums each row by itself (einsum row sums; a BLAS product with
+        ones sums a row by where it sits in the batch). The exception is an h_1
+        forward of one sequence, whose last block multiplies one-row matrices:
+        numpy hands those to GEMV, which rounds apart from GEMM."""
+        w = TransformerWeights.init(desk_config, make_rng(7), dtype=dtype)
+        rng = make_rng(8)
+
+        def text(n):
+            return " ".join(f"w{i}" for i in rng.integers(1, 28, size=n))
+
+        seq, states = encode_single(text(6), vocab, 16), {}
+        for size in (1, 2, 7, 64, 65):
+            seqs = [encode_single(text(int(rng.integers(1, 7))), vocab, 16) for _ in range(size)]
+            at = sorted({0, size // 2, size - 1})
+            for i in at:
+                seqs[i] = seq
+            rows = np.zeros((size, 1), dtype=np.int64) if h1 else None
+            out = forward(TokenBatch.of(seqs), w, rows=rows).hidden_states.data
+            states[size] = [out[i] for i in at]
+        want = states[2][0]
+        for size, got in states.items():
+            if h1 and size == 1:
+                assert np.abs(got[0] - want).max() <= (1e-6 if dtype == np.float32 else 1e-14)
+            else:
+                assert [g.tobytes() == want.tobytes() for g in got] == [True] * len(got), size
+
     def test_batch_reports_token_slots(self, seqs):
         batch = TokenBatch.of(seqs)
         assert len(batch) == len(seqs) * max(len(tp) for tp in seqs)

@@ -254,16 +254,22 @@ def taped(x):
 SHAPES = [(7, 13), (2, 5, 13)]
 
 
+# kernels whose row sums are einsum reductions: the formula's sums round in
+# another order, so they agree within the aim-3 speed-up tolerance
+SUM_ORDER_TOL = [(np.float64, 1e-9), (np.float32, 1e-5)]
+
+
+@pytest.mark.parametrize("dtype,tol", SUM_ORDER_TOL, ids=["float64", "float32"])
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
-def test_layer_norm_bit_identical_to_formula(shape):
+def test_layer_norm_matches_formula(shape, dtype, tol):
     rng = make_rng(21)
-    x = rng.normal(0.5, 3.0, size=shape)
-    gain, bias, g = rng.normal(size=13), rng.normal(size=13), rng.normal(size=shape)
+    x = rng.normal(0.5, 3.0, size=shape).astype(dtype)
+    gain, bias, g = (rng.normal(size=s).astype(dtype) for s in (13, 13, shape))
     out = T.layer_norm(taped(x), taped(gain), taped(bias), 1e-12)
     want_out, want_vjp = oracles.layer_norm_formula(x, gain, bias, 1e-12, g)
-    assert same_bits(out.data, want_out)
+    assert close_or_same(out.data, want_out, tol)
     for got, want in zip(out._vjp(g), want_vjp):
-        assert same_bits(got, want)
+        assert close_or_same(got, want, tol)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -291,15 +297,16 @@ def test_dropout_bit_identical_to_formula():
     assert same_bits(got_gx, want_gx)
 
 
+@pytest.mark.parametrize("dtype,tol", SUM_ORDER_TOL, ids=["float64", "float32"])
 @pytest.mark.parametrize("masked", [False, True])
-def test_softmax_vjp_bit_identical_to_formula(masked):
+def test_softmax_vjp_matches_formula(masked, dtype, tol):
     rng = make_rng(24)
-    x, g = rng.normal(0.0, 3.0, size=(3, 4, 9)), rng.normal(size=(3, 4, 9))
-    bias = np.where(rng.random((3, 1, 9)) < 0.3, -np.inf, 0.0) if masked else None
+    x, g = (rng.normal(0.0, s, size=(3, 4, 9)).astype(dtype) for s in (3.0, 1.0))
+    bias = np.where(rng.random((3, 1, 9)) < 0.3, -np.inf, 0.0).astype(dtype) if masked else None
     if masked:
         bias[..., 0] = 0.0
     out = T.softmax(taped(x), bias=bias)
-    assert same_bits(out._vjp(g)[0], oracles.softmax_vjp_formula(out.data, g))
+    assert close_or_same(out._vjp(g)[0], oracles.softmax_vjp_formula(out.data, g), tol)
 
 
 IDS = np.array([0, 3, 3, 5, 0, 0, 2, 3, -1, 5])  # repeats, and -1 for the last row
@@ -373,15 +380,22 @@ def fused_cases(dtype, rows, dropout):
             lambda x, r, gain, b: T.layer_norm(x, gain, b, 1e-12, residual=r),
             lambda x, r, gain, b: oracles.layer_norm_residual_chain(x, r, gain, b, 1e-12),
             [normal(n, H, s=3.0), normal(n, H), normal(H), normal(H)], normal(n, H)),
+        # scores far outside [-T, T]: the softmax keeps its max shift
+        "attention_shifted": (
+            lambda q, k, v: T.attention(q, k, v, bias, HEADS, attn_keep, 0.3),
+            lambda q, k, v: oracles.attention_chain(q, k, v, bias, HEADS, attn_keep, 0.3),
+            [normal(n, H, s=20.0), normal(B * L, H, s=20.0), normal(B * L, H)], normal(n, H)),
     }
 
 
 FUSED = ["linear", "attention", "layer_norm_residual"]
+SHIFTED = ["attention_shifted"]  # cases past the shift-free bound
 
 
 @pytest.mark.parametrize("rows", [L, 1], ids=["R=L", "R=1"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-@pytest.mark.parametrize("op,dropout", [(op, mask) for op in FUSED for mask in (False, True)
+@pytest.mark.parametrize("op,dropout", [(op, mask) for op in FUSED + SHIFTED
+                                        for mask in (False, True)
                                         if op != "layer_norm_residual" or not mask],
                          ids=lambda v: {False: "no_mask", True: "mask"}.get(v, v))
 def test_fused_op_bit_identical_to_chain(op, dropout, dtype, rows):
@@ -396,7 +410,7 @@ def test_fused_op_bit_identical_to_chain(op, dropout, dtype, rows):
 
 
 @pytest.mark.parametrize("rows", [L, 1], ids=["R=L", "R=1"])
-@pytest.mark.parametrize("op", FUSED)
+@pytest.mark.parametrize("op", FUSED + SHIFTED)
 def test_fused_op_gradients(op, rows):
     fused, _, arrays, _ = fused_cases(np.float64, rows, True)[op]
     rng = make_rng(28)
@@ -439,3 +453,68 @@ def test_fused_ops_keep_only_what_their_gradients_read():
         fused, _, arrays, _ = cases[op]
         assert kept_bytes(fused(*[taped(a) for a in arrays])) == want[op], op
     assert kept_bytes(T.gelu(taped(np.ones((n, H))))) == n * H * f64
+
+
+# ---- the softmax guard: shift-free while every score is within [-T, T],
+# else today's max-shifted arithmetic, which also rejects NaN ----
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("op", ["attention", "attention_shifted"])
+def test_attention_takes_the_path_its_scores_allow(op, dtype):
+    """Scores within [-T, T] take the shift-free softmax, scores past T the
+    max-shifted one: bit for bit the plain-numpy formula of each."""
+    _, _, (q, k, v), _ = fused_cases(dtype, L, False)[op]
+    d = H // HEADS
+    scores = (q.reshape(B, L, HEADS, d).transpose(0, 2, 1, 3)
+              @ k.reshape(B, L, HEADS, d).transpose(0, 2, 3, 1)) / np.sqrt(d)
+    shift = np.abs(scores).max() > T.EXP_SAFE[np.dtype(dtype)]
+    assert shift == (op == "attention_shifted")
+    bias = np.where(np.arange(L) < np.array(LENGTHS)[:, None], 0.0, -np.inf).astype(dtype)
+    bias = bias[:, None, None, :]
+    assert same_bits(T.attention(q, k, v, bias, HEADS),
+                     oracles.attention_formula(q, k, v, bias, HEADS, shift))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("offset", [0.0, 400.0], ids=["shift_free", "shifted"])
+def test_softmax_takes_the_path_its_input_allows(offset, dtype):
+    """Bit for bit the formula of the path x allows. Rows with one real
+    entry (pad-heavy rows) put exactly 1 there on both paths."""
+    rng = make_rng(30)
+    x = (rng.normal(0.0, 3.0, size=(3, 4, 9)) + offset).astype(dtype)
+    bias = np.where(rng.random((3, 1, 9)) < 0.3, -np.inf, 0.0).astype(dtype)
+    bias[0] = -np.inf
+    bias[:, :, 0] = 0.0  # every row keeps entry 0, rows of block 0 nothing else
+    shift = np.abs(x).max() > T.EXP_SAFE[np.dtype(dtype)]
+    assert shift == (offset > 0.0)
+    out = T.softmax(x, bias=bias)
+    assert same_bits(out, oracles.softmax_formula(x + bias, shift))
+    assert (out[0, :, 0] == 1.0).all() and (out[0, :, 1:] == 0.0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("s", [1.0, 20.0], ids=["shift_free", "shifted"])
+def test_attention_over_one_real_key_returns_its_value(s, dtype):
+    rng = make_rng(31)
+    q, k, v = (rng.normal(0.0, sc, size=(B * L, H)).astype(dtype) for sc in (s, s, 1.0))
+    bias = np.where(np.arange(L) < np.array([1, L, 1])[:, None], 0.0, -np.inf)
+    out = T.attention(q, k, v, bias.astype(dtype)[:, None, None, :], HEADS)
+    for i in (0, 2):
+        assert same_bits(out[i * L:(i + 1) * L], np.repeat(v[i * L:i * L + 1], L, axis=0))
+
+
+@pytest.mark.parametrize("where", ["q", "k_pad", "softmax"])
+def test_nan_takes_the_shifted_path_and_raises(where):
+    rng = make_rng(32)
+    q, k, v = (rng.normal(size=(B * L, H)) for _ in range(3))
+    bias = np.where(np.arange(L) < np.array(LENGTHS)[:, None], 0.0, -np.inf)[:, None, None, :]
+    if where == "q":
+        q[0, 0] = np.nan
+    else:
+        k[L + LENGTHS[1], 0] = np.nan  # a pad key of the second sequence
+    with pytest.raises(NumericError):
+        if where == "softmax":
+            T.softmax(q[:L] @ k[L:2 * L].T, bias=bias[1, 0])
+        else:
+            T.attention(q, k, v, bias, HEADS)

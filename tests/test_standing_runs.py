@@ -59,3 +59,12 @@ def test_mismatch_names_the_run_and_its_largest_parameter_difference(runs):
            f"{2.0 ** -40:.3g}" in lines
     assert "poly16: checkpoint byte-identical, metrics rows DIFFER" in lines
     assert standing_runs.main(["compare", str(runs[0]), str(b)]) == 1
+
+
+def test_differing_rows_report_their_largest_relative_loss_difference(runs):
+    _, b = runs
+    rows = (b / "cross" / "metrics.jsonl").read_text().replace("1.25", "1.5")
+    (b / "cross" / "metrics.jsonl").write_text(rows)
+    lines = standing_runs.compare(*runs)
+    assert f"cross: largest relative loss difference {0.25 / 1.5:.3g}" in lines
+    assert not any("bi: largest" in line for line in lines)

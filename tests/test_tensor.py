@@ -169,6 +169,7 @@ class TestOpGradients:
         "transpose": lambda p, r: T.transpose(p),
         "reshape": lambda p, r: T.reshape(p, (15,)),
         "softmax": lambda p, r: T.softmax(p),
+        "softmax_shifted": lambda p, r: T.softmax(T.add(p, r["shift"])),  # past T: max shift
         "cross_entropy": lambda p, r: T.cross_entropy(p, [4, 0, 2]),
         "gelu": lambda p, r: T.gelu(p),
         "layer_norm": lambda p, r: T.layer_norm(p, r["gain"], r["beta"]),
@@ -203,6 +204,7 @@ class TestOpGradients:
             # pad keys: row 0 keeps keys 0-1, row 1 keeps key 0
             "key_bias": np.where([[[[True, True, False]]], [[[True, False, False]]]],
                                  0.0, -np.inf),
+            "shift": np.full(5, 400.0),
         }
         proj = rng.normal(size=(100,))
 

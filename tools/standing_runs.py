@@ -12,8 +12,18 @@ fine-tune from one base when their pre-training differs by rounding.
 
 `compare` checks that every checkpoint of the two sets is byte-identical and
 that their `metrics.jsonl` rows are equal but for `wall_clock_s`. For each run
-whose checkpoint differs it prints the largest parameter difference. It exits
-0 when everything matches and 1 otherwise.
+whose checkpoint differs it prints the largest parameter difference, and for
+each run whose rows differ the largest relative difference of a logged loss.
+It exits 0 when everything matches and 1 otherwise.
+
+A change that rounds pre-training differently makes every fine-tune differ
+as well, so compare a change with its parent twice:
+
+    python3 tools/standing_runs.py run P --checkout PARENT
+    python3 tools/standing_runs.py run C_own --checkout CHANGE
+    python3 tools/standing_runs.py run C_base --checkout CHANGE --base P/pretrain
+    python3 tools/standing_runs.py compare P C_base   # the fine-tuning path alone
+    python3 tools/standing_runs.py compare P C_own    # the combined effect
 """
 
 from __future__ import annotations
@@ -70,6 +80,16 @@ def largest_parameter_difference(a: Path, b: Path) -> float:
     return max(float(abs(pa[n].data - pb[n].data).max()) for n in pa)
 
 
+def largest_loss_difference(a: list[dict], b: list[dict]) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the losses of matching rows."""
+    if [sorted(r) for r in a] != [sorted(r) for r in b]:
+        return float("inf")
+    diffs = [abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+             for ra, rb in zip(a, b) for key in ra if key.endswith("loss")
+             for x, y in [(ra[key], rb[key])] if x is not None and y is not None]
+    return max(diffs, default=0.0)
+
+
 def compare(a: Path, b: Path) -> list[str]:
     """One line per run: whether its checkpoint bytes and metrics rows match."""
     problems, lines = 0, []
@@ -80,14 +100,17 @@ def compare(a: Path, b: Path) -> list[str]:
     for name in TRAINED:
         ckpt_a, ckpt_b = a / name / "checkpoint.bin", b / name / "checkpoint.bin"
         same_ckpt = ckpt_a.read_bytes() == ckpt_b.read_bytes()
-        same_rows = metrics_rows(a / name / "metrics.jsonl") == \
-            metrics_rows(b / name / "metrics.jsonl")
+        rows_a, rows_b = (metrics_rows(d / name / "metrics.jsonl") for d in (a, b))
+        same_rows = rows_a == rows_b
         problems += (not same_ckpt) + (not same_rows)
         line = (f"{name}: checkpoint {'byte-identical' if same_ckpt else 'DIFFERS'}, "
                 f"metrics rows {'equal' if same_rows else 'DIFFER'}")
         if not same_ckpt:
             line += f", largest parameter difference {largest_parameter_difference(ckpt_a, ckpt_b):.3g}"
         lines.append(line)
+        if not same_rows:
+            lines.append(f"{name}: largest relative loss difference "
+                          f"{largest_loss_difference(rows_a, rows_b):.3g}")
     lines.append("all match" if not problems else f"{problems} mismatches")
     return lines
 
