@@ -10,12 +10,13 @@ from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 
-def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
-    """Mean cross-entropy of each row of `logits` against its target column."""
+def cross_entropy_rows(logits: Tensor, targets, denominator: int | None = None) -> Tensor:
+    """Cross-entropy of each row against its target column, summed over `denominator`
+    (default the row count: the mean)."""
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"need [B,N] logits and B targets, got {logits.shape} / {targets.shape}")
-    return T.cross_entropy(logits, targets)
+    return T.cross_entropy(logits, targets, denominator)
 
 
 def in_batch_loss(y_ctxt: Tensor, y_cand: Tensor) -> tuple[Tensor, Tensor]:

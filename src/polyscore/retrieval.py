@@ -81,18 +81,24 @@ def _model_fingerprint(scorer: Scorer) -> str:
 
 
 def _chunks(items: list) -> list[list]:
-    return [items[i:i + ENCODE_CHUNK] for i in range(0, len(items), ENCODE_CHUNK)]
+    """ceil(n / ENCODE_CHUNK) chunks of near-equal size, none a lone row of a
+    longer list: numpy multiplies one row by GEMV, which rounds apart from GEMM."""
+    n = -(-len(items) // ENCODE_CHUNK)
+    ends = [len(items) * i // n for i in range(n + 1)]
+    return [items[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def build_cache(candidates: list[str], scorer: Scorer) -> CandidateCache:
     """Encode every candidate once through the candidate-side encoder, in
-    padded batches of ENCODE_CHUNK, written into one column-major matrix."""
+    padded batches (see _chunks), written into one column-major matrix."""
     if not candidates:
         raise ContractError("cannot build a cache from an empty candidate list")
     tower = scorer.model.candidate_tower()
     emb = np.empty((len(candidates), tower.cfg.hidden), tower.dtype, order="F")
-    for i, chunk in enumerate(_chunks(candidates)):
-        emb[i * ENCODE_CHUNK:(i + 1) * ENCODE_CHUNK] = scorer.candidate_vectors(chunk).data
+    row = 0
+    for chunk in _chunks(candidates):
+        emb[row:row + len(chunk)] = scorer.candidate_vectors(chunk).data
+        row += len(chunk)
     return CandidateCache(list(range(len(candidates))), list(candidates), emb,
                           _model_fingerprint(scorer), scorer.binding)
 
@@ -169,7 +175,7 @@ def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
 def rank_cross(scorer: Scorer, context_turns, candidates: list[str], k: int,
                gold_id=None) -> RankResult:
     """A full joint forward per (context, candidate) pair, run as padded
-    batches of ENCODE_CHUNK pairs; nothing cacheable here beyond the context's
+    batches of at most ENCODE_CHUNK pairs; nothing cacheable here beyond the context's
     token ids, which are computed once per query. A candidate's id is its
     position in `candidates`."""
     if not candidates:

@@ -184,10 +184,10 @@ def softmax(x, bias=None):
     return _result(out, inputs, lambda g: (_softmax_vjp(g, out),))
 
 
-def cross_entropy(logits, targets):
-    """Mean softmax cross-entropy of each row of [B, N] logits against its
-    target column, -mean(log_softmax(logits)[b, targets[b]]), stable for
-    widely spread logits; NaN inputs are rejected."""
+def cross_entropy(logits, targets, denominator: int | None = None):
+    """Softmax cross-entropy of [B, N] logits against one target column per
+    row, -sum_b log_softmax(logits)[b, targets[b]] / denominator (default B:
+    the mean), stable for widely spread logits; NaN inputs are rejected."""
     inputs = (logits,)
     x = _data(logits)
     if np.isnan(x).any():
@@ -195,13 +195,14 @@ def cross_entropy(logits, targets):
     shifted = x - x.max(axis=-1, keepdims=True)
     lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     rows = np.arange(x.shape[0])
+    d = len(rows) if denominator is None else denominator
 
-    def vjp(g):  # -g/B at each target, through log_softmax: gp - softmax * sum(gp)
+    def vjp(g):  # -g/d at each target, through log_softmax: gp - softmax * sum(gp)
         gp = np.zeros_like(lsm)
-        gp[rows, targets] = g * -1.0 / len(rows)
+        gp[rows, targets] = g * -1.0 / d
         return (gp - np.exp(lsm) * gp.sum(axis=-1, keepdims=True),)
 
-    return _result(lsm[rows, targets].mean() * -1.0, inputs, vjp)
+    return _result(lsm[rows, targets].sum() / d * -1.0, inputs, vjp)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-12, residual=None):

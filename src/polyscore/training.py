@@ -4,7 +4,9 @@ final-layer rescaling and the one step loop both run on.
 Pre-training strictly alternates masked-token batches with next-utterance
 batches (M, N, M, N, ...). Fine-tuning trains one of the three scoring
 architectures; Bi/Poly use in-batch negatives, Cross uses external negatives.
-Every batch loss runs dropout exactly when it is given a dropout rng.
+The step loop backpropagates a step's loss parts one at a time and sums them:
+one part, or for Cross parts of at most CROSS_PART_PAIRS pairs. Every batch
+loss runs dropout exactly when it is given a dropout rng.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ MLM_RATE = 0.15
 MLM_MASK_FRACTION = 0.8
 MLM_RANDOM_FRACTION = 0.1  # remaining 0.1 keeps the original token
 VALID_SAMPLE = 64  # the validation losses read the first this many examples
+# Pairs per Cross part, so a step's peak memory does not grow with its batch:
+# a part's float64 [16, heads, 64, 64] attention arrays (1 MB) fit a 2 MiB L2.
+# One example a part cost 34-50% per step on small examples; 16 pairs, -3% to +7%.
+CROSS_PART_PAIRS = 16
 
 FREEZE_SPECS = ("top_layer", "top4_layers", "all_but_embeddings", "every_layer")
 NEG_MODES = ("sampled", "provided")  # cross negatives: from the train golds, or the example's own
@@ -193,12 +199,27 @@ def training_data(kind: str, examples, valid_examples, neg_mode: str) -> tuple[l
     return train, sample
 
 
+def _step_gradients(parts, params) -> tuple[dict, float]:
+    """A step's gradients and loss from the scalar parts its loss sums: each
+    part's backward runs before the next part's forward, so one part's tape
+    is alive at a time. One part's gradients are taken as they come; sums are
+    new arrays, as backward may hand two parameters one array."""
+    grads, loss = None, 0.0
+    for part in parts:
+        part_grads = backward(part, params)
+        loss += part.item()
+        del part  # freed before the next part's forward
+        grads = part_grads if grads is None else {t: grads[t] + g for t, g in part_grads.items()}
+    return grads, loss
+
+
 def _train(model: Model, opt_cfg: OptimizerConfig, steps: int, seed: int, freeze: str,
            step_loss, metrics_path, sample, valid_loss) -> MetricsLog:
     """The step loop both trainers share, over the parameters `freeze` marks:
-    `step_loss(step, data_rng, drop_rng)` each step, and at each eval a log row
-    with `valid_loss(sample, rng)`, which the plateau schedule observes, on the
-    validation sample and one rng seed per run."""
+    each step the summed parts of `step_loss(step, data_rng, drop_rng)` (see
+    _step_gradients), and at each eval a log row with `valid_loss(sample, rng)`,
+    which the plateau schedule observes, on the validation sample and one rng
+    seed per run."""
     data_rng, drop_rng, valid_seed_rng = [np.random.Generator(np.random.PCG64(s))
                                           for s in np.random.SeedSequence(seed).spawn(3)]
     valid_seed = int(valid_seed_rng.integers(2**31))
@@ -207,10 +228,10 @@ def _train(model: Model, opt_cfg: OptimizerConfig, steps: int, seed: int, freeze
     log = MetricsLog(metrics_path)
     running = []
     for step in range(1, steps + 1):
-        loss = step_loss(step, data_rng, drop_rng)
-        grads = backward(loss, opt.trainable.values())
+        grads, loss = _step_gradients(step_loss(step, data_rng, drop_rng),
+                                      opt.trainable.values())
         lr = opt.step({n: grads[t] for n, t in opt.trainable.items()}, step)
-        running.append(loss.item())
+        running.append(loss)
         if step % opt_cfg.eval_interval == 0 or step == steps:
             valid = None
             if sample:
@@ -305,9 +326,9 @@ def pretrain_loop(model: Model, vocab, examples, opt_cfg: OptimizerConfig, steps
             batch_idx = data_rng.integers(len(examples), size=batch_size)
         batch = [examples[int(i)] for i in batch_idx]
         if batch_kind(step) == "mlm":
-            return mlm_batch_loss(model, vocab, batch, data_rng, drop_rng)
+            return [mlm_batch_loss(model, vocab, batch, data_rng, drop_rng)]
         triples = next_selection_batch(examples, data_rng, len(batch))
-        return next_batch_loss(model, vocab, triples, drop_rng)
+        return [next_batch_loss(model, vocab, triples, drop_rng)]
 
     return _train(model, opt_cfg, steps, seed, "every_layer", step_loss, metrics_path, sample,
                   lambda sample, rng: pretrain_valid_loss(model, vocab, sample, rng))
@@ -377,10 +398,13 @@ def poly_batch_loss(scorer: Scorer, batch, rng=None) -> Tensor:
 
 
 def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
-                     data_rng, drop_rng=None) -> Tensor:
-    """External negatives: the gold then its negatives for every example, all
-    pairs in one padded forward. Examples with fewer provided negatives get
-    -inf logits in the missing columns."""
+                     data_rng, drop_rng=None):
+    """External negatives: the gold then its negatives for every example, in
+    lazy parts of whole examples, at most CROSS_PART_PAIRS pairs (or one
+    example) a forward. A part's loss is its cross-entropy sum over len(batch),
+    so the parts sum to the batch mean, and every negative and dropout draw is
+    that of one forward over the batch. Examples with fewer provided negatives
+    get -inf logits in their part's missing columns."""
     pairs, counts = [], []
     for ex in batch:
         if settings.neg_mode == "provided" and len(ex.candidates) > 1:
@@ -388,8 +412,16 @@ def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
             negs = negs[: settings.n_candidates - 1]
         else:
             negs = _sample_negatives(ex.gold, pool, data_rng, settings.n_candidates - 1)
+        if counts and len(pairs) + 1 + len(negs) > CROSS_PART_PAIRS:
+            yield _cross_part_loss(scorer, pairs, counts, len(batch), drop_rng)
+            pairs, counts = [], []
         pairs += scorer.cross_pairs(ex.context, [ex.gold, *negs])
         counts.append(1 + len(negs))
+    yield _cross_part_loss(scorer, pairs, counts, len(batch), drop_rng)
+
+
+def _cross_part_loss(scorer: Scorer, pairs, counts, denominator: int, drop_rng) -> Tensor:
+    """A part's cross-entropy sum over `denominator`, from one padded forward."""
     scores = scorer.cross_scores(pairs, drop_rng)  # [P]
     counts = np.asarray(counts)
     slot = np.arange(counts.max())
@@ -398,19 +430,14 @@ def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,
     logits = T.reshape(T.gather_rows(T.reshape(scores, (len(pairs), 1)), idx.ravel()),
                        real.shape)
     logits = T.add(logits, np.where(real, 0.0, -np.inf).astype(scores.dtype))
-    return cross_entropy_rows(logits, np.zeros(len(batch)))
+    return cross_entropy_rows(logits, np.zeros(len(counts)), denominator)
 
 
 def finetune_valid_loss(model: Model, scorer: Scorer, sample, pool,
                         settings: FinetuneSettings, rng) -> float:
     """The fine-tuning loss, without dropout, on the validation sample."""
-    if model.kind == "cross":
-        # batch_size examples per forward, as in training; weighted by size
-        chunks = [sample[i:i + settings.batch_size]
-                  for i in range(0, len(sample), settings.batch_size)]
-        losses = [cross_batch_loss(scorer, chunk, pool, settings, rng).item()
-                  for chunk in chunks]
-        return float(np.average(losses, weights=[len(c) for c in chunks]))
+    if model.kind == "cross":  # in parts, as in training
+        return sum(map(Tensor.item, cross_batch_loss(scorer, sample, pool, settings, rng)))
     b = max(2, min(settings.batch_size, len(sample)))
     fn = bi_batch_loss if model.kind == "bi" else poly_batch_loss
     return float(np.mean([fn(scorer, sample[i:i + b]).item()
@@ -438,9 +465,9 @@ def finetune_loop(model: Model, vocab, train_examples, valid_examples,
             idx = data_rng.choice(len(train_examples), size=b, replace=False)
         batch = [train_examples[int(i)] for i in idx]
         if model.kind == "bi":
-            return bi_batch_loss(scorer, batch, drop_rng)
+            return [bi_batch_loss(scorer, batch, drop_rng)]
         if model.kind == "poly":
-            return poly_batch_loss(scorer, batch, drop_rng)
+            return [poly_batch_loss(scorer, batch, drop_rng)]
         return cross_batch_loss(scorer, batch, pool, settings, data_rng, drop_rng)
 
     return _train(model, opt_cfg, settings.steps, settings.seed, settings.freeze, step_loss,

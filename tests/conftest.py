@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 from pathlib import Path
@@ -7,12 +8,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from polyscore import tensor as T
 from polyscore.encoder import ModelConfig, TransformerWeights
 from polyscore.text import Vocabulary
 
 
 def make_rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def summed(parts):
+    """A step's loss parts as one loss on one tape: the part itself when
+    there is one, else their sum."""
+    return functools.reduce(T.add, parts)
 
 
 def rewrite_header(path, edit):

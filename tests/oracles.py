@@ -477,6 +477,38 @@ def cross_loss_per_sequence(scorer, batch, pool, settings, data_rng):
     return _mean(losses)
 
 
+def cross_loss_one_forward(scorer, batch, pool, settings, data_rng, drop_rng=None):
+    """training.cross_batch_loss as it was before a step ran in parts: the
+    gold then its negatives for every example, all pairs in one padded
+    forward, and the mean cross-entropy over the batch. Examples with fewer
+    provided negatives get -inf logits in the missing columns."""
+    from polyscore import tensor as T
+    from polyscore.losses import cross_entropy_rows
+
+    pairs, counts = [], []
+    for ex in batch:
+        if settings.neg_mode == "provided" and len(ex.candidates) > 1:
+            negs = [c for i, c in enumerate(ex.candidates) if i != ex.label_index]
+            negs = negs[: settings.n_candidates - 1]
+        else:
+            negs = []
+            while len(negs) < settings.n_candidates - 1:
+                neg = pool[int(data_rng.integers(len(pool)))]
+                if neg != ex.gold:
+                    negs.append(neg)
+        pairs += scorer.cross_pairs(ex.context, [ex.gold, *negs])
+        counts.append(1 + len(negs))
+    scores = scorer.cross_scores(pairs, drop_rng)  # [P]
+    counts = np.asarray(counts)
+    slot = np.arange(counts.max())
+    real = slot < counts[:, None]  # [B, n]
+    idx = np.where(real, (np.cumsum(counts) - counts)[:, None] + slot, 0)
+    logits = T.reshape(T.gather_rows(T.reshape(scores, (len(pairs), 1)), idx.ravel()),
+                       real.shape)
+    logits = T.add(logits, np.where(real, 0.0, -np.inf).astype(scores.dtype))
+    return cross_entropy_rows(logits, np.zeros(len(batch)))
+
+
 def mlm_loss_per_sequence(model, vocab, examples, data_rng):
     from polyscore import tensor as T
     from polyscore.encoder import forward

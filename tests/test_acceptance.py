@@ -29,7 +29,7 @@ from polyscore.training import FinetuneSettings, batch_kind, bi_batch_loss, \
     cross_batch_loss, finetune_loop, mlm_corrupt, next_selection_batch, \
     poly_batch_loss, pretrain_loop
 
-from conftest import make_rng
+from conftest import make_rng, summed
 from oracles import bi_score, grad_check, poly_score
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -101,7 +101,7 @@ def test_criterion_2_full_model_gradients():
     def cross_loss():
         # fixed negatives for a deterministic loss surface
         neg_rng = make_rng(7)
-        return cross_batch_loss(scorer_c, batch[:2], pool, settings, neg_rng)
+        return summed(cross_batch_loss(scorer_c, batch[:2], pool, settings, neg_rng))
 
     w_cross = check(cross, cross_loss)
     elapsed = time.perf_counter() - t0

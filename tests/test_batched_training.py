@@ -5,6 +5,7 @@ backward) against the formulas they replace."""
 import numpy as np
 import pytest
 
+from polyscore import encoder
 from polyscore import tensor as T
 from polyscore.encoder import ModelConfig, forward
 from polyscore.errors import ContractError
@@ -14,8 +15,10 @@ from polyscore.text import Example, TokenBatch, Vocabulary, encode_pair, encode_
 from polyscore.training import (
     MLM_RATE,
     FinetuneSettings,
+    _step_gradients,
     bi_batch_loss,
     cross_batch_loss,
+    finetune_valid_loss,
     mlm_batch_loss,
     mlm_corrupt,
     next_batch_loss,
@@ -23,13 +26,15 @@ from polyscore.training import (
     rescale_final_layer,
 )
 
-from conftest import make_rng
+from conftest import make_rng, summed
 from oracles import (
     backward_keep_all,
     backward_recursive,
     bi_loss_per_sequence,
+    cross_loss_one_forward,
     cross_loss_per_sequence,
     encode_pair_reference,
+    grad_check,
     mlm_loss_per_sequence,
     next_loss_per_sequence,
     poly_loss_per_sequence,
@@ -105,7 +110,7 @@ class TestFinetuneLossesMatchPerSequence:
         settings = FinetuneSettings(batch_size=5, neg_mode=neg_mode, n_candidates=4)
         assert_same_loss_and_grads(
             model,
-            lambda: cross_batch_loss(scorer, batch, pool, settings, make_rng(8)),
+            lambda: summed(cross_batch_loss(scorer, batch, pool, settings, make_rng(8))),
             lambda: cross_loss_per_sequence(scorer, batch, pool, settings, make_rng(8)))
 
     def test_cross_draws_negatives_in_order(self, base, vocab):
@@ -113,9 +118,127 @@ class TestFinetuneLossesMatchPerSequence:
         pool = [ex.gold for ex in mixed_examples(12, seed=7)]
         settings = FinetuneSettings(n_candidates=4)
         a, b = make_rng(9), make_rng(9)
-        cross_batch_loss(Scorer(model, vocab), mixed_examples(3, seed=4), pool, settings, a)
+        list(cross_batch_loss(Scorer(model, vocab), mixed_examples(3, seed=4), pool, settings, a))
         cross_loss_per_sequence(Scorer(model, vocab), mixed_examples(3, seed=4), pool, settings, b)
         assert a.integers(1 << 30) == b.integers(1 << 30)
+
+
+def record_dropout_masks(monkeypatch) -> list:
+    """Every forward's dropout keep masks, as they are drawn: per forward, per
+    sequence, each site's mask over that sequence's own span."""
+    calls = []
+    original = encoder._dropout_keeps
+
+    def recording(batch, cfg, rng, rows):
+        keeps = list(original(batch, cfg, rng, rows))
+        b, n = batch.token_ids.shape
+        lengths = n - np.argmax(batch.pad_mask[:, ::-1], axis=1)
+        calls.append([[k[i, :, :length, :length] if k.ndim == 4
+                       else k.reshape(b, -1, k.shape[-1])[i, :length] for k in keeps]
+                      for i, length in enumerate(lengths)])
+        return iter(keeps)
+
+    monkeypatch.setattr(encoder, "_dropout_keeps", recording)
+    return calls
+
+
+class TestCrossParts:
+    """A Cross step as parts of at most CROSS_PART_PAIRS pairs, summed by the
+    step loop, against the one-forward loss it replaced."""
+
+    # id: n_candidates, candidates per example (None: one, so all sampled),
+    # negatives mode, pairs per part
+    CASES = {
+        "one_example_per_part": (16, [None] * 3, "sampled", [16, 16, 16]),
+        "four_per_part": (4, [None] * 9, "sampled", [16, 16, 4]),
+        "budget_does_not_divide": (3, [None] * 7, "sampled", [15, 6]),
+        "example_over_the_budget": (17, [None] * 2, "sampled", [17, 17]),
+        # counts 6, 2, 6 (one candidate: sampled), 4, 6, 3, 5
+        "ragged_provided": (6, [6, 2, 1, 4, 7, 3, 5], "provided", [14, 13, 5]),
+    }
+
+    @staticmethod
+    def batch(candidates):
+        return [mixed_examples(1, seed=30 + i, n_candidates=c or 1)[0]
+                for i, c in enumerate(candidates)]
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_step_matches_one_forward(self, vocab, monkeypatch, case, dtype, tol):
+        n_candidates, candidates, neg_mode, part_pairs = self.CASES[case]
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(5), dtype)
+        model = base.derive("cross", make_rng(1))
+        scorer, batch = Scorer(model, vocab), self.batch(candidates)
+        pool = [ex.gold for ex in mixed_examples(12, seed=7)]
+        settings = FinetuneSettings(neg_mode=neg_mode, n_candidates=n_candidates)
+        params = list(model.named_parameters().values())
+        masks = record_dropout_masks(monkeypatch)
+        data, drop = make_rng(8), make_rng(9)
+        want = cross_loss_one_forward(scorer, batch, pool, settings, data, drop)
+        want_grads = T.backward(want, params)
+        part_data, part_drop = make_rng(8), make_rng(9)
+        grads, loss = _step_gradients(
+            cross_batch_loss(scorer, batch, pool, settings, part_data, part_drop), params)
+
+        want_call, *part_calls = masks
+        assert [len(call) for call in part_calls] == part_pairs
+        got_sites, want_sites = ([site for call in calls for row in call for site in row]
+                                 for calls in (part_calls, [want_call]))
+        assert len(got_sites) == len(want_sites)
+        assert all(map(np.array_equal, got_sites, want_sites))
+        assert part_data.bit_generator.state == data.bit_generator.state
+        assert part_drop.bit_generator.state == drop.bit_generator.state
+        assert abs(loss - want.item()) <= tol * abs(want.item())
+        scale = max(float(np.abs(g).max()) for g in want_grads.values())
+        for p in params:
+            assert grads[p].dtype == dtype
+            assert np.abs(grads[p] - want_grads[p]).max() <= tol * scale
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("neg_mode,candidates", [("sampled", [None] * 4),
+                                                     ("provided", [4, 2, 1, 3])])
+    def test_one_part_step_bit_identical(self, vocab, dtype, neg_mode, candidates):
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(5), dtype)
+        model = base.derive("cross", make_rng(1))
+        scorer, batch = Scorer(model, vocab), self.batch(candidates)
+        pool = [ex.gold for ex in mixed_examples(12, seed=7)]
+        settings = FinetuneSettings(neg_mode=neg_mode, n_candidates=4)  # <= 16 pairs
+        params = list(model.named_parameters().values())
+        want = cross_loss_one_forward(scorer, batch, pool, settings, make_rng(8), make_rng(9))
+        want_grads = T.backward(want, params)
+        parts = list(cross_batch_loss(scorer, batch, pool, settings, make_rng(8), make_rng(9)))
+        assert len(parts) == 1
+        assert parts[0].data.tobytes() == want.data.tobytes()
+        grads, loss = _step_gradients(parts, params)
+        assert loss == want.item()
+        for p in params:
+            assert grads[p].tobytes() == want_grads[p].tobytes()
+
+    def test_multi_part_step_gradients(self, base, vocab):
+        model = base.derive("cross", make_rng(1))
+        scorer, batch = Scorer(model, vocab), mixed_examples(3, seed=4)
+        pool = [ex.gold for ex in mixed_examples(12, seed=7)]
+        settings = FinetuneSettings(n_candidates=8)  # two examples a part: two parts
+
+        def parts():
+            return cross_batch_loss(scorer, batch, pool, settings, make_rng(8))
+
+        params = model.named_parameters()
+        grads, _ = _step_gradients(parts(), params.values())
+        assert len(list(parts())) == 2
+        grad_check(lambda: sum(part.item() for part in parts()),
+                   {n: t.data for n, t in params.items()},
+                   {n: grads[t] for n, t in params.items()}, make_rng(10), probes=60)
+
+    def test_validation_sums_the_parts(self, base, vocab):
+        model = base.derive("cross", make_rng(1))
+        scorer, sample = Scorer(model, vocab), mixed_examples(9, seed=4)
+        pool = [ex.gold for ex in mixed_examples(12, seed=7)]
+        settings = FinetuneSettings(batch_size=2, n_candidates=4)
+        got = finetune_valid_loss(model, scorer, sample, pool, settings, make_rng(8))
+        want = cross_loss_one_forward(scorer, sample, pool, settings, make_rng(8)).item()
+        assert abs(got - want) < TOL
 
 
 class TestPretrainLossesMatchPerSequence:
@@ -258,8 +381,9 @@ class TestBackwardRelease:
             triples = [(ex.context_text, ex.gold, i % 2) for i, ex in enumerate(examples)]
             loss = next_batch_loss(model, vocab, triples, drop_rng)
         elif kind == "cross":
-            loss = cross_batch_loss(scorer, examples, [ex.gold for ex in examples],
-                                    FinetuneSettings(n_candidates=3), make_rng(21), drop_rng)
+            loss = summed(cross_batch_loss(scorer, examples, [ex.gold for ex in examples],
+                                           FinetuneSettings(n_candidates=3), make_rng(21),
+                                           drop_rng))
         else:
             loss = (bi_batch_loss if kind == "bi" else poly_batch_loss)(scorer, examples,
                                                                        drop_rng)

@@ -12,7 +12,7 @@ from polyscore.text import Example, TokenBatch, Vocabulary, encode_pair, encode_
 from polyscore.training import FinetuneSettings, bi_batch_loss, cross_batch_loss, \
     mlm_batch_loss, next_batch_loss, poly_batch_loss
 
-from conftest import make_rng
+from conftest import make_rng, summed
 from oracles import bi_loss_per_sequence, cross_loss_per_sequence, dot, \
     mlm_loss_per_sequence, next_loss_per_sequence, pad_to, poly_loss_per_sequence, \
     transformer_trace, tsum
@@ -126,7 +126,8 @@ class TestForward:
                    lambda: bi_loss_per_sequence(scorer, batch)),
             "poly": (lambda *r: poly_batch_loss(scorer, batch, *r),
                      lambda: poly_loss_per_sequence(scorer, batch)),
-            "cross": (lambda *r: cross_batch_loss(scorer, batch, pool, settings, make_rng(2), *r),
+            "cross": (lambda *r: summed(cross_batch_loss(scorer, batch, pool, settings,
+                                                         make_rng(2), *r)),
                       lambda: cross_loss_per_sequence(scorer, batch, pool, settings, make_rng(2))),
             "mlm": (lambda *r: mlm_batch_loss(base, vocab, batch, make_rng(2), *r),
                     lambda: mlm_loss_per_sequence(base, vocab, batch, make_rng(2))),

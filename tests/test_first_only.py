@@ -21,7 +21,7 @@ from polyscore.model import Model, Scorer
 from polyscore.text import Example, TokenBatch, Vocabulary, encode_single
 from polyscore.training import FinetuneSettings, finetune_valid_loss, rescale_final_layer
 
-from conftest import make_rng
+from conftest import make_rng, summed
 from oracles import full_rows, grad_check, mlm_loss_full_rows
 
 TOL = {np.float32: 1e-5, np.float64: 1e-9}
@@ -255,8 +255,9 @@ def training_loss(model, vocab, arch, examples, drop_rng):
         return training.bi_batch_loss(scorer, examples, drop_rng)
     if model.kind == "poly":
         return training.poly_batch_loss(scorer, examples, drop_rng)
-    return training.cross_batch_loss(scorer, examples, negatives_pool(examples),
-                                     FinetuneSettings(n_candidates=3), make_rng(6), drop_rng)
+    return summed(training.cross_batch_loss(scorer, examples, negatives_pool(examples),
+                                            FinetuneSettings(n_candidates=3), make_rng(6),
+                                            drop_rng))
 
 
 def loss_and_grads(model, vocab, arch, examples, dropout):

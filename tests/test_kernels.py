@@ -15,7 +15,7 @@ from polyscore.tensor import Tensor
 from polyscore.text import PAD_ID, Example, TokenBatch, Vocabulary, encode_single
 from polyscore.training import FinetuneSettings, apply_freeze
 
-from conftest import make_rng
+from conftest import make_rng, summed
 import oracles
 from oracles import tsum
 
@@ -212,9 +212,9 @@ def test_training_step_tape_unchanged(key):
     elif kind == "poly":
         loss = training.poly_batch_loss(scorer, batch, rng=make_rng(5))
     else:
-        loss = training.cross_batch_loss(scorer, batch, [ex.gold for ex in batch],
-                                         FinetuneSettings(n_candidates=3), make_rng(6),
-                                         drop_rng=make_rng(5))
+        loss = summed(training.cross_batch_loss(scorer, batch, [ex.gold for ex in batch],
+                                                FinetuneSettings(n_candidates=3), make_rng(6),
+                                                drop_rng=make_rng(5)))
     assert tape_nodes(loss) == TAPE_NODES[key]
 
 

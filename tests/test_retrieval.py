@@ -71,6 +71,22 @@ class TestBuildCache:
         cache = build_cache(["w1 w2", "w1 w2"], bi)
         assert np.array_equal(cache.embeddings[0], cache.embeddings[1])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_duplicates_past_a_chunk_identical_rows(self, vocab, dtype):
+        # 65 rows are two chunks of 32 and 33, not 64 and a lone row that
+        # numpy would multiply by GEMV, which rounds apart from GEMM
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17), dtype)
+        bi = Scorer(base.derive("bi", make_rng(1)), vocab)
+        n = ENCODE_CHUNK + 1
+        cache = build_cache(["w1 w2 w3"] * n, bi)
+        assert cache.embeddings.dtype == dtype
+        assert len({row.tobytes() for row in cache.embeddings}) == 1
+        # one product per row: rank_bi's single GEMV over the cache rounds a
+        # tail row apart in float64, whatever the rows hold
+        y = bi.context_vector(["w4 w5"]).data
+        res = _result(cache.id_array, np.array([row @ y for row in cache.embeddings]), n, None)
+        assert [cid for cid, _ in res.ranking] == list(range(n))
+
     def test_row_equals_direct_encode(self, world):
         bi, _, _ = world
         cache = build_cache(["w3 w4 w5"], bi)

@@ -1,5 +1,7 @@
 """Corruption, task batches, freezing, rescaling and the training loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,27 @@ class TestFinetuneLoop:
         assert [row["valid_loss"] for row in log.rows] == [1.0] * 6
         assert [row["lr"] for row in log.rows] == pytest.approx(
             [5e-4, 5e-4, 5e-4, 2e-4, 2e-4, 8e-5], rel=1e-12)
+
+
+def test_cross_step_peak_does_not_grow_with_batch(overlap_world):
+    """A Cross step runs in 16-pair parts, one part's tape alive at a time:
+    batch 8 x 16 candidates peaks within 1.5x of batch 2 x 16 (one forward
+    over the whole batch peaked at about 4x)."""
+    train, _, vocab, base = overlap_world
+    opt_cfg = OptimizerConfig(lr=5e-4, warmup_steps=5, eval_interval=1)
+
+    def peak(batch_size):
+        model = base.derive("cross", make_rng(0))
+        settings = FinetuneSettings(steps=1, batch_size=batch_size, n_candidates=16, seed=1)
+        tracemalloc.start()
+        try:
+            finetune_loop(model, vocab, train, None, opt_cfg, settings)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(8)
+    assert large <= 1.5 * small, (small, large)
 
 
 STEP_LOSSES = ("bi_batch_loss", "poly_batch_loss", "cross_batch_loss", "mlm_batch_loss",

@@ -5,8 +5,8 @@
 
 `run` runs, with POLYSCORE_THREADS=1 and the checkout's own src/ (default
 the checkout this script sits in), the synthetic dataset, a pre-training run
-and fine-tuning runs of bi, poly:16, poly:first_m:4 and cross, each in its
-own subdirectory of OUT. The fine-tunes start from OUT's pre-training run, or
+and fine-tuning runs of bi, poly:16, poly:first_m:4 and cross (one step in
+one part, and in four parts), each in its own subdirectory of OUT. The fine-tunes start from OUT's pre-training run, or
 from the pre-training run directory `--base` names, which lets two checkouts
 fine-tune from one base when their pre-training differs by rounding.
 
@@ -43,6 +43,9 @@ FINETUNES = {  # run directory: train arguments
     "poly16": ("--arch", "poly:16", "--steps", "20", "--batch-size", "8"),
     "poly_first_m4": ("--arch", "poly:first_m:4", "--steps", "20", "--batch-size", "8"),
     "cross": ("--arch", "cross", "--steps", "6", "--batch-size", "4", "--n-candidates", "4"),
+    # 64 pairs a step: four 16-pair parts, where the run above is one part
+    "cross_parts": ("--arch", "cross", "--steps", "6", "--batch-size", "4",
+                    "--n-candidates", "16"),
 }
 TRAINED = ("pretrain", *FINETUNES)
 
