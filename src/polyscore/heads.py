@@ -90,13 +90,13 @@ def poly_context_vectors(out: TransformerOutput, variant: str, m: int,
     `variant` and `m` (checked when its Model is built); `codes` are the
     learnt variant's [m, hidden] context codes.
 
-    learnt: each code attends over the non-pad outputs (pad keys get a -inf
-    bias). first_m / last_m: min(m, N) raw output rows. last_m_h1: those rows
-    prepended with h_1 (h_1 may duplicate when N <= m).
+    learnt: one unscaled `T.attention` head, each code over the non-pad outputs
+    (pad keys get a -inf bias). first_m / last_m: min(m, N) raw output rows.
+    last_m_h1: those rows prepended with h_1 (h_1 may duplicate when N <= m).
 
     Returns ([B, m', H] vectors, [B, m'] validity mask): rows of a context
     with fewer than m real tokens are padded and marked invalid, the valid
-    ones coming first.
+    ones coming first; `T.poly_scores` and `T.softmax_mean` score against them.
     """
     mask = out.pad_mask
     n_real = mask.sum(axis=1)
@@ -106,11 +106,10 @@ def poly_context_vectors(out: TransformerOutput, variant: str, m: int,
     b, length, hid = h.shape
     flat = T.reshape(h, (b * length, hid))
     if variant == "learnt":
-        # unscaled dot products of every code with every position: [B, m, L]
-        logits = T.transpose(T.reshape(T.matmul(flat, T.transpose(T.operand(codes))),
-                                       (b, length, m)), (0, 2, 1))
-        key_bias = np.where(mask, 0.0, -np.inf).astype(h.dtype)[:, None, :]
-        vecs = T.matmul(T.softmax(logits, bias=key_bias), h)
+        # one unscaled head: the codes, tiled to every row, query the positions
+        key_bias = np.where(mask, 0.0, -np.inf).astype(h.dtype)[:, None, None, :]
+        queries = T.gather_rows(T.operand(codes), np.tile(np.arange(m), b))
+        vecs = T.reshape(T.attention(queries, flat, flat, key_bias, 1, scale=1.0), (b, m, hid))
         valid = np.ones((b, m), dtype=bool)
     else:
         keep = np.minimum(m, n_real)  # raw rows taken per context

@@ -5,14 +5,15 @@ Bi/Poly score against precomputed candidate embeddings; Cross re-encodes every
 batches. All scoring is exact - no approximate nearest-neighbor shortcuts.
 The cache is column-major in memory (row-major on disk), so poly's [m', rows]
 logits for a block of cache rows are a plain GEMM into buffers reused across
-blocks and small enough to stay in cache; both softmax column sums are GEMVs.
-A row's score, sum w*l / sum w over its m' logits l, is its dot product with
-the attention-pooled vector. By Cauchy-Schwarz, |l| <= B = max_j |v_j| *
-max_c |c|; while B <= T = ln(1/tiny)/2 (43.7 in float32, 354 in float64),
-every e^l and both sums are normal and finite, so softmax skips its max shift,
-which runs when B > T or B is not finite. Top k is exact in O(C) plus a sort
-of about k: a partition finds the k-th best score, and only rows scoring at
-least that (ties included) are sorted, by descending score then ascending id.
+blocks and small enough to stay in cache; both softmax column sums are GEMVs. A
+row's score, sum w*l / sum w over its m' logits l (`tensor.softmax_mean`), is
+its dot product with the attention-pooled vector. By Cauchy-Schwarz, |l| <= B =
+max_j |v_j| * max_c |c|; while B <= T = ln(1/tiny)/2 (43.7 in float32, 354 in
+float64), every e^l and both sums are normal and finite, so softmax skips its
+max shift, which runs when B > T or B is not finite. Top k is exact in O(C)
+plus a sort of about k: a partition finds the k-th best score, and only rows
+scoring at least that (ties included) are sorted, by descending score then
+ascending id.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import ContractError, ShapeError, StaleCacheError
 from .model import Scorer
 from .records import RecordReader, RecordWriter
-from .tensor import EXP_SAFE
+from .tensor import softmax_mean
 
 # Sequences per batched encoder forward in build_cache and rank_cross: large
 # enough that per-op interpreter cost is amortised, small enough that the
@@ -150,25 +151,19 @@ def rank_bi(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
 def rank_poly(scorer: Scorer, context_turns, cache: CandidateCache, k: int,
               gold_id=None) -> RankResult:
     """Candidate-as-query attention over the context vectors, batched across
-    blocks of cache rows in single matrix passes. The softmax weights are e^l
-    while B = max_j |v_j| * cache.max_norm <= T (43.7 in float32, 354 in
-    float64), else, as when B is not finite, e^(l - column max)."""
+    blocks of cache rows in single matrix passes: `softmax_mean` of each
+    block's logits under the bound B = max_j |v_j| * cache.max_norm."""
     _check_fresh(cache, scorer)
     vecs = scorer.poly_vectors(context_turns).data  # [m', H]
     rows = max(1, min(cache.size, POLY_BLOCK_ELEMENTS // len(vecs)))
     dtype = np.result_type(vecs, cache.embeddings)
     logits, w = np.empty((2, len(vecs), rows), dtype)  # reused by every block
-    ones, scores = np.ones(len(vecs), dtype), np.empty(cache.size, dtype)
+    scores = np.empty(cache.size, dtype)
     bound = float(np.sqrt(np.einsum("mh,mh->m", vecs, vecs).max())) * cache.max_norm
-    shift = not bound <= EXP_SAFE[dtype]
     for start in range(0, cache.size, rows):
         block = cache.embeddings[start:start + rows].T  # a strided [H, rows] view
         lg, wt = logits[:, :block.shape[1]], w[:, :block.shape[1]]
-        np.matmul(vecs, block, out=lg)
-        np.exp(np.subtract(lg, lg.max(axis=0), out=wt) if shift else lg, out=wt)
-        den = ones @ wt
-        lg *= wt
-        np.divide(ones @ lg, den, out=scores[start:start + block.shape[1]])
+        softmax_mean(np.matmul(vecs, block, out=lg), wt, bound, out=scores[start:start + rows])
     return _result(cache.id_array, scores, k, gold_id)
 
 

@@ -8,8 +8,8 @@ Tensor recording parents and closure if an input needs a gradient, an untaped
 Tensor if an input is one, and else the bare array: a forward that hands its
 ops bare arrays (see `operand`) runs kernels end to end and builds no Tensor
 per op. `backward` replays the implicit tape in reverse topological order.
-The encoder's chains are fused ops (`linear`, `attention`, `layer_norm` with
-a residual): one node each, whose vjp keeps only the arrays it reads.
+The encoder's and poly's chains are fused ops (`linear`, `attention`, residual
+`layer_norm`, `poly_scores`): one node each, keeping only what its vjp reads.
 
 Tensors are immutable after creation for graph purposes: training code may
 update `.data` in place only between forward passes, never while a tape that
@@ -123,17 +123,12 @@ def add(a, b):
     return _result(a + b, inputs, vjp)
 
 
-def transpose(a, axes=None):
-    """Permute axes into a contiguous copy; without `axes`, the matrix transpose."""
+def transpose(a):
+    """The matrix transpose, as a contiguous copy."""
     x = _data(a)
-    if axes is None:
-        if x.ndim != 2:
-            raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
-        axes = (1, 0)
-    elif sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"axes {axes} are not a permutation of the axes of {x.shape}")
-    out = np.ascontiguousarray(np.transpose(x, axes))
-    return _result(out, (a,), lambda g: (np.transpose(g, np.argsort(axes)),))
+    if x.ndim != 2:
+        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
+    return _result(np.ascontiguousarray(x.T), (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
@@ -142,46 +137,40 @@ def reshape(a, shape):
     return _result(x.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def _softmax_rows(z, bias, out):  # into out: z itself, or None for a new array
-    """Softmax of z + bias (0, or -inf to mask) over the last axis. While z is
-    within EXP_SAFE, every e^z and row sum is normal and finite: no max shift."""
+def _softmax_rows(z, bias):
+    """Softmax of z + bias (0, or -inf to mask) over the last axis, in place. While z
+    is within EXP_SAFE, every e^z and row sum is normal and finite: no max shift."""
     t = EXP_SAFE[z.dtype]
     free = -t <= z.min() and z.max() <= t  # NaN fails
-    if bias is not None:
-        z = out = np.add(z, bias, out=out)
+    z += bias
     if free:
-        out = np.exp(z, out=out)
-        out /= np.einsum("...i->...", out)[..., None]
-        return out
+        np.exp(z, out=z)
+        z /= np.einsum("...i->...", z)[..., None]
+        return z
     top = z.max(axis=-1, keepdims=True)
     # max propagates NaN, so a NaN anywhere in a row shows in its max, also
     # under a -inf mask (NaN - inf is NaN)
     if np.isnan(top).any():
         raise NumericError("softmax received NaN input")
-    out = np.subtract(z, top, out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    z -= top
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def _softmax_vjp(g, out):  # (g - sum(g * out)) * out
-    gx = g - np.einsum("...i,...i->...", g, out)[..., None]
-    gx *= out
-    return gx
-
-
-def softmax(x, bias=None):
-    """Softmax along the last axis, max-shifted unless x is within EXP_SAFE; rejects NaN.
-
-    `bias`, a constant array broadcast onto x, is added first: -inf masks an
-    entry to probability 0, 0 keeps it. Every row needs one finite entry.
-    """
-    inputs = (x,)
-    x = _data(x)
-    out = _softmax_rows(x, bias, None)  # a new array: x itself is left alone
-    if out.shape != x.shape:
-        raise ShapeError(f"softmax bias {np.shape(bias)} does not broadcast onto {x.shape}")
-    return _result(out, inputs, lambda g: (_softmax_vjp(g, out),))
+def softmax_mean(l, w, bound, bias=None, out=None):
+    """sum w*l / sum w over axis -2 of [..., m', N] logits l, weights w = e^(l + bias)
+    written into w (bias 0, or -inf to mask a slot), each column's max subtracted
+    before the exp unless `bound`, a bound on |l|, is within EXP_SAFE (NaN is not).
+    l becomes w*l in place. Returns sum w and the means."""
+    ones = np.ones(l.shape[-2], l.dtype)
+    z = l if bias is None else np.add(l, bias, out=w)
+    if not bound <= EXP_SAFE[l.dtype]:
+        z = np.subtract(z, z.max(axis=-2, keepdims=True), out=w)
+    np.exp(z, out=w)
+    den = ones @ w
+    l *= w
+    return den, np.divide(ones @ l, den, out=out)
 
 
 def cross_entropy(logits, targets, denominator: int | None = None):
@@ -319,13 +308,14 @@ def linear(x, w, b, keep: np.ndarray | None = None, p: float = 0.0):
 
 
 def attention(q, k, v, key_bias: np.ndarray, heads: int,
-              keep: np.ndarray | None = None, p: float = 0.0):
+              keep: np.ndarray | None = None, p: float = 0.0, scale: float | None = None):
     """Multi-head attention of [B*R, H] queries over [B*L, H] keys and values,
-    to the [B*R, H] merged context: queries scaled by 1/sqrt(d), heads split
-    into contiguous copies, scores plus the constant [B, 1, 1, L] `key_bias`
-    (-inf at pad keys), softmax (no max shift within EXP_SAFE), `dropout` of
-    the [B, heads, R, L] probabilities under `keep` if given. One node,
-    parents (q, k, v), keeping the probabilities: its vjp splits q, k and v again."""
+    to the [B*R, H] merged context: queries times `scale` (default 1/sqrt(d)),
+    heads split into contiguous copies, scores plus the constant [B, 1, 1, L]
+    `key_bias` (-inf at pad keys), softmax (no max shift within EXP_SAFE),
+    `dropout` of the [B, heads, R, L] probabilities under `keep` if given. One
+    node, parents (q, k, v), keeping the probabilities (its vjp splits q, k, v
+    again)."""
     inputs = q, k, v
     q, k, v = _data(q), _data(k), _data(v)
     b, length = key_bias.shape[0], key_bias.shape[-1]
@@ -335,13 +325,13 @@ def attention(q, k, v, key_bias: np.ndarray, heads: int,
             or k.shape != (b * length, hidden) or v.shape != k.shape):
         raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}, key bias {key_bias.shape}, {heads} heads")
-    c = 1.0 / math.sqrt(d)
+    c = 1.0 / math.sqrt(d) if scale is None else scale
 
     def split(t, n, axes):  # [B*n, H] -> [B, heads, n, d], or [B, heads, d, n] for keys
         return np.ascontiguousarray(np.transpose(t.reshape(b, n, heads, d), axes))
 
     z = split(q * c, rows, (0, 2, 1, 3)) @ split(k, length, (0, 2, 3, 1))
-    probs = _softmax_rows(z, key_bias, z)
+    probs = _softmax_rows(z, key_bias)
     drop = _dropper(p, keep, probs)
     ctx = drop(probs) @ split(v, length, (0, 2, 1, 3))
     out = np.ascontiguousarray(np.transpose(ctx, (0, 2, 1, 3))).reshape(b * rows, hidden)
@@ -350,7 +340,9 @@ def attention(q, k, v, key_bias: np.ndarray, heads: int,
         g = np.transpose(g.reshape(b, rows, heads, d), (0, 2, 1, 3))
         gp = g @ np.swapaxes(split(v, length, (0, 2, 1, 3)), -1, -2)
         gv = np.swapaxes(drop(probs), -1, -2) @ g
-        gz = _softmax_vjp(drop(gp), probs)
+        gz = drop(gp)  # through the softmax: (gz - sum(gz * probs)) * probs
+        gz -= np.einsum("...i,...i->...", gz, probs)[..., None]
+        gz *= probs
         gq = gz @ np.swapaxes(split(k, length, (0, 2, 3, 1)), -1, -2)
         gk = np.swapaxes(split(q * c, rows, (0, 2, 1, 3)), -1, -2) @ gz
         return (np.transpose(gq, (0, 2, 1, 3)).reshape(b * rows, hidden) * c,
@@ -358,6 +350,32 @@ def attention(q, k, v, key_bias: np.ndarray, heads: int,
                 np.transpose(gv, (0, 2, 1, 3)).reshape(b * length, hidden))
 
     return _result(out, inputs, vjp)
+
+
+def poly_scores(v, c, valid: np.ndarray):
+    """[B, N] poly scores: (b, n) is c[n]'s dot product with its attention-pooled
+    [m', H] context v[b], which is the `softmax_mean` of the logits v[b, j]·c[n]
+    over the slots `valid` keeps (bound: max |v_j| * max |c_n|). One node, parents
+    (v, c), keeping the [B, m', N] w and w*l: ds/dl = w * (1 + l - s) / sum w."""
+    inputs = v, c
+    v, c = _data(v), _data(c)
+    if v.ndim != 3 or c.shape[1:] != v.shape[2:] or np.shape(valid) != v.shape[:2]:
+        raise ShapeError(f"poly_scores shapes do not agree: v {v.shape}, c {c.shape}, "
+                         f"valid {np.shape(valid)}")
+    (b, m, hidden), n = v.shape, len(c)
+    wl = (v.reshape(b * m, hidden) @ c.T).reshape(b, m, n)  # logits, until weighted
+    w = np.empty_like(wl)
+    bound = math.sqrt(np.einsum("bmh,bmh->bm", v, v).max() * np.einsum("nh,nh->n", c, c).max())
+    den, s = softmax_mean(wl, w, bound, np.where(valid, 0.0, -np.inf).astype(wl.dtype)[..., None])
+
+    def vjp(g):
+        gl = w * (1.0 - s)[:, None]  # one [B, m', N] array, scaled in place
+        gl += wl
+        gl *= (g / den)[:, None]
+        gl = gl.reshape(b * m, n)
+        return (gl @ c).reshape(b, m, hidden), gl.T @ v.reshape(b * m, hidden)
+
+    return _result(s, inputs, vjp)
 
 
 def _scatter_add(like, flat, g):

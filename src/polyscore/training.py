@@ -380,21 +380,14 @@ def bi_batch_loss(scorer: Scorer, batch, rng=None) -> Tensor:
 
 
 def poly_batch_loss(scorer: Scorer, batch, rng=None) -> Tensor:
-    """In-batch negatives with candidate-as-query pooling over each context's
-    vectors; logits[i, j] scores context i against candidate j."""
+    """In-batch negatives: the `T.poly_scores` of every candidate against every
+    context's vectors, so logits[i, j] scores context i against candidate j."""
     b = len(batch)
     if b < 2:
         raise ContractError(f"in-batch negatives need batch size >= 2, got {b}")
     y_cand = scorer.candidate_vectors([ex.gold for ex in batch], rng)  # [B, H]
     vecs, valid = scorer.poly_context([ex.context for ex in batch], rng)  # [B, m', H]
-    m, hid = vecs.shape[1:]
-    # attention logits of every candidate over every context's vectors: [B, B, m']
-    logits = T.transpose(T.reshape(T.matmul(T.reshape(vecs, (b * m, hid)), T.transpose(y_cand)),
-                                   (b, m, b)), (0, 2, 1))
-    attn = T.softmax(logits, bias=np.where(valid, 0.0, -np.inf).astype(vecs.dtype)[:, None, :])
-    pooled = T.transpose(T.matmul(attn, vecs), (1, 0, 2))  # [B cand, B ctxt, H]
-    scores = T.reshape(T.matmul(pooled, T.reshape(y_cand, (b, hid, 1))), (b, b))
-    return cross_entropy_rows(T.transpose(scores), np.arange(b))
+    return cross_entropy_rows(T.poly_scores(vecs, y_cand, valid), np.arange(b))
 
 
 def cross_batch_loss(scorer: Scorer, batch, pool, settings: FinetuneSettings,

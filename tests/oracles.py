@@ -162,6 +162,15 @@ def tsum(x, axis=None):
     return T._result(x.sum(axis=-1), inputs, vjp)
 
 
+def permute(x, axes):
+    """tensor.transpose as it was while the chains below used it with `axes`:
+    the axes of x permuted into a contiguous copy, as a tensor op."""
+    from polyscore import tensor as T
+
+    out = np.ascontiguousarray(np.transpose(T._data(x), axes))
+    return T._result(out, (x,), lambda g: (np.transpose(g, np.argsort(axes)),))
+
+
 def scale(x, c):
     """x * c for a constant c, as a tensor op."""
     from polyscore import tensor as T
@@ -186,7 +195,7 @@ def poly_score(ctxt_vecs, y_cand):
         raise ShapeError(f"candidate vector {y_cand.shape} does not match context "
                          f"vectors {ctxt_vecs.shape}")
     logits = T.reshape(T.matmul(ctxt_vecs, T.reshape(y_cand, (hid, 1))), (m,))
-    w = T.softmax(logits)
+    w = softmax(logits)
     pooled = T.reshape(T.matmul(T.reshape(w, (1, m)), ctxt_vecs), (hid,))
     return dot(pooled, y_cand)
 
@@ -296,6 +305,32 @@ def attention_formula(q, k, v, key_bias, heads, shift):
     return np.ascontiguousarray(np.transpose(ctx, (0, 2, 1, 3))).reshape(b * rows, hidden)
 
 
+def softmax(x, bias=None):
+    """tensor.softmax as it was before the fused ops took its last callers:
+    the softmax along the last axis of x + bias (0, or -inf to mask) as one
+    tape op, by `softmax_formula`, max-shifted unless x is within
+    tensor.EXP_SAFE; NaN raises NumericError. Its vjp sums rows by einsum, as
+    tensor.attention's does."""
+    from polyscore import tensor as T
+    from polyscore.errors import NumericError
+
+    inputs = (x,)
+    x = T._data(x)
+    t = T.EXP_SAFE[x.dtype]
+    shift = not (-t <= x.min() and x.max() <= t)
+    z = x if bias is None else x + bias
+    if np.isnan(z).any():
+        raise NumericError("softmax received NaN input")
+    out = softmax_formula(z, shift)
+
+    def vjp(g):
+        gx = g - np.einsum("...i,...i->...", g, out)[..., None]
+        gx *= out
+        return (gx,)
+
+    return T._result(out, inputs, vjp)
+
+
 def softmax_vjp_formula(out, g):
     return (g - (g * out).sum(axis=-1, keepdims=True)) * out
 
@@ -331,10 +366,11 @@ def linear_chain(x, w, b, keep=None, p=0.0):
     return T.dropout(T.add(T.matmul(x, w), b), p, keep)
 
 
-def attention_chain(q, k, v, key_bias, heads, keep=None, p=0.0):
+def attention_chain(q, k, v, key_bias, heads, keep=None, p=0.0, c=None):
     """The encoder's attention as a chain of ops: split the heads of q
-    (scaled first), k and v by reshape and transpose, scores, masked softmax,
-    dropout under `keep` if given, context, and merge the heads."""
+    (scaled first, by c or 1/sqrt(d)), k and v by reshape and transpose,
+    scores, masked softmax, dropout under `keep` if given, context, and merge
+    the heads."""
     from polyscore import tensor as T
 
     b, length = key_bias.shape[0], key_bias.shape[-1]
@@ -342,13 +378,72 @@ def attention_chain(q, k, v, key_bias, heads, keep=None, p=0.0):
     d = hidden // heads
 
     def split_heads(t, n, axes):
-        return T.transpose(T.reshape(t, (b, n, heads, d)), axes)
+        return permute(T.reshape(t, (b, n, heads, d)), axes)
 
     k = split_heads(k, length, (0, 2, 3, 1))
     v = split_heads(v, length, (0, 2, 1, 3))
-    q = split_heads(scale(q, 1.0 / math.sqrt(d)), rows, (0, 2, 1, 3))
-    probs = T.dropout(T.softmax(T.matmul(q, k), bias=key_bias), p, keep)
-    return T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (b * rows, hidden))
+    q = split_heads(scale(q, 1.0 / math.sqrt(d) if c is None else c), rows, (0, 2, 1, 3))
+    probs = T.dropout(softmax(T.matmul(q, k), bias=key_bias), p, keep)
+    return T.reshape(permute(T.matmul(probs, v), (0, 2, 1, 3)), (b * rows, hidden))
+
+
+def learnt_codes_chain(h, codes, pad_mask):
+    """heads.poly_context_vectors' learnt codes before they ran through
+    tensor.attention: every code's unscaled dot product with every position
+    of the [B, L, H] states, as one [B*L, H] @ [H, m] product, the softmax
+    over the non-pad positions, and the weighted sum of the states: [B, m, H]."""
+    from polyscore import tensor as T
+
+    b, length, hid = h.shape
+    m = codes.shape[0]
+    flat = T.reshape(h, (b * length, hid))
+    logits = permute(T.reshape(T.matmul(flat, T.transpose(codes)), (b, length, m)), (0, 2, 1))
+    key_bias = np.where(pad_mask, 0.0, -np.inf).astype(T._data(h).dtype)[:, None, :]
+    return T.matmul(softmax(logits, bias=key_bias), h)
+
+
+def poly_pool_chain(vecs, y_cand, valid):
+    """training.poly_batch_loss's in-batch pool before tensor.poly_scores: the
+    attention of every candidate over every context's [m', H] vectors (slots
+    where `valid` is False masked), the [N cand, B ctxt, H] pooled vectors,
+    and their dot products with the candidates, as [B ctxt, N cand] scores."""
+    from polyscore import tensor as T
+
+    b, m, hid = vecs.shape
+    n = y_cand.shape[0]
+    logits = permute(T.reshape(T.matmul(T.reshape(vecs, (b * m, hid)), T.transpose(y_cand)),
+                               (b, m, n)), (0, 2, 1))
+    dtype = T._data(vecs).dtype
+    attn = softmax(logits, bias=np.where(valid, 0.0, -np.inf).astype(dtype)[:, None, :])
+    pooled = permute(T.matmul(attn, vecs), (1, 0, 2))  # [N cand, B ctxt, H]
+    scores = T.reshape(T.matmul(pooled, T.reshape(y_cand, (n, hid, 1))), (n, b))
+    return T.transpose(scores)
+
+
+def rank_poly_block_scores(vecs, emb, max_norm, block_elements):
+    """retrieval.rank_poly's scores as its block loop computed them inline,
+    before the loop called tensor.softmax_mean: [m', rows] logits of each
+    block of `block_elements // m'` cache rows into reused buffers, weights
+    e^l (or e^(l - column max) when B = max_j |v_j| * max_norm is past
+    tensor.EXP_SAFE or not finite), and GEMV column sums."""
+    from polyscore.tensor import EXP_SAFE
+
+    c = emb.shape[0]
+    rows = max(1, min(c, block_elements // len(vecs)))
+    dtype = np.result_type(vecs, emb)
+    logits, w = np.empty((2, len(vecs), rows), dtype)
+    ones, scores = np.ones(len(vecs), dtype), np.empty(c, dtype)
+    bound = float(np.sqrt(np.einsum("mh,mh->m", vecs, vecs).max())) * max_norm
+    shift = not bound <= EXP_SAFE[dtype]
+    for start in range(0, c, rows):
+        block = emb[start:start + rows].T
+        lg, wt = logits[:, :block.shape[1]], w[:, :block.shape[1]]
+        np.matmul(vecs, block, out=lg)
+        np.exp(np.subtract(lg, lg.max(axis=0), out=wt) if shift else lg, out=wt)
+        den = ones @ wt
+        lg *= wt
+        np.divide(ones @ lg, den, out=scores[start:start + block.shape[1]])
+    return scores
 
 
 def layer_norm_residual_chain(x, residual, gain, bias, eps):

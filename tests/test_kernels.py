@@ -1,15 +1,19 @@
 """The kernel path of the tensor ops: an inference forward hands every op bare
 arrays and builds no Tensor per op, yet it computes what the taped path
-computes and keeps every guard. Training's tape has the pinned size, and the
-fused encoder ops equal the op chains they replaced bit for bit."""
+computes and keeps every guard. Training's tape has the pinned size, the
+fused encoder ops (and the learnt codes' attention) equal the op chains they
+replaced bit for bit, and poly_scores equals the in-batch pool chain up to
+rounding."""
 
 import numpy as np
 import pytest
 
 from polyscore import tensor as T
 from polyscore import training
-from polyscore.encoder import ModelConfig, TransformerWeights, forward
+from polyscore.encoder import ModelConfig, TransformerOutput, TransformerWeights, forward
 from polyscore.errors import NumericError, ShapeError
+from polyscore.heads import poly_context_vectors
+from polyscore.losses import cross_entropy_rows
 from polyscore.model import Model, Scorer
 from polyscore.tensor import Tensor
 from polyscore.text import PAD_ID, Example, TokenBatch, Vocabulary, encode_single
@@ -119,11 +123,13 @@ def test_nan_under_masked_pad_key_raises(desk_weights):
     assert not batch.pad_mask.all()
     with pytest.raises(NumericError):
         forward(batch, w)
-    # the same NaN at a masked key, straight into the kernel
-    logits = np.zeros((1, 3))
-    logits[0, 2] = np.nan
+    # the same NaN at a masked key, straight into the kernel: one unscaled
+    # head over identity keys, whose scores are the query itself
+    keys = np.eye(3)
+    keys[2, 2] = np.nan
+    bias = np.array([[[[0.0, 0.0, -np.inf]]]])
     with pytest.raises(NumericError):
-        T.softmax(logits, bias=np.array([0.0, 0.0, -np.inf]))
+        T.attention(np.ones((1, 3)), keys, np.eye(3), bias, 1, scale=1.0)
 
 
 M = np.ones((2, 3))
@@ -133,8 +139,6 @@ GUARDED = {
     "add": lambda: T.add(M, np.ones((3, 2))),
     "add_bias": lambda: T.add(M, np.ones(2)),
     "transpose": lambda: T.transpose(np.ones((2, 3, 4))),
-    "transpose_axes": lambda: T.transpose(M, (0, 0)),
-    "softmax_bias": lambda: T.softmax(M, bias=np.zeros((4, 2, 3))),
     "layer_norm": lambda: T.layer_norm(M, np.ones(2), np.zeros(3)),
     "layer_norm_residual": lambda: T.layer_norm(M, np.ones(3), np.zeros(3), residual=M.T),
     "linear": lambda: T.linear(M, M, np.ones(3)),
@@ -145,6 +149,9 @@ GUARDED = {
     "dropout": lambda: T.dropout(M, 0.5, np.ones((3, 2), dtype=bool)),
     "gather_rows": lambda: T.gather_rows(np.ones(3), [0]),
     "stack": lambda: T.stack([M, np.ones(3)]),
+    "poly_scores": lambda: T.poly_scores(np.ones((2, 3, 4)), np.ones((5, 3)), np.ones((2, 3))),
+    "poly_scores_valid": lambda: T.poly_scores(np.ones((2, 3, 4)), np.ones((5, 4)),
+                                               np.ones((3, 2))),
 }
 
 
@@ -179,13 +186,15 @@ def tape_nodes(t):
 # the embeddings five gathers and adds, their layer norm and, under dropout,
 # its `dropout`. A forward that selects h_1 and whose input to the last
 # block is taped adds its gather of the h_1 rows (bi: both towers; poly: the candidate
-# tower; cross: the pairs). Frozen lower layers (top_layer) run as kernels
-# and record nothing, nor does the gather of their untaped rows
+# tower; cross: the pairs). Poly's in-batch scores are one `poly_scores`
+# node, and its learnt codes a `gather_rows` of the codes tiled to every row
+# and one `attention`. Frozen lower layers (top_layer) run as kernels and
+# record nothing, nor does the gather of their untaped rows
 TAPE_NODES = {
-    ("bi", None, "every_layer"): 139, ("poly", "learnt", "every_layer"): 154,
-    ("poly", "last_m_h1", "every_layer"): 149, ("cross", None, "every_layer"): 76,
-    ("bi", None, "top_layer"): 61, ("poly", "learnt", "top_layer"): 77,
-    ("poly", "last_m_h1", "top_layer"): 72, ("cross", None, "top_layer"): 37,
+    ("bi", None, "every_layer"): 139, ("poly", "learnt", "every_layer"): 140,
+    ("poly", "last_m_h1", "every_layer"): 138, ("cross", None, "every_layer"): 76,
+    ("bi", None, "top_layer"): 61, ("poly", "learnt", "top_layer"): 63,
+    ("poly", "last_m_h1", "top_layer"): 61, ("cross", None, "top_layer"): 37,
 }
 
 
@@ -300,12 +309,14 @@ def test_dropout_bit_identical_to_formula():
 @pytest.mark.parametrize("dtype,tol", SUM_ORDER_TOL, ids=["float64", "float32"])
 @pytest.mark.parametrize("masked", [False, True])
 def test_softmax_vjp_matches_formula(masked, dtype, tol):
+    # the chains' softmax, whose einsum vjp `attention` repeats bit for bit
+    # (test_fused_op_bit_identical_to_chain)
     rng = make_rng(24)
     x, g = (rng.normal(0.0, s, size=(3, 4, 9)).astype(dtype) for s in (3.0, 1.0))
     bias = np.where(rng.random((3, 1, 9)) < 0.3, -np.inf, 0.0).astype(dtype) if masked else None
     if masked:
         bias[..., 0] = 0.0
-    out = T.softmax(taped(x), bias=bias)
+    out = oracles.softmax(taped(x), bias=bias)
     assert close_or_same(out._vjp(g)[0], oracles.softmax_vjp_formula(out.data, g), tol)
 
 
@@ -352,10 +363,15 @@ B, L, HEADS, H = 3, 5, 2, 8
 LENGTHS = [5, 2, 4]  # the second and third sequences padded
 
 
+M_SLOTS, N_CANDS = 4, 5  # poly_scores: context vectors per row, candidate columns
+VALID = np.arange(M_SLOTS) < np.array([4, 1, 2])[:, None]  # the last two rows padded
+
+
 def fused_cases(dtype, rows, dropout):
     """op -> (fused op, the chain it replaced, input arrays, upstream
     gradient), with `rows` query rows per sequence (L, or 1 as in the last
-    block of a forward that selects h_1) and, if `dropout`, keep masks."""
+    block of a forward that selects h_1; the learnt codes' count for
+    `attention_codes`) and, if `dropout`, keep masks."""
     rng = make_rng(27)
 
     def normal(*shape, s=1.0):
@@ -368,7 +384,7 @@ def fused_cases(dtype, rows, dropout):
     lin_keep, attn_keep = mask(n, 6), mask(B, HEADS, rows, L)
     real = np.arange(L) < np.array(LENGTHS)[:, None]
     bias = np.where(real, 0.0, -np.inf).astype(dtype)[:, None, None, :]
-    return {
+    cases = {
         "linear": (lambda x, w, b: T.linear(x, w, b, lin_keep, 0.3),
                    lambda x, w, b: oracles.linear_chain(x, w, b, lin_keep, 0.3),
                    [normal(n, H), normal(H, 6), normal(6)], normal(n, 6)),
@@ -386,10 +402,25 @@ def fused_cases(dtype, rows, dropout):
             lambda q, k, v: oracles.attention_chain(q, k, v, bias, HEADS, attn_keep, 0.3),
             [normal(n, H, s=20.0), normal(B * L, H, s=20.0), normal(B * L, H)], normal(n, H)),
     }
+    # the learnt codes: one unscaled head, `rows` codes tiled to every
+    # sequence, whose states are both keys and values
+    codes_keep = mask(B, 1, rows, L)
+    cases["attention_codes"] = (
+        lambda q, h: T.attention(q, h, h, bias, 1, codes_keep, 0.3, scale=1.0),
+        lambda q, h: oracles.attention_chain(q, h, h, bias, 1, codes_keep, 0.3, c=1.0),
+        [np.tile(normal(rows, H), (B, 1)), normal(B * L, H)], normal(n, H))
+    # poly scores of N_CANDS candidates over pad-heavy rows of context
+    # vectors; at scale 20 the bound passes EXP_SAFE, and the max shift runs
+    for op, s in (("poly_scores", 1.0), ("poly_scores_shifted", 20.0)):
+        cases[op] = (lambda v, c: T.poly_scores(v, c, VALID),
+                     lambda v, c: oracles.poly_pool_chain(v, c, VALID),
+                     [normal(B, M_SLOTS, H, s=s), normal(N_CANDS, H, s=s)], normal(B, N_CANDS))
+    return cases
 
 
-FUSED = ["linear", "attention", "layer_norm_residual"]
+FUSED = ["linear", "attention", "layer_norm_residual", "attention_codes"]
 SHIFTED = ["attention_shifted"]  # cases past the shift-free bound
+POOL = ["poly_scores", "poly_scores_shifted"]  # equal to their chain up to rounding
 
 
 @pytest.mark.parametrize("rows", [L, 1], ids=["R=L", "R=1"])
@@ -410,7 +441,7 @@ def test_fused_op_bit_identical_to_chain(op, dropout, dtype, rows):
 
 
 @pytest.mark.parametrize("rows", [L, 1], ids=["R=L", "R=1"])
-@pytest.mark.parametrize("op", FUSED + SHIFTED)
+@pytest.mark.parametrize("op", FUSED + SHIFTED + POOL)
 def test_fused_op_gradients(op, rows):
     fused, _, arrays, _ = fused_cases(np.float64, rows, True)[op]
     rng = make_rng(28)
@@ -448,11 +479,97 @@ def test_fused_ops_keep_only_what_their_gradients_read():
     n, f64 = B * L, 8
     cases = fused_cases(np.float64, L, True)
     want = {"linear": n * 6, "attention": B * HEADS * L * L * (f64 + 1),
-            "layer_norm_residual": n * H * f64 + n * f64}
-    for op in FUSED:
+            "layer_norm_residual": n * H * f64 + n * f64,
+            "attention_codes": B * L * L * (f64 + 1),
+            # weights and weighted logits, [B, m', N]; scores and weight sums, [B, N]:
+            # no [N, B, H] pooled vectors
+            "poly_scores": 2 * B * M_SLOTS * N_CANDS * f64 + 2 * B * N_CANDS * f64}
+    for op in FUSED + POOL[:1]:
         fused, _, arrays, _ = cases[op]
         assert kept_bytes(fused(*[taped(a) for a in arrays])) == want[op], op
     assert kept_bytes(T.gelu(taped(np.ones((n, H))))) == n * H * f64
+
+
+# ---- poly_scores: the in-batch pool chain's scores from the logits alone,
+# equal to the chain up to rounding ----
+
+
+@pytest.mark.parametrize("op", POOL)
+def test_poly_scores_match_pool_chain(op):
+    """float64: scores and both gradients within 1e-9 of the largest entry."""
+    fused, chain, arrays, g = fused_cases(np.float64, L, False)[op]
+    got_in, want_in = [taped(a) for a in arrays], [taped(a) for a in arrays]
+    got, want = fused(*got_in), chain(*want_in)
+    assert tape_nodes(got) == len(arrays) + 1
+    assert close_or_same(got.data, want.data, 1e-9)
+    for got_g, want_g in zip(oracles.chain_gradients(got, g, got_in),
+                             oracles.chain_gradients(want, g, want_in)):
+        assert close_or_same(got_g, want_g, 1e-9)
+
+
+def test_poly_scores_float32_match_float64():
+    """float32 within 1e-5 of the float64 op on the same inputs, at logit
+    scales inside float32's EXP_SAFE (the shift-free path)."""
+    fused, _, arrays, g = fused_cases(np.float32, L, False)["poly_scores"]
+    v, c = arrays
+    assert np.abs(v.reshape(-1, H) @ c.T).max() < T.EXP_SAFE[np.dtype(np.float32)]
+    wide = [a.astype(np.float64) for a in arrays]
+    got_in, want_in = [taped(a) for a in arrays], [taped(a) for a in wide]
+    got, want = fused(*got_in), fused(*want_in)
+    assert got.dtype == np.float32
+    assert np.abs(got.data - want.data).max() <= 1e-5 * np.abs(want.data).max()
+    for got_g, want_g in zip(oracles.chain_gradients(got, g, got_in),
+                             oracles.chain_gradients(want, g.astype(np.float64), want_in)):
+        assert got_g.dtype == np.float32
+        assert np.abs(got_g - want_g).max() <= 1e-5 * np.abs(want_g).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_poly_scores_ignore_a_masked_slot_that_tops_the_valid_ones(dtype):
+    """On the shifted path, a masked slot whose logit tops every valid one
+    takes no weight: the scores are finite and equal those with that slot's
+    vector negated (same norm, so the same bound and path), and its gradient
+    is 0. Masking after the exp would make it inf * 0 = NaN."""
+    _, _, (v, c), g = fused_cases(dtype, L, False)["poly_scores_shifted"]
+    v[1, 3] = 4.0 * c[0]  # row 1 keeps slot 0 only
+    logits = v.astype(np.float64) @ c.astype(np.float64).T  # [B, m', N]
+    assert logits[1, 3, 0] > logits[1, 0, 0] and logits[1, 3, 0] > T.EXP_SAFE[np.dtype(dtype)]
+    flipped = v.copy()
+    flipped[1, 3] *= -1.0
+    vt = taped(v)
+    out = T.poly_scores(vt, c, VALID)
+    assert np.isfinite(out.data).all()
+    assert same_bits(out.data, T.poly_scores(flipped, c, VALID))
+    gv = oracles.chain_gradients(out, g, [vt])[0]
+    assert np.isfinite(gv).all() and (gv[~VALID] == 0.0).all()
+
+
+@pytest.mark.parametrize("slot", ["valid", "masked"])
+def test_poly_loss_rejects_a_nan_context_vector(slot):
+    """A NaN in any context vector, under the pad mask too, makes the
+    bound NaN, so the shifted path runs, and the loss raises NumericError."""
+    _, _, (v, c), _ = fused_cases(np.float64, L, False)["poly_scores"]
+    v[1, 0 if slot == "valid" else 2, 3] = np.nan  # row 1 keeps slot 0 only
+    with pytest.raises(NumericError):
+        cross_entropy_rows(T.poly_scores(taped(v), c, VALID), np.arange(B))
+
+
+@pytest.mark.parametrize("dtype,tol", SUM_ORDER_TOL, ids=["float64", "float32"])
+def test_learnt_codes_match_their_chain(dtype, tol):
+    """heads' learnt codes, one `attention` node over the codes tiled by one
+    gather, within tol of the chain they replaced, vectors and gradients."""
+    rng = make_rng(33)
+    h = rng.normal(size=(B, L, H)).astype(dtype)
+    codes = rng.normal(size=(3, H)).astype(dtype)
+    pad_mask = np.arange(L) < np.array(LENGTHS)[:, None]
+    g = rng.normal(size=(B, 3, H)).astype(dtype)
+    got_in, want_in = [taped(h), taped(codes)], [taped(h), taped(codes)]
+    got, _ = poly_context_vectors(TransformerOutput(got_in[0], pad_mask), "learnt", 3, got_in[1])
+    want = oracles.learnt_codes_chain(want_in[0], want_in[1], pad_mask)
+    assert close_or_same(got.data, want.data, tol)
+    for got_g, want_g in zip(oracles.chain_gradients(got, g, got_in),
+                             oracles.chain_gradients(want, g, want_in)):
+        assert close_or_same(got_g, want_g, tol)
 
 
 # ---- the softmax guard: shift-free while every score is within [-T, T],
@@ -480,7 +597,9 @@ def test_attention_takes_the_path_its_scores_allow(op, dtype):
 @pytest.mark.parametrize("offset", [0.0, 400.0], ids=["shift_free", "shifted"])
 def test_softmax_takes_the_path_its_input_allows(offset, dtype):
     """Bit for bit the formula of the path x allows. Rows with one real
-    entry (pad-heavy rows) put exactly 1 there on both paths."""
+    entry (pad-heavy rows) put exactly 1 there on both paths. One unscaled
+    head over identity keys and values: its scores are the queries x, and
+    its output is their softmax."""
     rng = make_rng(30)
     x = (rng.normal(0.0, 3.0, size=(3, 4, 9)) + offset).astype(dtype)
     bias = np.where(rng.random((3, 1, 9)) < 0.3, -np.inf, 0.0).astype(dtype)
@@ -488,7 +607,8 @@ def test_softmax_takes_the_path_its_input_allows(offset, dtype):
     bias[:, :, 0] = 0.0  # every row keeps entry 0, rows of block 0 nothing else
     shift = np.abs(x).max() > T.EXP_SAFE[np.dtype(dtype)]
     assert shift == (offset > 0.0)
-    out = T.softmax(x, bias=bias)
+    eye = np.tile(np.eye(9, dtype=dtype), (3, 1))
+    out = T.attention(x.reshape(12, 9), eye, eye, bias[:, None], 1, scale=1.0).reshape(x.shape)
     assert same_bits(out, oracles.softmax_formula(x + bias, shift))
     assert (out[0, :, 0] == 1.0).all() and (out[0, :, 1:] == 0.0).all()
 
@@ -514,7 +634,7 @@ def test_nan_takes_the_shifted_path_and_raises(where):
     else:
         k[L + LENGTHS[1], 0] = np.nan  # a pad key of the second sequence
     with pytest.raises(NumericError):
-        if where == "softmax":
-            T.softmax(q[:L] @ k[L:2 * L].T, bias=bias[1, 0])
+        if where == "softmax":  # the chains' softmax
+            oracles.softmax(q[:L] @ k[L:2 * L].T, bias=bias[1, 0])
         else:
             T.attention(q, k, v, bias, HEADS)

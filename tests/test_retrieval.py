@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polyscore import retrieval
 from polyscore.bench import make_bench_models, synthetic_texts
 from polyscore.encoder import ModelConfig
 from polyscore.errors import ContractError, OldFormatError, ParseError, StaleCacheError
@@ -31,7 +32,7 @@ from polyscore.text import RESERVED, Vocabulary
 
 from conftest import make_rng
 from oracles import brute_force_rank, cache_bytes_reference, lexsort_rank, poly_scores_pooled, \
-    score_bi, score_poly
+    rank_poly_block_scores, score_bi, score_poly
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +330,36 @@ class TestRankPolyLayout:
         # float64, so float32 buffers would miss this bound by orders of magnitude
         monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", 4096)
         self.check(vocab, np.float64, 1e-9, m, c, cache_dtype=np.float32, arch=arch)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("side", [0.999, 1.001], ids=["under", "over"])
+    @pytest.mark.parametrize("block", [None, 50], ids=["one_block", "short_last_block"])
+    @pytest.mark.parametrize("m", [3, 16])
+    def test_bit_identical_to_the_inline_block_loop(self, vocab, dtype, side, block, m,
+                                                    monkeypatch):
+        """rank_poly's scores through tensor.softmax_mean are byte for byte
+        those of the block loop it ran inline (kept in oracles), with B just
+        under or just over T, in one block or ending on a short one."""
+        if block:  # 50 logits per block: 16 or 3 rows, neither divides C=101
+            monkeypatch.setattr("polyscore.retrieval.POLY_BLOCK_ELEMENTS", block)
+        base = Model.init_pretrain(ModelConfig(vocab_size=len(vocab)), make_rng(17), dtype=dtype)
+        scorer = Scorer(base.derive("poly", make_rng(1), poly_variant="learnt", poly_m=m), vocab)
+        rng = make_rng(m + 40)
+        vecs = rng.normal(0.0, 1.0, size=(m, 32)).astype(dtype)
+        emb = rng.normal(0.0, 1.0, size=(101, 32))
+        emb *= side * shift_threshold(dtype) / (np.linalg.norm(vecs, axis=1).max()
+                                               * np.linalg.norm(emb, axis=1).max())
+        scorer.poly_vectors = lambda turns: Tensor(vecs)
+        cache = CandidateCache(list(range(101)), [""] * 101, emb.astype(dtype), "unsaved")
+        bound = float(np.sqrt(np.einsum("mh,mh->m", vecs, vecs).max())) * cache.max_norm
+        assert (bound > shift_threshold(dtype)) == (side > 1.0)
+        res = rank_poly(scorer, ["w1"], cache, k=101)
+        got = np.empty(101, dtype)
+        for cid, score in res.ranking:
+            got[cid] = score
+        want = rank_poly_block_scores(vecs, cache.embeddings, cache.max_norm,
+                                      retrieval.POLY_BLOCK_ELEMENTS)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("arch", ["poly:16", "poly:360"])
     def test_bench_models_fall_under_the_threshold(self, arch):

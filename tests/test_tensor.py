@@ -12,7 +12,7 @@ from polyscore.errors import ContractError, NumericError, ShapeError
 from polyscore.tensor import Tensor
 
 from conftest import make_rng
-from oracles import backward_recursive, dot, grad_check, matmul_triple_loop, scale, \
+from oracles import backward_recursive, dot, grad_check, matmul_triple_loop, permute, scale, \
     softmax_closed_form, tsum
 
 
@@ -46,39 +46,53 @@ class TestMatmul:
         assert np.array_equal(out.data, a)
 
 
+def attention_softmax(x, bias=None):
+    """The softmax of the vector x (plus a 0/-inf `bias`) through
+    `T.attention`: one unscaled head of the query x over identity keys and
+    values, whose scores are x and whose output is their softmax."""
+    n = x.shape[-1]
+    bias = np.zeros(n) if bias is None else np.asarray(bias, dtype=float)
+    return T.attention(x.reshape(-1, n), np.eye(n), np.eye(n), bias.reshape(1, 1, 1, n), 1,
+                       scale=1.0).reshape(x.shape)
+
+
 class TestSoftmax:
+    """The softmax inside `T.attention`, read through `attention_softmax`."""
+
     def test_uniform_on_zeros(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]))
-        assert np.abs(out.data - 1 / 3).max() < 1e-15
+        out = attention_softmax(np.zeros(3))
+        assert np.abs(out - 1 / 3).max() < 1e-15
 
     def test_stability_no_overflow(self):
-        out = T.softmax(Tensor([1000.0, 0.0]))
-        assert abs(out.data[0] - 1.0) < 1e-12
-        assert abs(out.data[1]) < 1e-12
+        out = attention_softmax(np.array([1000.0, 0.0]))
+        assert abs(out[0] - 1.0) < 1e-12
+        assert abs(out[1]) < 1e-12
 
     def test_closed_form(self):
-        out = T.softmax(Tensor([1.0, 2.0, 3.0]))
+        out = attention_softmax(np.array([1.0, 2.0, 3.0]))
         expected = softmax_closed_form([1.0, 2.0, 3.0])
-        assert np.abs(out.data - expected).max() < 1e-12
-        assert np.allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
+        assert np.abs(out - expected).max() < 1e-12
+        assert np.allclose(out, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
-            T.softmax(Tensor([1.0, float("nan")]))
+            attention_softmax(np.array([1.0, float("nan")]))
 
     def test_neg_inf_is_fine(self):
-        out = T.softmax(Tensor([0.0, float("-inf")]))
-        assert out.data.tolist() == [1.0, 0.0]
+        # a -inf score is a pad key's bias (the query itself must stay finite,
+        # as -inf times an identity key's 0 is NaN)
+        out = attention_softmax(np.zeros(2), bias=[0.0, float("-inf")])
+        assert out.tolist() == [1.0, 0.0]
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one_and_permutation_equivariant(self, xs):
         x = np.array(xs)
-        out = T.softmax(Tensor(x)).data
+        out = attention_softmax(x)
         assert abs(out.sum() - 1.0) < 1e-9
         assert (out >= 0).all()
         perm = np.random.default_rng(1).permutation(len(xs))
-        out_perm = T.softmax(Tensor(x[perm])).data
+        out_perm = attention_softmax(x[perm])
         assert np.abs(out_perm - out[perm]).max() < 1e-12
 
 
@@ -148,7 +162,8 @@ class TestBackward:
 
         def forward():
             h = T.gelu(T.add(T.matmul(xt, params["w1"]), params["b1"]))
-            out = T.reshape(T.softmax(T.matmul(h, params["w2"])), (6,))
+            out = T.reshape(T.attention(T.matmul(h, params["w2"]), np.eye(3), np.eye(3),
+                                        np.zeros((1, 1, 1, 3)), 1, scale=1.0), (6,))
             return dot(out, out)
 
         def loss_value():
@@ -168,8 +183,10 @@ class TestOpGradients:
         "scale": lambda p, r: scale(p, 1.7),
         "transpose": lambda p, r: T.transpose(p),
         "reshape": lambda p, r: T.reshape(p, (15,)),
-        "softmax": lambda p, r: T.softmax(p),
-        "softmax_shifted": lambda p, r: T.softmax(T.add(p, r["shift"])),  # past T: max shift
+        # attention's softmax: one unscaled head over identity keys, scores p
+        "softmax": lambda p, r: T.attention(p, r["eye"], r["v"], r["no_bias"], 1, scale=1.0),
+        "softmax_shifted": lambda p, r: T.attention(T.add(p, r["shift"]), r["eye"], r["v"],
+                                                    r["no_bias"], 1, scale=1.0),  # past T
         "cross_entropy": lambda p, r: T.cross_entropy(p, [4, 0, 2]),
         "gelu": lambda p, r: T.gelu(p),
         "layer_norm": lambda p, r: T.layer_norm(p, r["gain"], r["beta"]),
@@ -178,16 +195,17 @@ class TestOpGradients:
         # batched-encoder ops; their input shapes are in SHAPES
         "matmul_batched": lambda p, r: T.matmul(p, r["b3"]),
         "matmul_batched_rhs": lambda p, r: T.matmul(r["a3"], p),
-        "split_heads": lambda p, r: T.transpose(T.reshape(p, (2, 3, 2, 2)), (0, 2, 1, 3)),
-        "merge_heads": lambda p, r: T.reshape(T.transpose(p, (0, 2, 1, 3)), (6, 4)),
-        "softmax_masked_4d": lambda p, r: T.softmax(p, bias=r["key_bias"]),
+        "split_heads": lambda p, r: permute(T.reshape(p, (2, 3, 2, 2)), (0, 2, 1, 3)),
+        "merge_heads": lambda p, r: T.reshape(permute(p, (0, 2, 1, 3)), (6, 4)),
+        # [B*L, H] queries, B=2, L=3, of two 2-wide heads over the same keys
+        "softmax_masked_4d": lambda p, r: T.attention(p, r["k6"], r["v6"], r["key_bias"], 2),
     }
     SHAPES = {
         "matmul_batched": (2, 3, 5),
         "matmul_batched_rhs": (2, 3, 5),
         "split_heads": (6, 4),  # [B*L, H] with B=2, L=3, 2 heads of 2
         "merge_heads": (2, 2, 3, 2),  # [B, heads, L, d]
-        "softmax_masked_4d": (2, 2, 3, 3),  # [B, heads, L, L]
+        "softmax_masked_4d": (6, 4),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -205,8 +223,12 @@ class TestOpGradients:
             "key_bias": np.where([[[[True, True, False]]], [[[True, False, False]]]],
                                  0.0, -np.inf),
             "shift": np.full(5, 400.0),
+            "eye": np.eye(5),
+            "no_bias": np.zeros((1, 1, 1, 5)),
         }
         proj = rng.normal(size=(100,))
+        refs.update(v=rng.normal(size=(5, 5)), k6=rng.normal(size=(6, 4)),
+                    v6=rng.normal(size=(6, 4)))
 
         def build(arr):
             p = Tensor(arr, requires_grad=True)
