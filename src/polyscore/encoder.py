@@ -144,8 +144,8 @@ class TransformerOutput:
 
 def embed(batch: TokenBatch, w: TransformerWeights, prm=None):
     """Sum of token, position (0..L-1 in every row) and segment embeddings,
-    the [B, L] positions flattened row-major to B*L rows. The tables are
-    `prm`'s (forward's operands) if given, else w's Tensors."""
+    the [B, L] positions flattened row-major to B*L rows: one `embedding_sum`
+    node. The tables are `prm`'s (forward's operands) if given, else w's Tensors."""
     cfg, prm = w.cfg, prm or w.params
     b, length = batch.token_ids.shape
     ids = batch.token_ids.ravel()
@@ -155,10 +155,8 @@ def embed(batch: TokenBatch, w: TransformerWeights, prm=None):
         raise ConfigError(
             f"sequence length {length} exceeds max_positions {cfg.max_positions}"
         )
-    tok = T.gather_rows(prm["embeddings.token"], ids)
-    pos = T.gather_rows(prm["embeddings.position"], np.tile(np.arange(length), b))
-    seg = T.gather_rows(prm["embeddings.segment"], batch.segment_ids.ravel())
-    return T.add(T.add(tok, pos), seg)
+    return T.embedding_sum([prm[f"embeddings.{t}"] for t in ("token", "position", "segment")],
+                           (ids, np.tile(np.arange(length), b), batch.segment_ids.ravel()))
 
 
 def _dropout_keeps(batch: TokenBatch, cfg: ModelConfig, rng: np.random.Generator,

@@ -8,12 +8,14 @@ Tensor recording parents and closure if an input needs a gradient, an untaped
 Tensor if an input is one, and else the bare array: a forward that hands its
 ops bare arrays (see `operand`) runs kernels end to end and builds no Tensor
 per op. `backward` replays the implicit tape in reverse topological order.
-The encoder's and poly's chains are fused ops (`linear`, `attention`, residual
-`layer_norm`, `poly_scores`): one node each, keeping only what its vjp reads.
+The encoder's and poly's chains are fused ops (`embedding_sum`, `linear`,
+`attention`, residual `layer_norm`, `poly_scores`): one node each, keeping
+only what its vjp reads.
 
-Tensors are immutable after creation for graph purposes: training code may
-update `.data` in place only between forward passes, never while a tape that
-references the tensor is still live.
+`backward` consumes the graph: a node whose vjp has run drops it and its
+parent links, so the tape is freed as backward walks it, and a second
+backward through the node raises ContractError. `.data` is kept. Training
+code may update a parameter's `.data` in place only between forward passes.
 """
 
 from __future__ import annotations
@@ -378,25 +380,31 @@ def poly_scores(v, c, valid: np.ndarray):
     return _result(s, inputs, vjp)
 
 
-def _scatter_add(like, flat, g):
-    """np.add.at into zeros by flat index, via bincount: same order, float64 sums."""
-    out = np.bincount(flat.ravel(), weights=g.ravel(), minlength=like.size)
-    return out.reshape(like.shape).astype(like.dtype, copy=False)
+def _scatter_add(table, ids, g):
+    """np.add.at(zeros_like(table), ids, g) via bincount: same order, float64 sums."""
+    rows, h = table.shape
+    flat = (ids % rows)[..., None] * h + np.arange(h)
+    out = np.bincount(flat.ravel(), weights=g.ravel(), minlength=table.size)
+    return out.reshape(table.shape).astype(table.dtype, copy=False)
+
+
+def embedding_sum(tables, ids):
+    """Summed row lookups tables[0][ids[0]] + tables[1][ids[1]] + ..., added in
+    table order; repeated ids accumulate gradient. One node keeping the ids."""
+    inputs = tuple(tables)
+    tables, ids = [_data(t) for t in inputs], [np.asarray(i, dtype=np.int64) for i in ids]
+    if [t.ndim for t in tables] != [2] * len(ids) or len({i.shape for i in ids}) != 1:
+        raise ShapeError(f"embedding_sum needs an id array per matrix table, all of one "
+                         f"shape, got {[t.shape for t in tables]} and {[i.shape for i in ids]}")
+    out = tables[0].take(ids[0], axis=0)  # table[ids], ~2x faster
+    for t, i in zip(tables[1:], ids[1:]):
+        out += t.take(i, axis=0)
+    return _result(out, inputs, lambda g: tuple(_scatter_add(t, i, g) for t, i in zip(tables, ids)))
 
 
 def gather_rows(table, ids):
-    """Row lookup out[i] = table[ids[i]]; repeated ids accumulate gradient."""
-    inputs = (table,)
-    table = _data(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix table, got {table.shape}")
-
-    def vjp(g):
-        rows, h = table.shape
-        return (_scatter_add(table, (ids % rows)[..., None] * h + np.arange(h), g),)
-
-    return _result(table.take(ids, axis=0), inputs, vjp)  # table[ids], ~2x faster
+    """Row lookup out[i] = table[ids[i]]: `embedding_sum` of one table."""
+    return embedding_sum((table,), (ids,))
 
 
 def stack(tensors):
@@ -409,12 +417,16 @@ def stack(tensors):
     return _result(np.stack(arrays), inputs, tuple)
 
 
+def _consumed(g):  # the vjp of a node an earlier backward consumed
+    raise ContractError("backward through a consumed graph: run the forward again")
+
+
 def backward(loss: Tensor, params) -> dict:
     """Gradients of a scalar loss with respect to each marked parameter.
 
-    Parameters not reachable from the loss get zero gradients. Gradients are
-    accumulated in a side table keyed by node identity, so tensors stay
-    immutable and only the marked parameters' gradients are returned.
+    Parameters not reachable from the loss get zero gradients. Only the marked
+    parameters' gradients are returned. The walk consumes the graph, freeing it
+    as it goes: a second backward through it raises ContractError; `.data` stays.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -445,11 +457,15 @@ def backward(loss: Tensor, params) -> dict:
     keep = {id(p) for p in params}
     grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0, dtype=loss.dtype)}
     owned: set[int] = set()
-    for node in reversed(topo):
+    while topo:  # popped, so a consumed node is freed unless a caller holds it
+        node = topo.pop()
         g = grads.get(id(node)) if id(node) in keep else grads.pop(id(node), None)
         if g is None or node._vjp is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        parents, pgs = node._parents, node._vjp(g)
+        if id(node) not in keep:
+            node._parents, node._vjp = (), _consumed
+        for parent, pg in zip(parents, pgs):
             if not parent.requires_grad:
                 continue
             key, acc = id(parent), grads.get(id(parent))

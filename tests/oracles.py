@@ -446,6 +446,15 @@ def rank_poly_block_scores(vecs, emb, max_norm, block_elements):
     return scores
 
 
+def embedding_chain(tok, pos, seg, ids):
+    """encoder.embed's sum before `embedding_sum`: three `gather_rows`, then
+    tok + pos and + seg, two `add`s (five nodes)."""
+    from polyscore import tensor as T
+
+    rows = [T.gather_rows(table, i) for table, i in zip((tok, pos, seg), ids)]
+    return T.add(T.add(rows[0], rows[1]), rows[2])
+
+
 def layer_norm_residual_chain(x, residual, gain, bias, eps):
     """The residual add, then the layer norm."""
     from polyscore import tensor as T

@@ -49,6 +49,13 @@ class TestEmbed:
         # same token at positions 1 and 2: rows differ by the position rows
         assert np.abs((got[2] - got[1]) - (pos[2] - pos[1])).max() < 1e-15
 
+    @pytest.mark.parametrize("past_vocab", [False, True], ids=["negative", "past_vocab"])
+    def test_token_id_out_of_range_is_config_error(self, desk_weights, vocab, past_vocab):
+        batch = TokenBatch.of([encode_single("w1 w2", vocab, 8)])
+        batch.token_ids[0, 1] = desk_weights.cfg.vocab_size if past_vocab else -1
+        with pytest.raises(ConfigError):
+            embed(batch, desk_weights)
+
     def test_position_overflow_is_config_error(self, vocab):
         cfg = ModelConfig(vocab_size=len(vocab), max_positions=4)
         w = TransformerWeights.init(cfg, make_rng(0))

@@ -109,9 +109,9 @@ def test_taped_forward_still_builds_a_tensor_per_op(monkeypatch):
     w = TransformerWeights.init(ModelConfig(vocab_size=len(VOCAB)), make_rng(3))
     made = count_tensors(monkeypatch)
     out = forward(TokenBatch.of([encode_single("w1 w2", VOCAB, 8)]), w)
-    # the embeddings' three gathers, two adds and layer norm, ten ops per
-    # layer (see TAPE_NODES) and the final reshape
-    assert len(made) == 6 + 2 * 10 + 1 and out.hidden_states.requires_grad
+    # the embeddings' `embedding_sum` and layer norm, ten ops per layer (see
+    # TAPE_NODES) and the final reshape
+    assert len(made) == 2 + 2 * 10 + 1 and out.hidden_states.requires_grad
 
 
 def test_nan_under_masked_pad_key_raises(desk_weights):
@@ -148,6 +148,8 @@ GUARDED = {
     "tsum": lambda: tsum(M, axis=0),
     "dropout": lambda: T.dropout(M, 0.5, np.ones((3, 2), dtype=bool)),
     "gather_rows": lambda: T.gather_rows(np.ones(3), [0]),
+    "embedding_sum": lambda: T.embedding_sum((M, M), ([0], [0, 1])),
+    "embedding_sum_ids": lambda: T.embedding_sum((M, M), ([0],)),
     "stack": lambda: T.stack([M, np.ones(3)]),
     "poly_scores": lambda: T.poly_scores(np.ones((2, 3, 4)), np.ones((5, 3)), np.ones((2, 3))),
     "poly_scores_valid": lambda: T.poly_scores(np.ones((2, 3, 4)), np.ones((5, 4)),
@@ -183,7 +185,7 @@ def tape_nodes(t):
 # tape nodes of one training step's loss, parameters included. The pins catch
 # unintended tape growth. An encoder layer records ten nodes: six `linear`
 # projections, one `attention`, one `gelu` and two residual `layer_norm`s;
-# the embeddings five gathers and adds, their layer norm and, under dropout,
+# the embeddings one `embedding_sum`, their layer norm and, under dropout,
 # its `dropout`. A forward that selects h_1 and whose input to the last
 # block is taped adds its gather of the h_1 rows (bi: both towers; poly: the candidate
 # tower; cross: the pairs). Poly's in-batch scores are one `poly_scores`
@@ -191,8 +193,8 @@ def tape_nodes(t):
 # and one `attention`. Frozen lower layers (top_layer) run as kernels and
 # record nothing, nor does the gather of their untaped rows
 TAPE_NODES = {
-    ("bi", None, "every_layer"): 139, ("poly", "learnt", "every_layer"): 140,
-    ("poly", "last_m_h1", "every_layer"): 138, ("cross", None, "every_layer"): 76,
+    ("bi", None, "every_layer"): 131, ("poly", "learnt", "every_layer"): 132,
+    ("poly", "last_m_h1", "every_layer"): 130, ("cross", None, "every_layer"): 72,
     ("bi", None, "top_layer"): 61, ("poly", "learnt", "top_layer"): 63,
     ("poly", "last_m_h1", "top_layer"): 61, ("cross", None, "top_layer"): 37,
 }
@@ -236,7 +238,7 @@ def test_pretraining_step_tape_unchanged():
     # both forwards add the gather of their selected rows to the last block
     # (next: h_1; MLM: its target positions), and the MLM transform is one
     # `linear` where a matmul and a bias add were two
-    assert (tape_nodes(mlm), tape_nodes(nxt)) == (80, 74)
+    assert (tape_nodes(mlm), tape_nodes(nxt)) == (76, 70)
 
 
 # ---- in-place kernels: the same float64 arithmetic as the out-of-place
@@ -415,10 +417,17 @@ def fused_cases(dtype, rows, dropout):
         cases[op] = (lambda v, c: T.poly_scores(v, c, VALID),
                      lambda v, c: oracles.poly_pool_chain(v, c, VALID),
                      [normal(B, M_SLOTS, H, s=s), normal(N_CANDS, H, s=s)], normal(B, N_CANDS))
+    # the embeddings of n rows: repeated token ids, `rows` positions per
+    # sequence, segments 0 and 1
+    ids = rng.integers(0, 7, size=n), np.tile(np.arange(rows), B), rng.integers(0, 2, size=n)
+    cases["embedding_sum"] = (lambda tok, pos, seg: T.embedding_sum((tok, pos, seg), ids),
+                              lambda tok, pos, seg: oracles.embedding_chain(tok, pos, seg, ids),
+                              [normal(7, H), normal(L, H), normal(2, H)], normal(n, H))
     return cases
 
 
-FUSED = ["linear", "attention", "layer_norm_residual", "attention_codes"]
+FUSED = ["linear", "attention", "layer_norm_residual", "attention_codes", "embedding_sum"]
+UNMASKED = ["layer_norm_residual", "embedding_sum"]  # fused ops without a dropout
 SHIFTED = ["attention_shifted"]  # cases past the shift-free bound
 POOL = ["poly_scores", "poly_scores_shifted"]  # equal to their chain up to rounding
 
@@ -427,7 +436,7 @@ POOL = ["poly_scores", "poly_scores_shifted"]  # equal to their chain up to roun
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 @pytest.mark.parametrize("op,dropout", [(op, mask) for op in FUSED + SHIFTED
                                         for mask in (False, True)
-                                        if op != "layer_norm_residual" or not mask],
+                                        if op not in UNMASKED or not mask],
                          ids=lambda v: {False: "no_mask", True: "mask"}.get(v, v))
 def test_fused_op_bit_identical_to_chain(op, dropout, dtype, rows):
     fused, chain, arrays, g = fused_cases(dtype, rows, dropout)[op]
@@ -455,20 +464,21 @@ def test_fused_op_gradients(op, rows):
 
 
 def kept_bytes(node):
-    """Bytes of the arrays a node's vjp closure holds (nested closures
-    included) that are not its parents' own arrays."""
+    """Bytes of the arrays a node's vjp closure holds (nested closures, lists
+    and tuples included) that are not its parents' own arrays."""
     parents = {id(p.data) for p in node._parents}
     seen, kept, work = set(), 0, [node._vjp]
     while work:
-        for cell in work.pop().__closure__ or ():
-            v = cell.cell_contents
-            if id(v) in seen or id(v) in parents:
-                continue
-            seen.add(id(v))
-            if isinstance(v, np.ndarray):
-                kept += v.nbytes
-            elif callable(v) and getattr(v, "__closure__", None):
-                work.append(v)
+        v = work.pop()
+        if id(v) in seen or id(v) in parents:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            kept += v.nbytes
+        elif isinstance(v, (list, tuple)):
+            work.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            work.extend(cell.cell_contents for cell in v.__closure__)
     return kept
 
 
@@ -481,6 +491,7 @@ def test_fused_ops_keep_only_what_their_gradients_read():
     want = {"linear": n * 6, "attention": B * HEADS * L * L * (f64 + 1),
             "layer_norm_residual": n * H * f64 + n * f64,
             "attention_codes": B * L * L * (f64 + 1),
+            "embedding_sum": 3 * n * 8,  # the int64 ids: no table or row copy
             # weights and weighted logits, [B, m', N]; scores and weight sums, [B, N]:
             # no [N, B, H] pooled vectors
             "poly_scores": 2 * B * M_SLOTS * N_CANDS * f64 + 2 * B * N_CANDS * f64}

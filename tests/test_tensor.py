@@ -140,10 +140,28 @@ class TestBackward:
         a, b = scale(p, 2.0), scale(p, 3.0)
         u = T.add(T.add(T.add(a, b), a), b)
         flat = T.reshape(u, (12,))
+        want = backward_recursive(dot(flat, flat), [p])  # first: backward consumes the graph
         grads = T.backward(dot(flat, flat), [p])
-        want = backward_recursive(dot(flat, flat), [p])
         assert grads[p].tobytes() == want[p].tobytes()
         assert np.abs(grads[p] - 2 * 10 * 10 * p.data).max() < 1e-12
+
+    def test_second_backward_on_one_loss_raises(self):
+        p = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        loss = dot(T.add(p, p), p)
+        first = T.backward(loss, [p])
+        assert loss.item() == 28.0  # backward keeps every node's data
+        with pytest.raises(ContractError):
+            T.backward(loss, [p])
+        # the parameter is not consumed: a new forward over it runs as the first
+        assert T.backward(dot(T.add(p, p), p), [p])[p].tobytes() == first[p].tobytes()
+
+    def test_loss_over_consumed_nodes_raises(self):
+        p = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        h = T.add(p, p)
+        T.backward(dot(h, p), [p])
+        assert np.array_equal(h.data, 2.0 * p.data)  # a held intermediate keeps its value
+        with pytest.raises(ContractError):
+            T.backward(dot(h, p), [p])
 
     def test_non_scalar_loss_rejected(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
